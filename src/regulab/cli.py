@@ -82,7 +82,7 @@ def _resolve(args) -> dict:
     resolved = {
         "quadrature.rel_tol": 1e-10,
         "quadrature.abs_tol": 1e-14,
-        "quadrature.max_subdivisions": 2000,
+        "quadrature.max_subdivisions": 20000,
         "quadrature.tail_truncation_multiple": 60.0,
         "output.format": "csv",
         "output.path": "-",

@@ -4,6 +4,10 @@ Integrals over [0, inf) carry an exponential cutoff weight e^(-omega*tau) and
 are truncated where the weight is negligible; a sampled bound on the dropped
 tail is folded into the error estimate.  The panel integrator is a classic
 Gauss 7 / Kronrod 15 embedded pair with greedy bisection of the worst panel.
+Initial panels follow the cutoff only (2/tau wide, geometric toward 0); error
+estimates alone decide where to refine, behind a guard against aliasing that
+bisects every initial panel once and carries the change in value across each
+bisection into the error estimate.
 
 `classify_limit` extrapolates a sequence of samples taken along a shrinking
 scale parameter s and decides whether the s -> 0 limit is finite, divergent,
@@ -36,14 +40,20 @@ __all__ = [
 class QuadratureSpec:
     """Tolerances and budgets for the adaptive integrator.
 
-    max_subdivisions counts adaptive bisections, on top of the initial
-    paneling.  tail_truncation_multiple T means half-line integrals are cut at
+    max_subdivisions counts every bisection, including the guard bisection
+    each initial panel gets before the error sum is trusted, so it bounds the
+    whole cost of an integral.  The guard bisections always run; a budget
+    smaller than their number only rules out refinement after them.  An
+    integrand needs about one bisection per period it oscillates through
+    where it is not negligible, so the default of 20000 is sized for the
+    most oscillatory inputs of the density modules (see README).
+    tail_truncation_multiple T means half-line integrals are cut at
     omega = T/tau, where the cutoff weight is e^(-T).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
+    max_subdivisions: int = 20000
     tail_truncation_multiple: float = 60.0
 
     def __post_init__(self):
@@ -87,21 +97,26 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119)
 _WG_CENTER = 0.417959183673469
 
 
-def _gk15(f: Callable[[float], complex], a: float, b: float) -> tuple[complex, float]:
-    """Gauss7/Kronrod15 pair on [a, b]; returns (K15 value, |K15 - G7|)."""
+def _gk15(
+    f: Callable[[float], complex], a: float, b: float
+) -> tuple[complex, float, float]:
+    """Gauss7/Kronrod15 pair on [a, b]; returns (K15 value, |K15 - G7|, K15
+    integral of |f|)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = complex(f(c))
     resk = _WGK_CENTER * fc
     resg = _WG_CENTER * fc
+    resabs = _WGK_CENTER * abs(fc)
     for i in range(7):
         dx = h * _XGK[i]
         f1 = complex(f(c - dx))
         f2 = complex(f(c + dx))
         resk += _WGK[i] * (f1 + f2)
+        resabs += _WGK[i] * (abs(f1) + abs(f2))
         if i % 2 == 1:
             resg += _WG[i // 2] * (f1 + f2)
-    return resk * h, abs((resk - resg) * h)
+    return resk * h, abs((resk - resg) * h), resabs * abs(h)
 
 
 def _adaptive_panels(
@@ -111,53 +126,68 @@ def _adaptive_panels(
 ) -> tuple[complex, float, int]:
     """Greedy refinement over the initial panels defined by `breakpoints`.
 
-    Raises ToleranceNotMet when the bisection budget runs out above tolerance.
-    Ties in the refinement queue resolve toward the leftmost panel so that
-    panels near the origin are refined first.
+    A panel's |K15 - G7| can be small by accident when the panel is too wide
+    for f (aliasing), so every initial panel is bisected once before the error
+    sum is trusted, and at every bisection each half's error is raised to
+    half the change in the panel's value, capped by the integral of |f| over
+    that half.  These guard bisections count toward max_subdivisions, which is
+    checked once they are done.
+
+    Raises ToleranceNotMet when the bisection budget runs out above
+    tolerance.  Ties in the refinement queue resolve toward the leftmost panel
+    so that panels near the origin are refined first.
     """
+    # Queue entries are (checked, -error, a, b, value): panels not yet
+    # bisected (checked = 0) pop before any others.
     heap = []
     total = 0j
     total_err = 0.0
     evals = 0
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        val, err = _gk15(f, a, b)
+        val, err, _ = _gk15(f, a, b)
         evals += 15
         total += val
         total_err += err
-        heapq.heappush(heap, (-err, a, b, val))
+        heapq.heappush(heap, (0, -err, a, b, val))
 
     subdivisions = 0
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if subdivisions >= spec.max_subdivisions:
-            raise ToleranceNotMet(
-                f"error estimate {total_err:.3e} above tolerance after "
-                f"{subdivisions} subdivisions",
-                value=total,
-                error_estimate=total_err,
-                evaluations=evals,
-            )
-        neg_err, a, b, val = heapq.heappop(heap)
+    while True:
+        if heap[0][0] == 1:  # every initial panel has had its guard bisection
+            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+            if total_err <= tol:
+                return total, total_err, evals
+            if subdivisions >= spec.max_subdivisions:
+                raise ToleranceNotMet(
+                    f"{subdivisions} bisections (max_subdivisions = "
+                    f"{spec.max_subdivisions}) left the error estimate "
+                    f"{total_err:.3e} above tolerance {tol:.3e}",
+                    value=total,
+                    error_estimate=total_err,
+                    evaluations=evals,
+                )
+        _, neg_err, a, b, val = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        v1, e1 = _gk15(f, a, m)
-        v2, e2 = _gk15(f, m, b)
+        v1, e1, abs1 = _gk15(f, a, m)
+        v2, e2, abs2 = _gk15(f, m, b)
         evals += 30
+        jump = 0.5 * abs(v1 + v2 - val)
+        e1 = max(e1, min(jump, abs1))
+        e2 = max(e2, min(jump, abs2))
         total += (v1 + v2) - val
         total_err += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (-e1, a, m, v1))
-        heapq.heappush(heap, (-e2, m, b, v2))
+        heapq.heappush(heap, (1, -e1, a, m, v1))
+        heapq.heappush(heap, (1, -e2, m, b, v2))
         subdivisions += 1
-    return total, total_err, evals
 
 
-def _breakpoints(lo: float, hi: float, width: float, geometric_at: float | None) -> list[float]:
-    """Panel edges on [lo, hi]: uniform steps of `width`, optionally with a
-    geometric cascade toward `geometric_at` (used to pre-refine omega = 0,
-    where integrands often have removable singularities)."""
-    pts = [lo]
-    if geometric_at is not None and geometric_at == lo:
-        for g in range(12, 0, -1):
-            pts.append(lo + width * 2.0 ** (-g))
-    start = lo + width
+def _breakpoints(hi: float, width: float) -> list[float]:
+    """Panel edges on [0, hi]: uniform steps of `width`, the first one split
+    by a geometric cascade toward 0 (where integrands often have removable
+    singularities)."""
+    pts = [0.0]
+    for g in range(12, 0, -1):
+        pts.append(width * 2.0 ** (-g))
+    start = width
     while start < hi - 0.5 * width:
         pts.append(start)
         start += width
@@ -165,30 +195,18 @@ def _breakpoints(lo: float, hi: float, width: float, geometric_at: float | None)
     return pts
 
 
-def _panel_width(span: float, tau: float, osc_freq: float) -> float:
-    """Initial panel width: a couple of cutoff decay lengths, further capped
-    to a fraction of the dominant oscillation period when one is declared."""
-    width = min(span, 2.0 / tau)
-    if osc_freq > 0.0:
-        width = min(width, math.pi / (4.0 * osc_freq))
-    return width
-
-
 def integrate_interval(
     f: Callable[[float], complex],
     a: float,
     b: float,
     spec: QuadratureSpec | None = None,
-    osc_freq: float = 0.0,
 ) -> QuadratureResult:
-    """Adaptive integral of f over the finite interval [a, b] (no weight)."""
+    """Adaptive integral of f over the finite interval [a, b] (no weight),
+    starting from the single panel [a, b]."""
     spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise ValueError("need finite a < b")
-    width = b - a
-    if osc_freq > 0.0:
-        width = min(width, math.pi / (4.0 * osc_freq))
-    value, err, evals = _adaptive_panels(f, _breakpoints(a, b, width, None), spec)
+    value, err, evals = _adaptive_panels(f, [a, b], spec)
     return QuadratureResult(value, err, evals)
 
 
@@ -196,27 +214,24 @@ def integrate_halfline(
     f: Callable[[float], complex],
     tau: float,
     spec: QuadratureSpec | None = None,
-    osc_freq: float = 0.0,
 ) -> QuadratureResult:
     """Approximate integral of f(omega) * e^(-omega*tau) over [0, inf).
 
-    The range is truncated at T = tail_truncation_multiple/tau; the dropped
-    tail is bounded by M e^(-T tau)/tau with M sampled from |f| near T and
-    added to the error estimate.  `osc_freq` declares the dominant oscillation
-    frequency of f, if any, to cap the initial panel width.
+    The range is truncated at T = tail_truncation_multiple/tau and split into
+    initial panels 2/tau wide, the first one cascading geometrically toward
+    0.  The dropped tail is estimated as M e^(-T tau)/tau with M the largest
+    |f| sampled at four points near T; this is a sampled bound, not a
+    certified one, and is added to the error estimate.
     """
     spec = spec or QuadratureSpec()
     if not (tau > 0.0) or not math.isfinite(tau):
         raise InvalidCutoff(f"tau must be > 0, got {tau}")
     cut = spec.tail_truncation_multiple / tau
-    width = _panel_width(cut, tau, osc_freq)
 
     def weighted(w: float) -> complex:
         return complex(f(w)) * math.exp(-w * tau)
 
-    value, err, evals = _adaptive_panels(
-        weighted, _breakpoints(0.0, cut, width, geometric_at=0.0), spec
-    )
+    value, err, evals = _adaptive_panels(weighted, _breakpoints(cut, 2.0 / tau), spec)
     m_tail = max(abs(complex(f(cut * r))) for r in (1.0, 0.97, 0.93, 0.88))
     tail = m_tail * math.exp(-spec.tail_truncation_multiple) / tau
     return QuadratureResult(value, err + tail, evals + 4)
@@ -226,21 +241,21 @@ def integrate_realline(
     f: Callable[[float], complex],
     tau: float,
     spec: QuadratureSpec | None = None,
-    osc_freq: float = 0.0,
 ) -> QuadratureResult:
     """Approximate integral of f over (-inf, inf), truncated symmetrically.
 
     The caller embeds any cutoff weight in f itself; tau only sets the
-    truncation point |k| = tail_truncation_multiple/tau and the tail bound,
-    which assumes |f| keeps decaying at least like e^(-|k| tau) beyond it.
+    truncation point |k| = tail_truncation_multiple/tau, the initial panel
+    width 2/tau (mirroring integrate_halfline on each side of 0) and the
+    sampled tail bound, which assumes |f| keeps decaying at least like
+    e^(-|k| tau) beyond the truncation point.
     """
     spec = spec or QuadratureSpec()
     if not (tau > 0.0) or not math.isfinite(tau):
         raise InvalidCutoff(f"tau must be > 0, got {tau}")
     cut = spec.tail_truncation_multiple / tau
-    width = _panel_width(cut, tau, osc_freq)
-    pts_neg = [-p for p in reversed(_breakpoints(0.0, cut, width, geometric_at=0.0))]
-    pts = pts_neg[:-1] + _breakpoints(0.0, cut, width, geometric_at=0.0)
+    half = _breakpoints(cut, 2.0 / tau)
+    pts = [-p for p in reversed(half)][:-1] + half
     value, err, evals = _adaptive_panels(lambda k: complex(f(k)), pts, spec)
     m_tail = max(abs(complex(f(s * cut * r))) for s in (1.0, -1.0) for r in (1.0, 0.97))
     tail = 2.0 * m_tail / tau

@@ -57,9 +57,7 @@ def check_halfline_examples():
     spec = QuadratureSpec()
     r1 = integrate_halfline(lambda w: 1.0, 1.0, spec)
     r2 = integrate_halfline(lambda w: w, 0.5, spec)
-    r3 = integrate_halfline(
-        lambda w: w * cmath.exp(-0.3j * w), 0.1, spec, osc_freq=0.3
-    )
+    r3 = integrate_halfline(lambda w: w * cmath.exp(-0.3j * w), 0.1, spec)
     errs = (
         abs(r1.value - 1.0),
         abs(r2.value - 4.0),
@@ -78,12 +76,7 @@ def check_static_remainder_closed_form():
             for f1 in (0.0, 0.25, 0.5):
                 reg = Regulator(f0 * tau, f1 * tau, tau)
                 closed = r_integral_closed(cfg, reg)
-                quad = integrate_halfline(
-                    lambda w: r_omega(cfg, w, reg),
-                    tau,
-                    spec,
-                    osc_freq=max(reg.eps0, reg.eps1),
-                )
+                quad = integrate_halfline(lambda w: r_omega(cfg, w, reg), tau, spec)
                 worst = max(
                     worst,
                     abs(closed - quad.value.real) / max(abs(closed), 1e-12),
@@ -230,25 +223,43 @@ def info_pointsplit_cross_term():
     )
 
 
+def _int_j0(x: float) -> float:
+    """int_0^x J0 from its power series sum_k (-1)^k (x/2)^(2k) x / ((k!)^2 (2k+1));
+    40 terms reach rounding for the x of a few units used here."""
+    term = 1.0
+    total = 0.0
+    for k in range(40):
+        total += term * x / (2 * k + 1)
+        term *= -(0.5 * x) ** 2 / ((k + 1) * (k + 1))
+    return total
+
+
 def check_equivalence_trend():
-    cfg = StepConfig(1.0, 1.0)
+    lam, m, t = 1.0, 1.0, 1.0
+    cfg = StepConfig(lam, m)
     spec = QuadratureSpec(rel_tol=1e-9)
-    mode = mode_reg_density(cfg, 1.0, spec).value
+    mode = mode_reg_density(cfg, t, spec).value
+    # the cutoff weight shifts the per-mode part at first order in tau by
+    # c1*tau, c1 = -(lam^2/(16 b)) int_0^(2bt) J0, b = sqrt(m^2 + lam)
+    b = math.sqrt(m * m + lam)
+    c1 = -(lam * lam / (16.0 * b)) * _int_j0(2.0 * b * t)
+    schedule = (0.2, 0.1, 0.05)
     residuals = []
-    for s in (0.2, 0.1, 0.05):
+    for s in schedule:
         reg = Regulator(s * s, s * s, s)
-        ps = pointsplit_density(cfg, 1.0, reg, spec).value
-        residuals.append(abs(ps - d_term(cfg, reg) - mode))
-    monotone = residuals[0] > residuals[1] > residuals[2]
-    rel = residuals[-1] / mode
+        ps = pointsplit_density(cfg, t, reg, spec).value
+        residuals.append(ps - d_term(cfg, reg) - mode)
+    r0, r1, r2 = (abs(r) for r in residuals)
+    monotone = r0 > r1 > r2
+    rel_raw = r2 / abs(mode)
+    rel = abs(residuals[-1] - c1 * schedule[-1]) / abs(mode)
     detail = (
         "point-split minus gap minus mode-sum along eps=(s^2,s^2), tau=s: "
-        f"residuals {residuals[0]:.3e} > {residuals[1]:.3e} > {residuals[2]:.3e}"
-        f" (monotone: {monotone}); at s=0.05 the residual is {rel:.1%} of the "
-        "mode-sum value -- the cutoff weight biases the integral at first "
-        "order in tau, so the two agree only in the tau -> 0 limit"
+        f"|r| {r0:.3e} > {r1:.3e} > {r2:.3e} (monotone: {monotone}); at s=0.05 "
+        f"r is {rel_raw:.1%} of the mode-sum value, and taking out the cutoff's "
+        f"first-order term c1*tau (c1 = {c1:.7f}) leaves {rel:.2%} (needs < 1%)"
     )
-    return monotone, detail
+    return monotone and rel < 1e-2, detail
 
 
 def check_flanagan_orders():
@@ -284,9 +295,7 @@ def check_vacuum_tvv():
     for dv in (0.1, 1.0):
         for tau in (0.05, 0.5):
             closed = vacuum_tvv(dv, 0.0, tau)
-            quad = integrate_halfline(
-                lambda w: w * cmath.exp(-1j * w * dv), tau, spec, osc_freq=dv
-            )
+            quad = integrate_halfline(lambda w: w * cmath.exp(-1j * w * dv), tau, spec)
             worst = max(worst, abs(closed - quad.value / (4.0 * math.pi)) / abs(closed))
     return worst < 1e-8, f"vacuum density closed form vs quadrature: worst rel = {worst:.2e}"
 

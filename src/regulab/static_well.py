@@ -269,9 +269,6 @@ def t00r_static(
     spec = spec or QuadratureSpec()
     if cfg.lam == 0.0:
         return DensityResult(0.0, 0.0, reg)
-    osc = max(reg.eps0, reg.eps1, 2.0 * cfg.a, 2.0 * abs(x))
-    quad = integrate_halfline(
-        lambda w: s_omega(cfg, w, reg, x, t), reg.tau, spec, osc_freq=osc
-    )
+    quad = integrate_halfline(lambda w: s_omega(cfg, w, reg, x, t), reg.tau, spec)
     value = quad.value.real + r_integral_closed(cfg, reg)
     return DensityResult(value, quad.error_estimate, reg)

@@ -167,9 +167,11 @@ def mode_reg_density(
     """Renormalized kinetic energy density at t > 0 from the mode sum.
 
     The non-oscillatory piece of the k-integral is elementary; the cos(2Et)
-    piece is integrated adaptively and truncated where an integration-by-parts
-    bound on its tail drops below tolerance.  Requires m > 0: at zero mass the
-    per-mode 1/omega makes the integrand non-integrable at k = 0.
+    piece is integrated adaptively up to a cut K and its tail beyond K is
+    taken from two integrations by parts: the leading term is added, and the
+    bound on the rest, which falls like 1/(t^2 K^4), sets K.  Requires m > 0:
+    at zero mass the per-mode 1/omega makes the integrand non-integrable at
+    k = 0.
     """
     spec = spec or QuadratureSpec()
     if cfg.m <= 0.0:
@@ -183,22 +185,27 @@ def mode_reg_density(
     steady = _constant_part_integral(cfg)
     scale = pref * steady
     tol = max(spec.abs_tol, spec.rel_tol * scale)
-    # oscillatory tail beyond K: |integral| <= 2 g(K)/(2t) with g ~ 1/k^3
-    k_min = 50.0 * (cfg.m + math.sqrt(cfg.m * cfg.m + abs(cfg.lam)) + 1.0)
-    k_cut = max(k_min, (4.0 * pref / (t * tol)) ** (1.0 / 3.0))
+    # With g = 1/(omega E^2), h = 2Et and u = g/h' = 1/(2t k omega E), the
+    # tail of g cos h beyond K is -u(K) sin h(K) + R with |R| <= 2|u'/h'|(K),
+    # since |u'/h'| = (1/k + k/omega^2 + k/E^2)/(4 t^2 k^2 omega) falls
+    # monotonically; omega, E >= k bound it by 3/(4 t^2 K^4), so this K puts
+    # the tail's share of the error at tol/2.
+    k_cut = (6.0 * pref / (t * t * tol)) ** 0.25
 
     def oscillating(k: float) -> float:
         omega = math.hypot(k, cfg.m)
         big_e2 = omega * omega + cfg.lam
         return math.cos(2.0 * math.sqrt(big_e2) * t) / (omega * big_e2)
 
-    quad = integrate_interval(oscillating, 0.0, k_cut, spec, osc_freq=2.0 * t)
+    quad = integrate_interval(oscillating, 0.0, k_cut, spec)
     omega_cut = math.hypot(k_cut, cfg.m)
     e_cut = math.sqrt(omega_cut * omega_cut + cfg.lam)
-    # integration-by-parts bound 2 g(K)/h'(K) on the dropped oscillatory tail
-    tail = e_cut / (omega_cut * e_cut * e_cut * t * k_cut)
-    value = pref * (steady - 2.0 * quad.value.real)
-    err = pref * 2.0 * (quad.error_estimate + tail)
+    u = 1.0 / (2.0 * t * k_cut * omega_cut * e_cut)
+    du = -u * (1.0 / k_cut + k_cut / omega_cut**2 + k_cut / e_cut**2)
+    tail = -u * math.sin(2.0 * e_cut * t)
+    tail_err = 2.0 * abs(du) * e_cut / (2.0 * t * k_cut)
+    value = pref * (steady - 2.0 * (quad.value.real + tail))
+    err = pref * 2.0 * (quad.error_estimate + tail_err)
     return DensityResult(value, err, None)
 
 
@@ -231,8 +238,7 @@ def pointsplit_density(
         omega = math.hypot(k, cfg.m)
         return pointsplit_integrand(cfg, k, t, reg) * math.exp(-omega * reg.tau)
 
-    osc = max(2.0 * t, reg.eps0 + reg.eps1)
-    quad = integrate_realline(weighted, reg.tau, spec, osc_freq=osc)
+    quad = integrate_realline(weighted, reg.tau, spec)
     two_pi = 2.0 * math.pi
     return DensityResult(quad.value.real / two_pi, quad.error_estimate / two_pi, reg)
 
@@ -274,8 +280,7 @@ def d_term_quadrature(
         omega = abs(k) if massless else math.hypot(k, cfg.m)
         return r_k_integrand(cfg, k, reg, massless=massless) * math.exp(-omega * reg.tau)
 
-    osc = max(reg.eps0 + reg.eps1, 1e-30)
-    quad = integrate_realline(weighted, reg.tau, spec, osc_freq=osc)
+    quad = integrate_realline(weighted, reg.tau, spec)
     return QuadratureResult(
         quad.value / (2.0 * math.pi), quad.error_estimate / (2.0 * math.pi), quad.evaluations
     )

@@ -67,12 +67,7 @@ def test_criterion_01_static_remainder_closed_form_vs_quadrature():
             for f1 in FRACTIONS:
                 reg = Regulator(f0 * tau, f1 * tau, tau)
                 closed = r_integral_closed(cfg, reg)
-                quad = integrate_halfline(
-                    lambda w: r_omega(cfg, w, reg),
-                    tau,
-                    SPEC,
-                    osc_freq=max(reg.eps0, reg.eps1),
-                ).value.real
+                quad = integrate_halfline(lambda w: r_omega(cfg, w, reg), tau, SPEC).value.real
                 worst = max(worst, abs(closed - quad) / max(abs(closed), 1e-12))
     ok = worst <= 1e-6
     report(1, ok, f"static remainder closed form on 5x5x5 grid, worst rel err {worst:.3e}")
@@ -244,7 +239,7 @@ def test_criterion_07_vacuum_density_closed_form():
         for tau in (0.05, 0.2, 0.35, 0.5):
             closed = vacuum_tvv(dv, 0.0, tau)
             quad = integrate_halfline(
-                lambda w: w * cmath.exp(-1j * w * dv), tau, SPEC, osc_freq=dv
+                lambda w: w * cmath.exp(-1j * w * dv), tau, SPEC
             ).value / (4.0 * math.pi)
             worst = max(worst, abs(closed - quad) / abs(closed))
     ok = worst <= 1e-8

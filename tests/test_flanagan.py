@@ -29,9 +29,7 @@ class TestVacuumDensity:
     def test_quadrature_oracle(self):
         for dv, tau in [(0.3, 0.1), (1.0, 0.5), (0.1, 0.05)]:
             closed = vacuum_tvv(dv, 0.0, tau)
-            quad = integrate_halfline(
-                lambda w: w * cmath.exp(-1j * w * dv), tau, SPEC, osc_freq=dv
-            )
+            quad = integrate_halfline(lambda w: w * cmath.exp(-1j * w * dv), tau, SPEC)
             assert abs(closed - quad.value / (4.0 * math.pi)) <= 1e-8 * abs(closed)
 
     def test_large_separation_decay(self):

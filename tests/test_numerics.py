@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,9 +34,7 @@ class TestHalfline:
 
     def test_oscillatory_complex_integrand(self):
         # integral of w e^(-i 0.3 w) e^(-0.1 w) = 1/(0.1 + 0.3i)^2 = -8 - 6i
-        res = integrate_halfline(
-            lambda w: w * cmath.exp(-0.3j * w), 0.1, SPEC, osc_freq=0.3
-        )
+        res = integrate_halfline(lambda w: w * cmath.exp(-0.3j * w), 0.1, SPEC)
         assert abs(res.value - complex(-8.0, -6.0)) < 1e-7
 
     def test_invalid_cutoff(self):
@@ -49,6 +48,17 @@ class TestHalfline:
         with pytest.raises(ToleranceNotMet) as err:
             integrate_halfline(lambda w: math.cos(50.0 * w) / (1.0 + w), 0.01, tight)
         assert err.value.error_estimate > 0
+        # the budget stops refinement only once each of the 42 initial panels
+        # has had its guard bisection
+        assert "above tolerance" in str(err.value)
+        assert err.value.evaluations == 42 * (15 + 30)
+
+    def test_budget_below_guard_count_still_converges(self):
+        one = QuadratureSpec(max_subdivisions=1)
+        res = integrate_halfline(lambda w: 1.0, 0.5, one)
+        assert abs(res.value - 2.0) <= res.error_estimate + 1e-14
+        res = integrate_realline(lambda k: math.exp(-k * k), 0.5, one)
+        assert abs(res.value - math.sqrt(math.pi)) <= res.error_estimate
 
     def test_removable_singularity_at_origin(self):
         # (1 - cos w)/w is finite at 0; the geometric seeding must handle it
@@ -68,11 +78,9 @@ class TestHalfline:
             f = lambda w: (c[0] + c[1] * w) * math.cos(freq * w)
             g = lambda w: c[2] * w * math.sin(freq * w)
             a, b = rng.uniform(-3, 3, size=2)
-            combined = integrate_halfline(
-                lambda w: a * f(w) + b * g(w), 0.7, SPEC, osc_freq=freq
-            )
-            fa = integrate_halfline(f, 0.7, SPEC, osc_freq=freq)
-            gb = integrate_halfline(g, 0.7, SPEC, osc_freq=freq)
+            combined = integrate_halfline(lambda w: a * f(w) + b * g(w), 0.7, SPEC)
+            fa = integrate_halfline(f, 0.7, SPEC)
+            gb = integrate_halfline(g, 0.7, SPEC)
             tol = (
                 abs(a) * fa.error_estimate
                 + abs(b) * gb.error_estimate
@@ -80,6 +88,22 @@ class TestHalfline:
                 + 1e-12
             )
             assert abs(combined.value - (a * fa.value + b * gb.value)) <= tol
+
+    def test_error_estimate_bounds_true_error_without_hint(self):
+        # integral of cos(omega w), sin(omega w) against e^(-tau w) over
+        # [0, inf) is tau/(tau^2 + omega^2), omega/(tau^2 + omega^2); the
+        # estimate must cover the true error up to a few rounding units
+        spec = QuadratureSpec(rel_tol=1e-9)
+        eps = sys.float_info.epsilon
+        for omega in (0.5, 3.6, 12.0):
+            for tau in (0.05, 0.5):
+                den = tau * tau + omega * omega
+                for trig, exact in ((math.cos, tau / den), (math.sin, omega / den)):
+                    res = integrate_halfline(lambda w: trig(omega * w), tau, spec)
+                    err = abs(res.value - exact)
+                    assert err <= res.error_estimate + 8.0 * eps * abs(exact), (
+                        trig.__name__, omega, tau, err, res.error_estimate
+                    )
 
     def test_cutoff_monotonicity(self):
         f = lambda w: 1.0 / (1.0 + w * w)
@@ -90,8 +114,8 @@ class TestHalfline:
 
     def test_conjugation(self):
         f = lambda w: w * cmath.exp(-0.4j * w) / (1.0 + w)
-        plain = integrate_halfline(f, 0.2, SPEC, osc_freq=0.4)
-        conj = integrate_halfline(lambda w: f(w).conjugate(), 0.2, SPEC, osc_freq=0.4)
+        plain = integrate_halfline(f, 0.2, SPEC)
+        conj = integrate_halfline(lambda w: f(w).conjugate(), 0.2, SPEC)
         tol = plain.error_estimate + conj.error_estimate + 1e-12
         assert abs(conj.value - plain.value.conjugate()) <= tol
 
@@ -116,7 +140,7 @@ class TestInterval:
         assert abs(res.value - 9.0) < 1e-10
 
     def test_oscillation_hint(self):
-        res = integrate_interval(lambda x: math.cos(40.0 * x), 0.0, 10.0, SPEC, osc_freq=40.0)
+        res = integrate_interval(lambda x: math.cos(40.0 * x), 0.0, 10.0, SPEC)
         assert abs(res.value - math.sin(400.0) / 40.0) < 1e-9
 
     def test_bad_interval(self):
@@ -191,7 +215,7 @@ class TestSpecValidation:
         spec = QuadratureSpec()
         assert spec.rel_tol == 1e-10
         assert spec.abs_tol == 1e-14
-        assert spec.max_subdivisions == 2000
+        assert spec.max_subdivisions == 20000
         assert spec.tail_truncation_multiple == 60.0
 
     @pytest.mark.parametrize(

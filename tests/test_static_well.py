@@ -208,9 +208,7 @@ class TestRemainder:
     def test_closed_form_matches_quadrature(self):
         reg = Regulator(0.001, 0.002, 0.05)
         closed = r_integral_closed(CFG, reg)
-        quad = integrate_halfline(
-            lambda w: r_omega(CFG, w, reg), reg.tau, SPEC, osc_freq=max(reg.eps0, reg.eps1)
-        )
+        quad = integrate_halfline(lambda w: r_omega(CFG, w, reg), reg.tau, SPEC)
         assert abs(closed - quad.value.real) <= 1e-8 * abs(closed)
 
     def test_zero_space_split_gives_zero(self):

@@ -1,10 +1,12 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import cutoff_slope
 
 from regulab.core import Regulator
 from regulab.errors import InvalidCutoff, SingularRegulator, SplitStraddlesStep, ZeroFrequency
@@ -47,6 +49,7 @@ class TestBogoliubov:
         st.floats(-4.0, 8.0),
         st.floats(-30.0, 30.0),
     )
+    @example(1.0234375, -0.935546875, 0.0)
     @settings(max_examples=200, deadline=None)
     def test_identities(self, m, lam, k):
         if m * m + lam <= 0.01:
@@ -55,8 +58,13 @@ class TestBogoliubov:
         pair = bogoliubov(cfg, k)
         omega = math.hypot(k, m)
         big_e = math.sqrt(omega * omega + lam)
-        assert abs(pair.a_k + pair.b_k - 1.0) <= 1e-15
-        assert abs(pair.b_k**2 - pair.a_k**2 - omega / big_e) <= 1e-15
+        # lam < 0 makes omega/E > 1 (up to 30 here), so a_k and b_k are of
+        # size omega/E and their squares of size (omega/E)^2: the rounding
+        # floor of each identity scales with those magnitudes, not with 1.
+        q = max(1.0, omega / big_e)
+        eps = sys.float_info.epsilon
+        assert abs(pair.a_k + pair.b_k - 1.0) <= 2.0 * eps * q
+        assert abs(pair.b_k**2 - pair.a_k**2 - omega / big_e) <= 4.0 * eps * q * q
 
     def test_identities_bulk(self):
         rng = np.random.default_rng(11)
@@ -215,6 +223,27 @@ class TestModeRegDensity:
         res = mode_reg_density(StepConfig(-0.5, 1.0), 1.0, SPEC)
         assert res.value >= 0.0
 
+    @pytest.mark.parametrize(
+        "lam,m,t",
+        [
+            (1.0, 1.0, 1.0),
+            (-0.9, 1.0, 0.3),
+            (-0.4, 0.7, 5.0),
+            (2.0, 0.5, 17.0),
+            (-0.95, 1.2, 50.0),
+            (0.3, 2.0, 100.0),
+        ],
+    )
+    def test_error_estimate_bounds_distance_to_tight_run(self, lam, m, t):
+        # the tail beyond the cut K is its leading integration-by-parts term
+        # plus a bounded rest; a tighter tolerance moves K out, so a wrong
+        # tail term or an underestimated rest shows as a distance above the
+        # default run's own error estimate
+        cfg = StepConfig(lam, m)
+        loose = mode_reg_density(cfg, t, SPEC)
+        tight = mode_reg_density(cfg, t, QuadratureSpec(rel_tol=1e-12))
+        assert abs(loose.value - tight.value) <= loose.error_estimate
+
 
 class TestDTerm:
     def test_zero_time_split(self):
@@ -279,6 +308,18 @@ class TestPointsplitDensity:
         ]
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
         assert gaps[-1] < 0.1 * abs(mode)
+
+    def test_late_time_small_cutoff_under_default_spec(self):
+        # cos(2Et) runs through about 2,600 bisections' worth of periods here;
+        # the residual against the mode sum, the gap and the cutoff's
+        # first-order term is second order in tau (0.026% of the mode sum)
+        t, tau = 10.0, 0.0125
+        reg = Regulator(tau * tau, tau * tau, tau)
+        ps = pointsplit_density(CFG, t, reg)
+        mode = mode_reg_density(CFG, t)
+        r = ps.value - d_term(CFG, reg) - mode.value
+        assert ps.error_estimate <= SPEC.rel_tol * abs(ps.value)
+        assert abs(r - cutoff_slope(CFG.lam, CFG.m, t) * tau) < 1e-3 * abs(mode.value)
 
 
 class TestConfigValidation:
