@@ -2,81 +2,4 @@
 and mode-sum regularization, and the order-of-limits behavior of their
 regulators."""
 
-from .core import DensityResult, Regulator
-from .errors import (
-    DegenerateMap,
-    DomainError,
-    ExpressionSyntaxError,
-    InvalidCutoff,
-    InvalidFrequency,
-    NonpositiveWeight,
-    OutsideRegionI,
-    RegulabError,
-    SingularRegulator,
-    SplitStraddlesStep,
-    ToleranceNotMet,
-    TooFewSamples,
-    UnknownIdentifier,
-    ZeroFrequency,
-)
-from .exprlang import Expression, Jet3, eval_jet3, parse
-from .flanagan import (
-    ConformalMap,
-    WeightFunction,
-    delta_flanagan,
-    delta_pointsplit,
-    delta_tau,
-    qi_bound_rhs,
-    vacuum_tvv,
-)
-from .numerics import (
-    LimitKind,
-    LimitOutcome,
-    QuadratureResult,
-    QuadratureSpec,
-    classify_limit,
-    integrate_halfline,
-    integrate_interval,
-    integrate_realline,
-)
-from .regulator_lab import (
-    AmbiguityExpr,
-    AmbiguityId,
-    LimitPath,
-    ScanResult,
-    ratio_239,
-    scan_path,
-    sigma1,
-)
-from .static_well import (
-    ModeParity,
-    ModeSolution,
-    WellConfig,
-    chi_inside,
-    chi_outside,
-    mode_solution,
-    r_integral_closed,
-    r_omega,
-    s_omega,
-    t00r_static,
-    xi_free,
-    xi_lambda,
-)
-from .time_step import (
-    BogoliubovPair,
-    StepConfig,
-    bogoliubov,
-    d_term,
-    d_term_quadrature,
-    d_term_value,
-    delta_xi_k,
-    mode_reg_density,
-    pointsplit_density,
-    pointsplit_integrand,
-    r_k_integrand,
-    s_k,
-    s_k_deriv,
-    s_k_integrand,
-)
-
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ Configuration resolves as defaults <- config file (REGULAB_CONFIG or
 `quadrature.rel_tol = 1e-12`.  All output is deterministic: identical inputs
 produce byte-identical files.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 1 a selftest check failed, 2 validation error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ def _resolve(args) -> dict:
         "quadrature.tail_truncation_multiple": 60.0,
         "output.format": "csv",
         "output.path": "-",
-        "deterministic": True,
     }
     env_path = os.environ.get("REGULAB_CONFIG")
     if env_path:

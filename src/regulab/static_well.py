@@ -192,11 +192,11 @@ def _interior_ratios(cfg: WellConfig, omega: float, reg: Regulator, x: float) ->
     return ratio1 + ratio2
 
 
-def xi_lambda(cfg: WellConfig, omega: float, reg: Regulator, x: float, t: float = 0.0) -> float:
+def xi_lambda(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> float:
     """Point-split per-frequency kinetic density inside the well.
 
     The time dependence drops out of the vacuum bilinear (the split enters
-    only through cos(omega*eps0)); t is accepted for interface uniformity.
+    only through cos(omega*eps0)).
     """
     if not (omega > 0.0) or not math.isfinite(omega):
         raise InvalidFrequency(f"omega must be > 0, got {omega}")
@@ -226,7 +226,7 @@ def r_omega(cfg: WellConfig, omega: float, reg: Regulator) -> float:
     )
 
 
-def s_omega(cfg: WellConfig, omega: float, reg: Regulator, x: float, t: float = 0.0) -> float:
+def s_omega(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> float:
     """Integrable part of the subtracted density: (xi_lambda - xi_free) - r_omega."""
     if not (omega > 0.0) or not math.isfinite(omega):
         raise InvalidFrequency(f"omega must be > 0, got {omega}")
@@ -261,7 +261,8 @@ def t00r_static(
     """Renormalized point-split kinetic energy density inside the well.
 
     Quadrature of s_omega under the cutoff weight, plus the closed form for
-    the remainder integral.
+    the remainder integral.  The static well's vacuum density does not depend
+    on time, so t has no effect.
     """
     if not (reg.tau > 0.0):
         raise InvalidCutoff(f"tau must be > 0, got {reg.tau}")
@@ -269,6 +270,6 @@ def t00r_static(
     spec = spec or QuadratureSpec()
     if cfg.lam == 0.0:
         return DensityResult(0.0, 0.0, reg)
-    quad = integrate_halfline(lambda w: s_omega(cfg, w, reg, x, t), reg.tau, spec)
+    quad = integrate_halfline(lambda w: s_omega(cfg, w, reg, x), reg.tau, spec)
     value = quad.value.real + r_integral_closed(cfg, reg)
     return DensityResult(value, quad.error_estimate, reg)

@@ -2,6 +2,18 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL lines.
 
+Criteria 1, 2, 3, 4, 7, 8 and 10 call the oracle checks in
+regulab.selftest with this file's grids and draws; the selftest runs the same
+checks on coarser defaults.  Criterion 1 passes TAU_GRID x FRACTIONS^2 to
+check_static_remainder_closed_form, 2 the same grid to
+check_dterm_closed_form, 7 a 4x4 grid to check_vacuum_tvv and 10 100 draws
+of np.random.default_rng(29) to check_xi_consistency; 3, 4 and 8 call
+check_equivalence_trend, check_ratio_regimes and check_qi_gaussian as they
+are.  The checks hold every bound strictly (<).  Criteria 5, 6, 9 and 11 are
+written here because they measure something the selftest does not: a family
+of maps (5), errors scaled by max(1, |direct|) (6), tighter bounds on the
+Bogoliubov identities plus mode-function matching (9), and reruns (11).
+
 Criterion 3 checks that point-split minus the closed-form gap gives back the
 mode sum along eps = (s^2, s^2), tau = s.  The cutoff weight e^(-omega*tau)
 multiplies the whole point-split integrand, so it shifts the convergent
@@ -13,80 +25,49 @@ per-mode part at first order in tau, by c1*tau with
 (k = b*sinh(u) and int_0^inf sin(x*cosh(u)) du = (pi/2)*J0(x)).  For
 lam = m = t = 1, c1 = -0.0630601.  The test takes this known term out of the
 signed residual and asks for the rest to be under 1% of the mode sum at
-tau = 0.05; c1 comes from scipy's Bessel and Struve functions and is
-cross-checked against a direct quadrature of the k-integral.
+tau = 0.05.  The selftest check takes c1 from a power series of int J0; the
+test first holds that series, and a direct quadrature of the k-integral, to
+scipy's Bessel and Struve closed form (cutoff_slope).
 """
 
-import cmath
 import math
 
 import numpy as np
 from scipy import integrate, special
-from test_static_well import xi_oracle
 
 from regulab.cli import main
-from regulab.core import Regulator
-from regulab.flanagan import (
-    ConformalMap,
-    WeightFunction,
-    delta_flanagan,
-    delta_pointsplit,
-    delta_tau,
-    qi_bound_rhs,
-    vacuum_tvv,
+from regulab.flanagan import ConformalMap, delta_flanagan, delta_pointsplit, delta_tau
+from regulab.numerics import LimitKind, classify_limit
+from regulab.selftest import (
+    check_dterm_closed_form,
+    check_equivalence_trend,
+    check_qi_gaussian,
+    check_ratio_regimes,
+    check_static_remainder_closed_form,
+    check_vacuum_tvv,
+    check_xi_consistency,
+    cutoff_slope_series,
+    run_all,
 )
-from regulab.numerics import LimitKind, QuadratureSpec, classify_limit, integrate_halfline
-from regulab.regulator_lab import AmbiguityExpr, LimitPath, scan_path
-from regulab.selftest import run_all
-from regulab.static_well import WellConfig, chi_inside, chi_outside, r_integral_closed, r_omega, xi_lambda
-from regulab.time_step import (
-    StepConfig,
-    bogoliubov,
-    d_term,
-    d_term_quadrature,
-    mode_reg_density,
-    pointsplit_density,
-    s_k,
-    s_k_deriv,
-)
+from regulab.static_well import WellConfig, chi_inside, chi_outside
+from regulab.time_step import StepConfig, bogoliubov, s_k, s_k_deriv
 
-SPEC = QuadratureSpec()
 TAU_GRID = [0.01 * 100.0 ** (j / 4.0) for j in range(5)]  # geometric on [0.01, 1]
 FRACTIONS = [0.0, 0.125, 0.25, 0.375, 0.5]
 
 
 def report(number, ok, detail):
+    """Print the criterion's ACCEPTANCE line, then assert its verdict."""
     print(f"ACCEPTANCE {number:02d} {'PASS' if ok else 'FAIL'}: {detail}")
+    assert ok, detail
 
 
 def test_criterion_01_static_remainder_closed_form_vs_quadrature():
-    cfg = WellConfig(1.0, 1.0)
-    worst = 0.0
-    for tau in TAU_GRID:
-        for f0 in FRACTIONS:
-            for f1 in FRACTIONS:
-                reg = Regulator(f0 * tau, f1 * tau, tau)
-                closed = r_integral_closed(cfg, reg)
-                quad = integrate_halfline(lambda w: r_omega(cfg, w, reg), tau, SPEC).value.real
-                worst = max(worst, abs(closed - quad) / max(abs(closed), 1e-12))
-    ok = worst <= 1e-6
-    report(1, ok, f"static remainder closed form on 5x5x5 grid, worst rel err {worst:.3e}")
-    assert ok
+    report(1, *check_static_remainder_closed_form(TAU_GRID, FRACTIONS))
 
 
 def test_criterion_02_gap_closed_form_vs_quadrature():
-    cfg = StepConfig(1.0, 1.0)
-    worst = 0.0
-    for tau in TAU_GRID:
-        for f0 in FRACTIONS:
-            for f1 in FRACTIONS:
-                reg = Regulator(f0 * tau, f1 * tau, tau)
-                closed = d_term(cfg, reg)
-                quad = d_term_quadrature(cfg, reg, SPEC, massless=True).value.real
-                worst = max(worst, abs(closed - quad) / max(abs(closed), 1e-12))
-    ok = worst <= 1e-6
-    report(2, ok, f"small-split gap closed form on 5x5x5 grid, worst rel err {worst:.3e}")
-    assert ok
+    report(2, *check_dterm_closed_form(TAU_GRID, FRACTIONS))
 
 
 def cutoff_slope(lam, m, t):
@@ -121,58 +102,22 @@ def cutoff_slope_quadrature(lam, m, t):
 
 
 def test_criterion_03_pointsplit_equals_mode_sum_plus_gap():
-    lam, m, t = 1.0, 1.0, 1.0
-    cfg = StepConfig(lam, m)
-    spec = QuadratureSpec(rel_tol=1e-9)
-    mode = mode_reg_density(cfg, t, spec).value
-    c1 = cutoff_slope(lam, m, t)
-    slope_err = abs(c1 - cutoff_slope_quadrature(lam, m, t)) / abs(c1)
-    rows = []
-    for s in (0.2, 0.1, 0.05):
-        reg = Regulator(s * s, s * s, s)
-        ps = pointsplit_density(cfg, t, reg, spec).value
-        r = ps - d_term(cfg, reg) - mode
-        rows.append((s, r, c1 * s, r - c1 * s))
-    residuals = [abs(r) for _, r, _, _ in rows]
-    monotone = residuals[0] > residuals[1] > residuals[2]
-    rel = abs(rows[-1][3]) / abs(mode)
-    ok = slope_err <= 1e-8 and monotone and rel < 1e-2
-    table = "; ".join(
-        f"s={s:g}: r {r:+.3e}, c1*tau {lin:+.3e}, r - c1*tau {rest:+.3e}"
-        for s, r, lin, rest in rows
+    # the check takes c1 from cutoff_slope_series; hold that series and a
+    # direct quadrature to scipy's closed form first
+    c1 = cutoff_slope(1.0, 1.0, 1.0)
+    series_err = abs(cutoff_slope_series(1.0, 1.0, 1.0) - c1) / abs(c1)
+    quad_err = abs(cutoff_slope_quadrature(1.0, 1.0, 1.0) - c1) / abs(c1)
+    ok, detail = check_equivalence_trend()
+    report(
+        3,
+        ok and series_err <= 1e-8 and quad_err <= 1e-8,
+        f"c1 from the power series and from quadrature agree with scipy's closed "
+        f"form to {series_err:.1e} and {quad_err:.1e} (<= 1e-8); {detail}",
     )
-    detail = (
-        f"equivalence along eps=(s^2,s^2), tau=s with c1 = {c1:.7f} "
-        f"(quadrature agrees to {slope_err:.1e}): {table}; |r| monotone {monotone}; "
-        f"final {rel:.2%} of mode-sum vs required < 1%"
-    )
-    report(3, ok, detail)
-    assert slope_err <= 1e-8, f"closed-form c1 disagrees with quadrature: {detail}"
-    assert monotone, detail
-    assert rel < 1e-2, detail
 
 
 def test_criterion_04_split_ratio_regimes():
-    sched = [0.2 * 2.0**-j for j in range(8)]
-    expr = AmbiguityExpr.ratio239()
-    to_one = scan_path(expr, LimitPath(2, 1, 2), sched)
-    to_zero = scan_path(expr, LimitPath(1, 2, 1), sched)
-    diverges = scan_path(expr, LimitPath(1, 1, 1, ctau=0.0), sched)
-    ok = (
-        to_one.outcome.kind is LimitKind.FINITE
-        and abs(to_one.outcome.value - 1.0) <= 1e-6
-        and to_zero.outcome.kind is LimitKind.FINITE
-        and abs(to_zero.outcome.value) <= 1e-6
-        and diverges.outcome.kind is LimitKind.DIVERGENT
-    )
-    report(
-        4,
-        ok,
-        f"split-ratio regimes: 1 off by {abs(to_one.outcome.value - 1.0):.2e}, "
-        f"0 off by {abs(to_zero.outcome.value):.2e}, null split divergent "
-        f"({diverges.outcome.kind.value})",
-    )
-    assert ok
+    report(4, *check_ratio_regimes())
 
 
 FAMILY = [
@@ -201,14 +146,12 @@ def test_criterion_05_taylor_limit_matches_extrapolation():
         expect = -a * a / (48.0 * math.pi)
         for v in (-1.0, 0.0, 1.0):
             worst_exp = max(worst_exp, abs(delta_flanagan(V, v) - expect))
-    ok = worst <= 1e-7 and worst_exp <= 1e-10
     report(
         5,
-        ok,
+        worst <= 1e-7 and worst_exp <= 1e-10,
         f"extrapolated split limit vs third-derivative form: worst {worst:.2e} "
         f"(<= 1e-7); exponential closed form off by {worst_exp:.2e} (<= 1e-10)",
     )
-    assert ok
 
 
 def test_criterion_06_order_of_limits_disagreement():
@@ -223,46 +166,20 @@ def test_criterion_06_order_of_limits_disagreement():
     tau_first = delta_tau(V, 0.0, 0.37)
     taylor = delta_flanagan(V, 0.0)
     disagree = tau_first == 0.0 and abs(taylor - (-1.0 / (48.0 * math.pi))) < 1e-12
-    ok = worst <= 5e-15 and disagree
     report(
         6,
-        ok,
+        worst <= 5e-15 and disagree,
         f"coincidence identity to machine precision (worst {worst:.2e}); "
         f"orders give {taylor:.9f} vs {tau_first} at the unit-slope point",
     )
-    assert ok
 
 
 def test_criterion_07_vacuum_density_closed_form():
-    worst = 0.0
-    for dv in (0.1, 0.4, 0.7, 1.0):
-        for tau in (0.05, 0.2, 0.35, 0.5):
-            closed = vacuum_tvv(dv, 0.0, tau)
-            quad = integrate_halfline(
-                lambda w: w * cmath.exp(-1j * w * dv), tau, SPEC
-            ).value / (4.0 * math.pi)
-            worst = max(worst, abs(closed - quad) / abs(closed))
-    ok = worst <= 1e-8
-    report(7, ok, f"vacuum density closed form on 4x4 grid, worst rel err {worst:.3e}")
-    assert ok
+    report(7, *check_vacuum_tvv((0.1, 0.4, 0.7, 1.0), (0.05, 0.2, 0.35, 0.5)))
 
 
 def test_criterion_08_qi_bound_gaussian():
-    wide = qi_bound_rhs(
-        WeightFunction.from_text("exp(-(x/2)^2)/(2*sqrt(pi))", (-30.0, 30.0)), SPEC
-    ).value
-    narrow = qi_bound_rhs(
-        WeightFunction.from_text("exp(-(x/1)^2)/(1*sqrt(pi))", (-20.0, 20.0)), SPEC
-    ).value
-    target = -1.0 / (48.0 * math.pi)
-    ok = abs(wide - target) <= 1e-8 and abs(narrow / wide - 4.0) <= 1e-8
-    report(
-        8,
-        ok,
-        f"gaussian bound off by {abs(wide - target):.2e}; width-halving scale "
-        f"factor off by {abs(narrow / wide - 4.0):.2e}",
-    )
-    assert ok
+    report(8, *check_qi_gaussian())
 
 
 def test_criterion_09_mode_structure_invariants():
@@ -301,39 +218,18 @@ def test_criterion_09_mode_structure_invariants():
                 vi, di = chi_inside(cfg, j, omega, edge)
                 vo, do = chi_outside(cfg, j, omega, edge)
                 worst_chi = max(worst_chi, abs(vi - vo), abs(di - do))
-    ok = worst_pair <= 1e-15 and worst_jump <= 1e-13 and worst_chi <= 1e-10
     report(
         9,
-        ok,
+        worst_pair <= 1e-15 and worst_jump <= 1e-13 and worst_chi <= 1e-10,
         f"mixing identities {worst_pair:.2e} (<= 1e-15); switch-on continuity "
         f"{worst_jump:.2e} (<= 1e-13); mode-function matching {worst_chi:.2e} (<= 1e-10)",
     )
-    assert ok
 
 
 def test_criterion_10_interior_density_identity():
-    cfg = WellConfig(1.0, 1.0)
-    rng = np.random.default_rng(29)
-    worst = 0.0
-    for _ in range(100):
-        omega = float(rng.uniform(0.05, 12.0))
-        if abs(omega * omega - cfg.lam) < 1e-3:
-            omega += 0.1
-        reg = Regulator(float(rng.uniform(0, 0.3)), float(rng.uniform(0, 0.3)), 0.0)
-        x = float(rng.uniform(-0.8, 0.8))
-        worst = max(
-            worst, abs(xi_lambda(cfg, omega, reg, x) - xi_oracle(cfg, omega, reg, x))
-        )
-    ok = worst <= 1e-12
-    report(
-        10,
-        ok,
-        f"fused interior density vs per-mode bilinear on 100 draws: worst "
-        f"{worst:.2e} (<= 1e-12); note: the derivation-consistent form, not the "
-        "commonly quoted variant (interference sign and per-mode prefactor "
-        "differ; measured in the selftest report)",
-    )
-    assert ok
+    # the derivation-consistent form, not the commonly quoted variant: the
+    # interference sign and per-mode prefactor differ (selftest INFO line)
+    report(10, *check_xi_consistency(np.random.default_rng(29).random, 100))
 
 
 EXAMPLE_COMMANDS = [
@@ -363,4 +259,3 @@ def test_criterion_11_determinism(tmp_path):
     assert run_all(write=lines2.append)
     identical = identical and lines1 == lines2
     report(11, identical, "byte-identical reruns for every subcommand and the selftest")
-    assert identical

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from regulab import selftest
 from regulab.cli import main
 
 
@@ -79,6 +80,12 @@ class TestValidation:
         )
         assert code == 3
         assert "numerical failure" in err
+
+    def test_failed_selftest_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(selftest, "CHECKS", [("always-fails", lambda: (False, "forced"))])
+        code, out, _ = run_cli(["selftest"], capsys)
+        assert code == 1
+        assert out.splitlines()[-1].startswith("FAILED")
 
 
 class TestOutputs:

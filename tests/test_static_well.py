@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -13,6 +12,7 @@ from regulab.errors import (
     SingularRegulator,
 )
 from regulab.numerics import LimitKind, QuadratureSpec, classify_limit, integrate_halfline
+from regulab.selftest import check_xi_consistency, xi_brute_force
 from regulab.static_well import (
     WellConfig,
     chi_inside,
@@ -135,28 +135,6 @@ class TestModeSolution:
         assert worst < 1e-10
 
 
-def xi_oracle(cfg, omega, reg, x):
-    """Per-mode bilinear from the complex interior waves, using only the
-    amplitude closed forms; independent of the fused evaluation path."""
-    q = cmath.sqrt(complex(omega * omega - cfg.lam, 0.0))
-    y1, y1p = x + reg.eps1 / 2.0, x - reg.eps1 / 2.0
-    total = 0.0
-    for j in (1, 2):
-        amp = cmath.sqrt(complex(mode_solution(cfg, j, omega).amp_sq, 0.0))
-        if j == 1:
-            chi = lambda u: amp * cmath.cos(u * q)
-            dchi = lambda u: -amp * q * cmath.sin(u * q)
-        else:
-            chi = lambda u: amp * cmath.sin(u * q)
-            dchi = lambda u: amp * q * cmath.cos(u * q)
-        pref = cmath.exp(-1j * omega * reg.eps0) / (8.0 * math.pi * omega)
-        z = pref * (
-            omega**2 * chi(y1) * chi(y1p).conjugate() + dchi(y1) * dchi(y1p).conjugate()
-        )
-        total += 2.0 * z.real
-    return total
-
-
 class TestXi:
     def test_reduces_to_free_field(self):
         cfg0 = WellConfig(0.0, 1.0)
@@ -167,21 +145,13 @@ class TestXi:
             )
 
     def test_matches_per_mode_oracle(self):
-        rng = np.random.default_rng(5)
-        worst = 0.0
-        for _ in range(100):
-            omega = float(rng.uniform(0.05, 12.0))
-            if abs(omega * omega - CFG.lam) < 1e-3:
-                omega += 0.1
-            reg = Regulator(float(rng.uniform(0, 0.3)), float(rng.uniform(0, 0.3)), 0.0)
-            x = float(rng.uniform(-0.8, 0.8))
-            worst = max(worst, abs(xi_lambda(CFG, omega, reg, x) - xi_oracle(CFG, omega, reg, x)))
-        assert worst < 1e-12
+        ok, detail = check_xi_consistency(np.random.default_rng(5).random, 100)
+        assert ok, detail
 
     def test_coincidence_limit(self):
         reg0 = Regulator(0.0, 0.0, 0.0)
         for omega, x in [(2.0, 0.0), (0.7, 0.3), (1.0001, -0.5)]:
-            assert abs(xi_lambda(CFG, omega, reg0, x) - xi_oracle(CFG, omega, reg0, x)) < 1e-12
+            assert abs(xi_lambda(CFG, omega, reg0, x) - xi_brute_force(CFG, omega, reg0, x)) < 1e-12
 
     def test_region_check(self):
         with pytest.raises(OutsideRegionI):
