@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -32,11 +33,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+# config key -> default for every QuadratureSpec field
+_QUADRATURE = {f"quadrature.{f.name}": f.default for f in dataclasses.fields(QuadratureSpec)}
+
 _CONFIG_KEYS = {
-    "quadrature.rel_tol": float,
-    "quadrature.abs_tol": float,
-    "quadrature.max_subdivisions": int,
-    "quadrature.tail_truncation_multiple": float,
+    **{key: type(default) for key, default in _QUADRATURE.items()},
     "output.format": str,
     "output.path": str,
 }
@@ -80,14 +81,7 @@ def _parse_config_file(path: str) -> dict:
 
 def _resolve(args) -> dict:
     """defaults <- env config file <- --config file <- flags."""
-    resolved = {
-        "quadrature.rel_tol": 1e-10,
-        "quadrature.abs_tol": 1e-14,
-        "quadrature.max_subdivisions": 20000,
-        "quadrature.tail_truncation_multiple": 60.0,
-        "output.format": "csv",
-        "output.path": "-",
-    }
+    resolved = {**_QUADRATURE, "output.format": "csv", "output.path": "-"}
     env_path = os.environ.get("REGULAB_CONFIG")
     if env_path:
         resolved.update(_parse_config_file(env_path))
@@ -115,10 +109,7 @@ def _resolve(args) -> dict:
 def _spec_from(resolved: dict) -> QuadratureSpec:
     try:
         return QuadratureSpec(
-            rel_tol=resolved["quadrature.rel_tol"],
-            abs_tol=resolved["quadrature.abs_tol"],
-            max_subdivisions=resolved["quadrature.max_subdivisions"],
-            tail_truncation_multiple=resolved["quadrature.tail_truncation_multiple"],
+            **{key.removeprefix("quadrature."): resolved[key] for key in _QUADRATURE}
         )
     except ValueError as exc:
         raise ValidationFailure(f"quadrature settings: {exc}") from exc

@@ -2,7 +2,8 @@
 
 Integrals over [0, inf) carry an exponential cutoff weight e^(-omega*tau) and
 are truncated where the weight is negligible; a sampled bound on the dropped
-tail is folded into the error estimate.  The panel integrator is a classic
+tail is folded into the error estimate.  Integrals over the whole line, under
+e^(-|k|*tau), are folded onto [0, inf).  The panel integrator is a classic
 Gauss 7 / Kronrod 15 embedded pair with greedy bisection of the worst panel.
 Initial panels follow the cutoff only (2/tau wide, geometric toward 0); error
 estimates alone decide where to refine, behind a guard against aliasing that
@@ -47,8 +48,8 @@ class QuadratureSpec:
     integrand needs about one bisection per period it oscillates through
     where it is not negligible, so the default of 20000 is sized for the
     most oscillatory inputs of the density modules (see README).
-    tail_truncation_multiple T means half-line integrals are cut at
-    omega = T/tau, where the cutoff weight is e^(-T).
+    tail_truncation_multiple T means cutoff integrals are cut at
+    omega (or |k|) = T/tau, where the cutoff weight is e^(-T).
     """
 
     rel_tol: float = 1e-10
@@ -242,24 +243,19 @@ def integrate_realline(
     tau: float,
     spec: QuadratureSpec | None = None,
 ) -> QuadratureResult:
-    """Approximate integral of f over (-inf, inf), truncated symmetrically.
+    """Approximate integral of f(k) * e^(-|k|*tau) over (-inf, inf).
 
-    The caller embeds any cutoff weight in f itself; tau only sets the
-    truncation point |k| = tail_truncation_multiple/tau, the initial panel
-    width 2/tau (mirroring integrate_halfline on each side of 0) and the
-    sampled tail bound, which assumes |f| keeps decaying at least like
-    e^(-|k| tau) beyond the truncation point.
+    The line is folded onto the half line, as QUADPACK's QAGI does:
+    integrate_halfline integrates f(k) + f(-k), so the weight, the panels
+    and the tail bound are the half-line ones.  `evaluations`, here and on
+    ToleranceNotMet, counts calls of f.
     """
-    spec = spec or QuadratureSpec()
-    if not (tau > 0.0) or not math.isfinite(tau):
-        raise InvalidCutoff(f"tau must be > 0, got {tau}")
-    cut = spec.tail_truncation_multiple / tau
-    half = _breakpoints(cut, 2.0 / tau)
-    pts = [-p for p in reversed(half)][:-1] + half
-    value, err, evals = _adaptive_panels(lambda k: complex(f(k)), pts, spec)
-    m_tail = max(abs(complex(f(s * cut * r))) for s in (1.0, -1.0) for r in (1.0, 0.97))
-    tail = 2.0 * m_tail / tau
-    return QuadratureResult(value, err + tail, evals + 4)
+    try:
+        res = integrate_halfline(lambda k: f(k) + f(-k), tau, spec)
+    except ToleranceNotMet as exc:
+        exc.evaluations *= 2
+        raise
+    return QuadratureResult(res.value, res.error_estimate, 2 * res.evaluations)
 
 
 class LimitKind(Enum):

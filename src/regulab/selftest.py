@@ -2,10 +2,13 @@
 
 Each check recomputes a closed form against an independent numerical route
 (quadrature, brute-force mode sums, extrapolation) and reports one PASS/FAIL
-line.  INFO lines report measured discrepancies that are findings rather than
-failures: places where an independently derived integrand disagrees with a
-commonly quoted variant, and the finite-cutoff convergence rate of the
-mode-sum/point-split comparison.
+line.  The checks of a quadrature against a closed form also hold its error
+estimate to account: err/bound, |closed - quad| / (error_estimate +
+8 eps |closed|), must stay at or below 1 at every point.  INFO lines report
+measured discrepancies that are findings rather than failures: places where
+an independently derived integrand disagrees with a commonly quoted variant,
+and the finite-cutoff convergence rate of the mode-sum/point-split
+comparison.
 
 Every oracle lives here once.  A check whose acceptance criterion runs a
 finer grid or more draws takes that grid or its source of draws as an
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .core import Regulator
 from .flanagan import ConformalMap, WeightFunction, delta_flanagan, delta_pointsplit, delta_tau, qi_bound_rhs, vacuum_tvv
@@ -44,6 +48,7 @@ from .time_step import (
     d_term_quadrature,
     mode_reg_density,
     pointsplit_density,
+    pointsplit_integrand,
     s_k,
     s_k_deriv,
 )
@@ -72,55 +77,77 @@ def _uniform(rand, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rand()
 
 
+def _miss_ratio(exact, value, error_estimate) -> float:
+    """err/bound = |exact - value| / (error_estimate + 8 eps |exact|): at most
+    1 when the error estimate covers the true error up to rounding."""
+    miss = abs(exact - value)
+    if miss == 0.0:
+        return 0.0
+    return miss / (error_estimate + 8.0 * sys.float_info.epsilon * abs(exact))
+
+
 def check_halfline_examples():
     spec = QuadratureSpec()
-    r1 = integrate_halfline(lambda w: 1.0, 1.0, spec)
-    r2 = integrate_halfline(lambda w: w, 0.5, spec)
-    r3 = integrate_halfline(lambda w: w * cmath.exp(-0.3j * w), 0.1, spec)
-    errs = (
-        abs(r1.value - 1.0),
-        abs(r2.value - 4.0),
-        abs(r3.value - complex(-8.0, -6.0)),
+    cases = (
+        (lambda w: 1.0, 1.0, 1.0),
+        (lambda w: w, 0.5, 4.0),
+        (lambda w: w * cmath.exp(-0.3j * w), 0.1, complex(-8.0, -6.0)),
     )
-    ok = max(errs) < 1e-8
-    return ok, f"cutoff integrals vs closed forms: max |err| = {max(errs):.2e}"
+    worst = ratio = 0.0
+    for f, tau, exact in cases:
+        res = integrate_halfline(f, tau, spec)
+        worst = max(worst, abs(res.value - exact))
+        ratio = max(ratio, _miss_ratio(exact, res.value, res.error_estimate))
+    return worst < 1e-8 and ratio <= 1.0, (
+        f"cutoff integrals vs closed forms: max |err| = {worst:.2e}, "
+        f"worst err/bound = {ratio:.2g}"
+    )
 
 
-def _worst_rel_on_grid(closed, quad, taus, fractions) -> float:
-    """Worst |closed - quad| / |closed| over Regulator(f0*tau, f1*tau, tau)
-    for tau in taus and f0, f1 in fractions."""
-    worst = 0.0
+def _worst_on_grid(closed, quad, taus, fractions) -> tuple[float, float]:
+    """Worst |closed - quad| / |closed| and worst _miss_ratio over
+    Regulator(f0*tau, f1*tau, tau) for tau in taus and f0, f1 in fractions;
+    quad returns a QuadratureResult whose real part is compared."""
+    worst = ratio = 0.0
     for tau in taus:
         for f0 in fractions:
             for f1 in fractions:
                 reg = Regulator(f0 * tau, f1 * tau, tau)
                 exact = closed(reg)
-                worst = max(worst, abs(exact - quad(reg)) / max(abs(exact), 1e-12))
-    return worst
+                res = quad(reg)
+                worst = max(worst, abs(exact - res.value.real) / max(abs(exact), 1e-12))
+                ratio = max(ratio, _miss_ratio(exact, res.value.real, res.error_estimate))
+    return worst, ratio
 
 
 def check_static_remainder_closed_form(taus=(0.01, 0.1, 1.0), fractions=(0.0, 0.25, 0.5)):
     cfg = WellConfig(1.0, 1.0)
     spec = QuadratureSpec()
-    worst = _worst_rel_on_grid(
+    worst, ratio = _worst_on_grid(
         lambda reg: r_integral_closed(cfg, reg),
-        lambda reg: integrate_halfline(lambda w: r_omega(cfg, w, reg), reg.tau, spec).value.real,
+        lambda reg: integrate_halfline(lambda w: r_omega(cfg, w, reg), reg.tau, spec),
         taus,
         fractions,
     )
-    return worst < 1e-6, f"static remainder closed form vs quadrature: worst rel = {worst:.2e}"
+    return worst < 1e-6 and ratio <= 1.0, (
+        f"static remainder closed form vs quadrature: worst rel = {worst:.2e}, "
+        f"worst err/bound = {ratio:.2g}"
+    )
 
 
 def check_dterm_closed_form(taus=(0.01, 0.1, 1.0), fractions=(0.0, 0.25, 0.5)):
     cfg = StepConfig(1.0, 1.0)
     spec = QuadratureSpec()
-    worst = _worst_rel_on_grid(
+    worst, ratio = _worst_on_grid(
         lambda reg: d_term(cfg, reg),
-        lambda reg: d_term_quadrature(cfg, reg, spec, massless=True).value.real,
+        lambda reg: d_term_quadrature(cfg, reg, spec, massless=True),
         taus,
         fractions,
     )
-    return worst < 1e-6, f"small-split gap closed form vs quadrature: worst rel = {worst:.2e}"
+    return worst < 1e-6 and ratio <= 1.0, (
+        f"small-split gap closed form vs quadrature: worst rel = {worst:.2e}, "
+        f"worst err/bound = {ratio:.2g}"
+    )
 
 
 def info_dterm_mass_correction():
@@ -225,13 +252,11 @@ def info_xi_displayed_variants():
 
 
 def info_pointsplit_cross_term():
-    from .time_step import bogoliubov as _bog, pointsplit_integrand as _psi
-
     cfg = StepConfig(1.0, 1.0)
     k, t = 2.7, 0.9
     reg = Regulator(0.11, 0.07, 0.0)
-    full = _psi(cfg, k, t, reg)
-    pair = _bog(cfg, k)
+    full = pointsplit_integrand(cfg, k, t, reg)
+    pair = bogoliubov(cfg, k)
     omega = math.hypot(k, cfg.m)
     big_e = math.sqrt(omega**2 + cfg.lam)
     cross = (
@@ -318,25 +343,36 @@ def check_flanagan_orders():
 
 def check_vacuum_tvv(dvs=(0.1, 1.0), taus=(0.05, 0.5)):
     spec = QuadratureSpec()
-    worst = 0.0
+    worst = ratio = 0.0
     for dv in dvs:
         for tau in taus:
             closed = vacuum_tvv(dv, 0.0, tau)
             quad = integrate_halfline(lambda w: w * cmath.exp(-1j * w * dv), tau, spec)
-            worst = max(worst, abs(closed - quad.value / (4.0 * math.pi)) / abs(closed))
-    return worst < 1e-8, f"vacuum density closed form vs quadrature: worst rel = {worst:.2e}"
+            value = quad.value / (4.0 * math.pi)
+            worst = max(worst, abs(closed - value) / abs(closed))
+            ratio = max(ratio, _miss_ratio(closed, value, quad.error_estimate / (4.0 * math.pi)))
+    return worst < 1e-8 and ratio <= 1.0, (
+        f"vacuum density closed form vs quadrature: worst rel = {worst:.2e}, "
+        f"worst err/bound = {ratio:.2g}"
+    )
 
 
 def check_qi_gaussian():
     rho = WeightFunction.from_text("exp(-(x/2)^2)/(2*sqrt(pi))", (-30.0, 30.0))
-    bound = qi_bound_rhs(rho).value
+    res = qi_bound_rhs(rho)
     target = -1.0 / (48.0 * math.pi)
     rho_half = WeightFunction.from_text("exp(-(x/1)^2)/(1*sqrt(pi))", (-20.0, 20.0))
-    bound_half = qi_bound_rhs(rho_half).value
-    ok = abs(bound - target) < 1e-8 and abs(bound_half / bound - 4.0) < 1e-8
+    res_half = qi_bound_rhs(rho_half)
+    bound, scale = res.value, res_half.value / res.value
+    ratio = max(
+        _miss_ratio(target, bound, res.error_estimate),
+        _miss_ratio(4.0 * target, res_half.value, res_half.error_estimate),
+    )
+    ok = abs(bound - target) < 1e-8 and abs(scale - 4.0) < 1e-8 and ratio <= 1.0
     return ok, (
-        f"gaussian bound {bound:.9f} vs analytic {target:.9f}; halving the "
-        f"width scales it by {bound_half / bound:.9f}"
+        f"gaussian bound {bound:.9f} vs analytic {target:.9f} (off by "
+        f"{abs(bound - target):.2e}); halving the width scales it by {scale:.9f} "
+        f"(off by {abs(scale - 4.0):.2e}); worst err/bound = {ratio:.2g}"
     )
 
 

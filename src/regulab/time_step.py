@@ -147,6 +147,12 @@ def s_k_integrand(cfg: StepConfig, k: float, t: float, reg: Regulator) -> float:
     return pointsplit_integrand(cfg, k, t, reg) - r_k_integrand(cfg, k, reg)
 
 
+def _mass_weight(cfg: StepConfig, k: float, tau: float) -> float:
+    """e^(-omega tau) over the e^(-|k| tau) that integrate_realline applies;
+    omega - |k| = m^2/(omega + |k|) does not cancel at large |k|."""
+    return math.exp(-cfg.m * cfg.m * tau / (math.hypot(k, cfg.m) + abs(k)))
+
+
 def _constant_part_integral(cfg: StepConfig) -> float:
     """Closed form of the non-oscillatory integral over all k of
     1/(omega * E^2): elementary after k = m*sinh(u)."""
@@ -234,11 +240,10 @@ def pointsplit_density(
     if cfg.lam == 0.0:
         return DensityResult(0.0, 0.0, reg)
 
-    def weighted(k: float) -> float:
-        omega = math.hypot(k, cfg.m)
-        return pointsplit_integrand(cfg, k, t, reg) * math.exp(-omega * reg.tau)
+    def integrand(k: float) -> float:
+        return pointsplit_integrand(cfg, k, t, reg) * _mass_weight(cfg, k, reg.tau)
 
-    quad = integrate_realline(weighted, reg.tau, spec)
+    quad = integrate_realline(integrand, reg.tau, spec)
     two_pi = 2.0 * math.pi
     return DensityResult(quad.value.real / two_pi, quad.error_estimate / two_pi, reg)
 
@@ -272,15 +277,12 @@ def d_term_quadrature(
     omega, matching the regime in which d_term is exact; with massless=False
     the physical omega is kept, which measures the finite-mass correction to
     d_term."""
-    spec = spec or QuadratureSpec()
-    if not (reg.tau > 0.0):
-        raise InvalidCutoff(f"tau must be > 0, got {reg.tau}")
 
-    def weighted(k: float) -> float:
-        omega = abs(k) if massless else math.hypot(k, cfg.m)
-        return r_k_integrand(cfg, k, reg, massless=massless) * math.exp(-omega * reg.tau)
+    def integrand(k: float) -> float:
+        r = r_k_integrand(cfg, k, reg, massless=massless)
+        return r if massless else r * _mass_weight(cfg, k, reg.tau)
 
-    quad = integrate_realline(weighted, reg.tau, spec)
+    quad = integrate_realline(integrand, reg.tau, spec)
     return QuadratureResult(
         quad.value / (2.0 * math.pi), quad.error_estimate / (2.0 * math.pi), quad.evaluations
     )

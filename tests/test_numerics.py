@@ -58,7 +58,8 @@ class TestHalfline:
         res = integrate_halfline(lambda w: 1.0, 0.5, one)
         assert abs(res.value - 2.0) <= res.error_estimate + 1e-14
         res = integrate_realline(lambda k: math.exp(-k * k), 0.5, one)
-        assert abs(res.value - math.sqrt(math.pi)) <= res.error_estimate
+        exact = math.sqrt(math.pi) * math.exp(1.0 / 16.0) * math.erfc(0.25)
+        assert abs(res.value - exact) <= res.error_estimate
 
     def test_removable_singularity_at_origin(self):
         # (1 - cos w)/w is finite at 0; the geometric seeding must handle it
@@ -121,17 +122,41 @@ class TestHalfline:
 
 
 class TestRealline:
+    # integrate_realline applies the weight e^(-|k| tau) itself
     def test_two_sided_exponential(self):
-        res = integrate_realline(lambda k: math.exp(-abs(k)), 1.0, SPEC)
+        res = integrate_realline(lambda k: 1.0, 1.0, SPEC)
         assert abs(res.value - 2.0) < 1e-9
 
     def test_odd_integrand(self):
-        res = integrate_realline(lambda k: k * math.exp(-abs(k)), 1.0, SPEC)
+        res = integrate_realline(lambda k: k, 1.0, SPEC)
         assert abs(res.value) < 1e-9
 
     def test_gaussian(self):
         res = integrate_realline(lambda k: math.exp(-k * k), 1.0, SPEC)
-        assert abs(res.value - math.sqrt(math.pi)) < 1e-9
+        exact = math.sqrt(math.pi) * math.exp(0.25) * math.erfc(0.5)
+        assert abs(res.value - exact) < 1e-9
+
+    def test_error_estimate_bounds_true_error_for_uneven_integrand(self):
+        # integral of cos(omega k + phi) e^(-|k| tau) over the line is
+        # 2 tau cos(phi)/(tau^2 + omega^2); phi != 0 makes f(k) != f(-k)
+        spec = QuadratureSpec(rel_tol=1e-9)
+        eps = sys.float_info.epsilon
+        for omega in (0.5, 3.6, 12.0):
+            for tau in (0.05, 0.5):
+                for phi in (0.0, 0.7, 1.3):
+                    exact = 2.0 * tau * math.cos(phi) / (tau * tau + omega * omega)
+                    res = integrate_realline(lambda k: math.cos(omega * k + phi), tau, spec)
+                    err = abs(res.value - exact)
+                    assert err <= res.error_estimate + 8.0 * eps * abs(exact), (
+                        omega, tau, phi, err, res.error_estimate
+                    )
+
+    def test_budget_exhaustion_counts_calls_of_f(self):
+        tight = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=1)
+        with pytest.raises(ToleranceNotMet) as err:
+            integrate_realline(lambda k: math.cos(50.0 * k) / (1.0 + k * k), 0.01, tight)
+        # the fold calls f twice per node of the 42 half-line panels
+        assert err.value.evaluations == 2 * 42 * (15 + 30)
 
 
 class TestInterval:

@@ -310,7 +310,7 @@ class TestPointsplitDensity:
         assert gaps[-1] < 0.1 * abs(mode)
 
     def test_late_time_small_cutoff_under_default_spec(self):
-        # cos(2Et) runs through about 2,600 bisections' worth of periods here;
+        # cos(2Et) runs through about 1,300 bisections' worth of periods here;
         # the residual against the mode sum, the gap and the cutoff's
         # first-order term is second order in tau (0.026% of the mode sum)
         t, tau = 10.0, 0.0125
