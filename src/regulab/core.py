@@ -27,11 +27,13 @@ class Regulator:
 
 @dataclass(frozen=True)
 class DensityResult:
-    """A computed energy-density value with its quadrature error estimate."""
+    """A computed energy-density value with its quadrature error estimate and
+    the number of integrand evaluations it cost (0 for a closed form)."""
 
     value: float
     error_estimate: float
     regulator: Regulator | None = None
+    evaluations: int = 0
 
     def __post_init__(self):
         if self.error_estimate < 0.0:

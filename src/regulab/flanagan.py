@@ -153,5 +153,5 @@ def qi_bound_rhs(rho: WeightFunction, spec: QuadratureSpec | None = None) -> Den
     tail = (hi - lo) * max(integrand(lo), integrand(hi))
     pref = 1.0 / (24.0 * math.pi)
     return DensityResult(
-        -pref * quad.value.real, pref * (quad.error_estimate + tail), None
+        -pref * quad.value.real, pref * (quad.error_estimate + tail), None, quad.evaluations
     )

@@ -272,4 +272,4 @@ def t00r_static(
         return DensityResult(0.0, 0.0, reg)
     quad = integrate_halfline(lambda w: s_omega(cfg, w, reg, x), reg.tau, spec)
     value = quad.value.real + r_integral_closed(cfg, reg)
-    return DensityResult(value, quad.error_estimate, reg)
+    return DensityResult(value, quad.error_estimate, reg, quad.evaluations)

@@ -12,6 +12,13 @@ renormalized kinetic energy density can then be computed two ways:
 Their difference is carried by a slowly-decaying remainder of the point-split
 integrand whose cutoff integral, in the small-split regime, is the closed
 form d_term; d_term depends only on how (eps0, eps1, tau) -> 0.
+
+omega, E and the Bogoliubov pair are even in k; only the spatial phase
+e^(i k eps1) is not.  So pointsplit_density and d_term_quadrature integrate
+the sum of each integrand at k and -k, worked out in closed form, over
+k >= 0: one evaluation of the mode quantities per quadrature node, in real
+arithmetic.  pointsplit_integrand and r_k_integrand remain the per-k physics
+that these folded forms are tested against.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import DensityResult, Regulator
 from .errors import (
@@ -27,7 +35,14 @@ from .errors import (
     SplitStraddlesStep,
     ZeroFrequency,
 )
-from .numerics import QuadratureResult, QuadratureSpec, integrate_interval, integrate_realline
+# integrate_realline has no caller here; the benchmark tracer (bench/spans.py) wraps this name.
+from .numerics import (
+    QuadratureResult,
+    QuadratureSpec,
+    integrate_halfline,
+    integrate_interval,
+    integrate_realline,  # noqa: F401
+)
 
 __all__ = [
     "StepConfig",
@@ -147,10 +162,54 @@ def s_k_integrand(cfg: StepConfig, k: float, t: float, reg: Regulator) -> float:
     return pointsplit_integrand(cfg, k, t, reg) - r_k_integrand(cfg, k, reg)
 
 
-def _mass_weight(cfg: StepConfig, k: float, tau: float) -> float:
-    """e^(-omega tau) over the e^(-|k| tau) that integrate_realline applies;
-    omega - |k| = m^2/(omega + |k|) does not cancel at large |k|."""
-    return math.exp(-cfg.m * cfg.m * tau / (math.hypot(k, cfg.m) + abs(k)))
+def _folded_pointsplit(cfg: StepConfig, t: float, reg: Regulator) -> Callable[[float], float]:
+    """k -> pointsplit_integrand(k) + pointsplit_integrand(-k) on k >= 0,
+    times e^(-(omega - k) tau), which turns integrate_halfline's weight
+    e^(-k tau) into the cutoff e^(-omega tau).
+
+    The fold is cos(k eps1) Re[mixed - free]/(2 omega).  With
+    a^2 + b^2 = (2 omega^2 + lam)/(2 E^2), a b = lam/(4 E^2) and
+    E - omega = lam/(E + omega),
+        Re[mixed - free] = -4 omega^2 sin((E + omega) eps0/2) sin(lam eps0/(2 (E + omega)))
+                           + (lam^2/(2 E^2)) (cos(E eps0) - cos(2 E t)),
+    which keeps the terms of size omega^2 in mixed and free from cancelling.
+    Likewise omega - k = m^2/(omega + k)."""
+    lam, m = cfg.lam, cfg.m
+    eps0, eps1 = reg.eps0, reg.eps1
+    half_lam2 = 0.5 * lam * lam
+    m2_tau = m * m * reg.tau
+
+    def folded(k: float) -> float:
+        omega = math.hypot(k, m)
+        omega2 = omega * omega
+        big_e2 = omega2 + lam
+        big_e = math.sqrt(big_e2)
+        e_plus = big_e + omega
+        # 2 omega^2 (cos(E eps0) - cos(omega eps0)), and the lam^2 remainder
+        shift = -4.0 * omega2 * math.sin(0.5 * e_plus * eps0) * math.sin(0.5 * lam * eps0 / e_plus)
+        mixing = half_lam2 / big_e2 * (math.cos(big_e * eps0) - math.cos(2.0 * big_e * t))
+        cutoff = math.exp(-m2_tau / (omega + k))
+        return math.cos(k * eps1) * (shift + mixing) / (2.0 * omega) * cutoff
+
+    return folded
+
+
+def _folded_remainder(cfg: StepConfig, reg: Regulator, massless: bool) -> Callable[[float], float]:
+    """k -> r_k_integrand(k) + r_k_integrand(-k) = (lam eps0/2) cos(k eps1)
+    sin(omega eps0) on k >= 0; with a mass, times e^(-m^2 tau/(omega + k)) as
+    in _folded_pointsplit."""
+    half = 0.5 * cfg.lam * reg.eps0
+    eps0, eps1 = reg.eps0, reg.eps1
+    if massless:
+        return lambda k: half * math.cos(k * eps1) * math.sin(k * eps0)
+    m = cfg.m
+    m2_tau = m * m * reg.tau
+
+    def folded(k: float) -> float:
+        omega = math.hypot(k, m)
+        return half * math.cos(k * eps1) * math.sin(omega * eps0) * math.exp(-m2_tau / (omega + k))
+
+    return folded
 
 
 def _constant_part_integral(cfg: StepConfig) -> float:
@@ -212,7 +271,7 @@ def mode_reg_density(
     tail_err = 2.0 * abs(du) * e_cut / (2.0 * t * k_cut)
     value = pref * (steady - 2.0 * (quad.value.real + tail))
     err = pref * 2.0 * (quad.error_estimate + tail_err)
-    return DensityResult(value, err, None)
+    return DensityResult(value, err, None, quad.evaluations)
 
 
 def pointsplit_density(
@@ -225,7 +284,7 @@ def pointsplit_density(
 
     Integrates the full subtracted integrand (remainder included, so the
     split into s_k_integrand + r_k_integrand recombines exactly) over the
-    whole k-line.
+    k-line, as its even fold over k >= 0 (_folded_pointsplit).
     """
     spec = spec or QuadratureSpec()
     if not (reg.tau > 0.0):
@@ -240,12 +299,11 @@ def pointsplit_density(
     if cfg.lam == 0.0:
         return DensityResult(0.0, 0.0, reg)
 
-    def integrand(k: float) -> float:
-        return pointsplit_integrand(cfg, k, t, reg) * _mass_weight(cfg, k, reg.tau)
-
-    quad = integrate_realline(integrand, reg.tau, spec)
+    quad = integrate_halfline(_folded_pointsplit(cfg, t, reg), reg.tau, spec)
     two_pi = 2.0 * math.pi
-    return DensityResult(quad.value.real / two_pi, quad.error_estimate / two_pi, reg)
+    return DensityResult(
+        quad.value.real / two_pi, quad.error_estimate / two_pi, reg, quad.evaluations
+    )
 
 
 def d_term_value(lam: float, eps0: float, eps1: float, tau: float) -> float:
@@ -271,18 +329,14 @@ def d_term_quadrature(
     spec: QuadratureSpec | None = None,
     massless: bool = True,
 ) -> QuadratureResult:
-    """Direct cutoff quadrature of the remainder integrand.
+    """Direct cutoff quadrature of the remainder integrand over the k-line,
+    as its even fold over k >= 0 (_folded_remainder).
 
     With massless=True both the integrand and the cutoff use |k| in place of
     omega, matching the regime in which d_term is exact; with massless=False
     the physical omega is kept, which measures the finite-mass correction to
     d_term."""
-
-    def integrand(k: float) -> float:
-        r = r_k_integrand(cfg, k, reg, massless=massless)
-        return r if massless else r * _mass_weight(cfg, k, reg.tau)
-
-    quad = integrate_realline(integrand, reg.tau, spec)
+    quad = integrate_halfline(_folded_remainder(cfg, reg, massless), reg.tau, spec)
     return QuadratureResult(
         quad.value / (2.0 * math.pi), quad.error_estimate / (2.0 * math.pi), quad.evaluations
     )

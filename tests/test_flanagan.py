@@ -143,6 +143,10 @@ class TestQiBound:
         res = qi_bound_rhs(rho, SPEC)
         assert abs(res.value - (-1.0 / (48.0 * math.pi))) <= 1e-8
 
+    def test_evaluation_count(self):
+        rho = WeightFunction.from_text("exp(-(x/2)^2)/(2*sqrt(pi))", (-30.0, 30.0))
+        assert qi_bound_rhs(rho, SPEC).evaluations == 405
+
     def test_width_scaling(self):
         # the narrower gaussian needs a narrower support: e^(-900) underflows
         wide = qi_bound_rhs(

@@ -218,6 +218,12 @@ class TestDensity:
             tol = plus.error_estimate + minus.error_estimate + 1e-12
             assert abs(plus.value - minus.value) <= tol
 
+    def test_evaluation_count(self):
+        # exact and machine-independent under the default spec
+        reg = Regulator(0.0025, 0.0025, 0.05)
+        assert t00r_static(CFG, reg, 0.0).evaluations == 3904
+        assert t00r_static(WellConfig(0.0, 1.0), reg, 0.0).evaluations == 0
+
     def test_time_independent(self):
         reg = Regulator(0.01, 0.01, 0.2)
         v0 = t00r_static(CFG, reg, 0.3, 0.0).value

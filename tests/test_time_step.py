@@ -10,9 +10,11 @@ from test_acceptance import cutoff_slope
 
 from regulab.core import Regulator
 from regulab.errors import InvalidCutoff, SingularRegulator, SplitStraddlesStep, ZeroFrequency
-from regulab.numerics import QuadratureSpec
+from regulab.numerics import QuadratureSpec, integrate_realline
 from regulab.time_step import (
     StepConfig,
+    _folded_pointsplit,
+    _folded_remainder,
     bogoliubov,
     d_term,
     d_term_quadrature,
@@ -29,6 +31,29 @@ from regulab.time_step import (
 
 CFG = StepConfig(1.0, 1.0)
 SPEC = QuadratureSpec()
+EPS = sys.float_info.epsilon
+
+
+def split(s):
+    """The recommended limit path eps = (s^2, s^2), tau = s."""
+    return Regulator(s * s, s * s, s)
+
+
+def mass_factor(cfg, k, tau):
+    """e^(-(omega - k) tau) for k >= 0, with omega - k = m^2/(omega + k)
+    so that it does not cancel at large k."""
+    return math.exp(-cfg.m * cfg.m * tau / (math.hypot(k, cfg.m) + k))
+
+
+def realline_oracle(integrand, tau, spec):
+    """Integral of integrand(k) e^(-|k| tau) over the whole line, unfolded,
+    divided by 2 pi: (value, error estimate)."""
+    res = integrate_realline(integrand, tau, spec)
+    return res.value.real / (2.0 * math.pi), res.error_estimate / (2.0 * math.pi)
+
+
+FOLD_KS = (1e-6, 0.3, 2.7, 50.0, 1e3, 1e4)
+FOLD_LAMS = (1.0, -0.4, 2.3)
 
 
 class TestBogoliubov:
@@ -245,6 +270,66 @@ class TestModeRegDensity:
         assert abs(loose.value - tight.value) <= loose.error_estimate
 
 
+class TestFoldedIntegrands:
+    """The step densities integrate f(k) + f(-k) over k >= 0 in closed form."""
+
+    REG = Regulator(0.01, 0.02, 0.05)
+
+    @pytest.mark.parametrize("lam", FOLD_LAMS)
+    def test_pointsplit_fold_identity(self, lam):
+        # mixed and free are each of size omega^2, so the unfolded sum carries
+        # absolute rounding errors of a few eps times omega (times the mass
+        # factor); the folded form avoids that cancellation
+        cfg, reg, t = StepConfig(lam, 1.0), self.REG, 1.3
+        folded = _folded_pointsplit(cfg, t, reg)
+        for k in FOLD_KS:
+            w = mass_factor(cfg, k, reg.tau)
+            pair = pointsplit_integrand(cfg, k, t, reg) + pointsplit_integrand(cfg, -k, t, reg)
+            scale = math.hypot(k, cfg.m) * w
+            assert abs(folded(k) - pair * w) <= 8.0 * EPS * scale, k
+
+    @pytest.mark.parametrize("massless", [True, False])
+    @pytest.mark.parametrize("lam", FOLD_LAMS)
+    def test_remainder_fold_identity(self, lam, massless):
+        cfg, reg = StepConfig(lam, 1.0), self.REG
+        folded = _folded_remainder(cfg, reg, massless)
+        scale = abs(lam) * reg.eps0 / 2.0
+        for k in FOLD_KS:
+            w = 1.0 if massless else mass_factor(cfg, k, reg.tau)
+            pair = r_k_integrand(cfg, k, reg, massless) + r_k_integrand(cfg, -k, reg, massless)
+            assert abs(folded(k) - pair * w) <= 8.0 * EPS * scale, k
+
+    @pytest.mark.parametrize(
+        "lam,m,t,reg",
+        [
+            (1.0, 1.0, 1.0, split(0.05)),
+            (-0.4, 1.2, 1.5, split(0.025)),
+            (2.3, 0.5, 0.7, Regulator(0.05, 0.02, 0.1)),
+        ],
+    )
+    def test_pointsplit_density_matches_realline_oracle(self, lam, m, t, reg):
+        cfg, spec = StepConfig(lam, m), QuadratureSpec(rel_tol=1e-9)
+        res = pointsplit_density(cfg, t, reg, spec)
+        value, err = realline_oracle(
+            lambda k: pointsplit_integrand(cfg, k, t, reg) * mass_factor(cfg, abs(k), reg.tau),
+            reg.tau,
+            spec,
+        )
+        assert abs(res.value - value) <= res.error_estimate + err
+
+    @pytest.mark.parametrize("massless", [True, False])
+    @pytest.mark.parametrize("reg", [split(0.05), Regulator(0.001, 0.002, 0.05)])
+    def test_d_term_quadrature_matches_realline_oracle(self, reg, massless):
+        res = d_term_quadrature(CFG, reg, SPEC, massless=massless)
+
+        def integrand(k):
+            r = r_k_integrand(CFG, k, reg, massless)
+            return r if massless else r * mass_factor(CFG, abs(k), reg.tau)
+
+        value, err = realline_oracle(integrand, reg.tau, SPEC)
+        assert abs(res.value.real - value) <= res.error_estimate + err
+
+
 class TestDTerm:
     def test_zero_time_split(self):
         assert d_term(CFG, Regulator(0.0, 0.01, 0.1)) == 0.0
@@ -320,6 +405,56 @@ class TestPointsplitDensity:
         r = ps.value - d_term(CFG, reg) - mode.value
         assert ps.error_estimate <= SPEC.rel_tol * abs(ps.value)
         assert abs(r - cutoff_slope(CFG.lam, CFG.m, t) * tau) < 1e-3 * abs(mode.value)
+
+    @pytest.mark.parametrize(
+        "lam,m,t,reg",
+        [
+            (1.0, 1.0, 1.0, split(0.05)),
+            (1.0, 1.0, 1.9, split(0.05)),
+            (-0.4, 1.2, 1.5, split(0.025)),
+            (0.3, 0.7, 2.5, Regulator(0.0004, 0.0004, 0.02)),
+            (-0.6, 1.0, 3.0, Regulator(0.01, 0.01, 0.1)),
+            (4.0, 0.3, 1.2, Regulator(0.001, 0.002, 0.03)),
+            (1.0, 1.0, 10.0, split(0.0125)),
+        ],
+    )
+    def test_error_estimate_bounds_distance_to_tight_run(self, lam, m, t, reg):
+        # the tight run refines further, so an estimate that understates the
+        # loose run's error shows as a distance above it
+        cfg = StepConfig(lam, m)
+        loose = pointsplit_density(cfg, t, reg, QuadratureSpec(rel_tol=1e-9))
+        tight = pointsplit_density(cfg, t, reg, QuadratureSpec(rel_tol=1e-11))
+        assert abs(loose.value - tight.value) <= loose.error_estimate
+
+    def test_converges_below_the_old_rounding_floor(self):
+        # unfolded, mixed - free cancelled to an absolute rounding floor of
+        # about eps * omega per node; 20000 bisections then left the estimate
+        # at 8.2e-14 against a tolerance of 5.2e-14
+        cfg = StepConfig(-0.4, 1.2)
+        res = pointsplit_density(cfg, 1.5, split(0.025), QuadratureSpec(rel_tol=1e-12))
+        assert res.error_estimate <= 1e-12 * abs(res.value)
+
+
+class TestEvaluationCounts:
+    """Exact, machine-independent costs under the default spec at lam = m = t = 1.
+
+    The step densities count calls of their folded integrand: half the calls
+    the unfolded real-line route made (5,408, 7,208 and 3,788) on the same
+    panels and bisections."""
+
+    def test_pointsplit_density(self):
+        assert pointsplit_density(CFG, 1.0, split(0.05)).evaluations == 2704
+        assert pointsplit_density(CFG, 1.0, split(0.025)).evaluations == 3604
+
+    def test_d_term_quadrature(self):
+        assert d_term_quadrature(CFG, split(0.05)).evaluations == 1894
+
+    def test_mode_reg_density(self):
+        assert mode_reg_density(CFG, 1.0).evaluations == 4065
+
+    def test_closed_forms_cost_nothing(self):
+        assert mode_reg_density(CFG, 0.0).evaluations == 0
+        assert pointsplit_density(StepConfig(0.0, 1.0), 1.0, split(0.05)).evaluations == 0
 
 
 class TestConfigValidation:
