@@ -1,4 +1,4 @@
-"""Shared domain types: the regulator triple and density results."""
+"""Shared domain type: the regulator triple."""
 
 from __future__ import annotations
 
@@ -24,17 +24,3 @@ class Regulator:
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
-
-@dataclass(frozen=True)
-class DensityResult:
-    """A computed energy-density value with its quadrature error estimate and
-    the number of integrand evaluations it cost (0 for a closed form)."""
-
-    value: float
-    error_estimate: float
-    regulator: Regulator | None = None
-    evaluations: int = 0
-
-    def __post_init__(self):
-        if self.error_estimate < 0.0:
-            raise ValueError("error_estimate must be >= 0")

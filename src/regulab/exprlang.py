@@ -2,10 +2,13 @@
 
 Grammar: standard infix with precedence ^ > unary- > *,/ > +,- and
 parentheses; functions exp, ln, sin, cos, tanh, sqrt; the constant pi; one
-free variable fixed at parse time.  Exponents of ^ must be constant.
+free variable fixed at parse time.  Exponents of ^ must be constant; the
+parser evaluates each one once, with the same jet evaluator as the rest.
 
 Evaluation propagates truncated Taylor jets, so first through third
-derivatives come out exact to rounding -- no finite differencing.
+derivatives come out exact to rounding -- no finite differencing.  A node
+that leaves its domain or overflows raises DomainError naming that node; its
+text is formatted only then.
 """
 
 from __future__ import annotations
@@ -41,25 +44,8 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
+class Binary:
+    op: str  # a key of _BINARY
     left: "Node"
     right: "Node"
 
@@ -76,30 +62,31 @@ class Call:
     arg: "Node"
 
 
-Node = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
+Node = Union[Const, Var, Neg, Binary, Pow, Call]
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Const: 5, Var: 5, Call: 5}
+# Binary operators take their precedence from _BINARY.
+_PREC = {Neg: 3, Pow: 4, Const: 5, Var: 5, Call: 5}
+
+
+def _prec(node: Node) -> int:
+    return _BINARY[node.op][0] if isinstance(node, Binary) else _PREC[type(node)]
 
 
 def _to_text(node: Node, variable: str) -> str:
     def wrap(child: Node, min_prec: int) -> str:
         text = _to_text(child, variable)
-        return f"({text})" if _PREC[type(child)] < min_prec else text
+        return f"({text})" if _prec(child) < min_prec else text
 
+    if isinstance(node, Binary):
+        prec = _BINARY[node.op][0]
+        op = f" {node.op} " if prec == 1 else node.op
+        return f"{wrap(node.left, prec)}{op}{wrap(node.right, prec + 1)}"
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Var):
         return variable
     if isinstance(node, Neg):
         return "-" + wrap(node.arg, 3)
-    if isinstance(node, Add):
-        return f"{wrap(node.left, 1)} + {wrap(node.right, 2)}"
-    if isinstance(node, Sub):
-        return f"{wrap(node.left, 1)} - {wrap(node.right, 2)}"
-    if isinstance(node, Mul):
-        return f"{wrap(node.left, 2)}*{wrap(node.right, 3)}"
-    if isinstance(node, Div):
-        return f"{wrap(node.left, 2)}/{wrap(node.right, 3)}"
     if isinstance(node, Pow):
         return f"{wrap(node.base, 5)}^{repr(node.exponent)}"
     return f"{node.fn}({_to_text(node.arg, variable)})"
@@ -151,6 +138,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.variable = variable
+        self.variable_count = 0  # occurrences of the variable parsed so far
 
     def peek(self):
         return self.tokens[self.i]
@@ -167,33 +155,23 @@ class _Parser:
         return self.next()
 
     def parse(self) -> Node:
-        node = self.expression()
+        node = self.binary()
         kind, text, pos = self.peek()
         if kind != "eof":
             raise ExpressionSyntaxError(f"unexpected trailing input {text!r}", pos)
         return node
 
-    def expression(self) -> Node:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                right = self.term()
-                node = Add(node, right) if text == "+" else Sub(node, right)
-            else:
-                return node
-
-    def term(self) -> Node:
+    def binary(self, min_prec: int = 1) -> Node:
+        """Precedence climbing over _BINARY; every binary operator is
+        left-associative."""
         node = self.factor()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                right = self.factor()
-                node = Mul(node, right) if text == "*" else Div(node, right)
-            else:
+            prec = _BINARY[text][0] if kind == "op" and text in _BINARY else 0
+            if prec < min_prec:
                 return node
+            self.next()
+            node = Binary(text, node, self.binary(prec + 1))
 
     def factor(self) -> Node:
         kind, text, _ = self.peek()
@@ -208,69 +186,39 @@ class _Parser:
     def power(self) -> Node:
         base = self.atom()
         kind, text, pos = self.peek()
-        if kind == "op" and text == "^":
-            self.next()
-            exponent = self.factor()
-            value = _const_value(exponent)
-            if value is None:
-                raise ExpressionSyntaxError("exponent must be a constant", pos)
-            return Pow(base, value)
-        return base
+        if kind != "op" or text != "^":
+            return base
+        self.next()
+        seen = self.variable_count
+        exponent = self.factor()
+        if self.variable_count != seen:
+            raise ExpressionSyntaxError("exponent must be a constant", pos)
+        # the exponent has no variable, so the point it is evaluated at is moot
+        return Pow(base, _eval(exponent, (0.0, 0.0, 0.0, 0.0), self.variable)[0])
 
     def atom(self) -> Node:
         kind, text, pos = self.next()
         if kind == "num":
             return Const(float(text))
         if kind == "op" and text == "(":
-            node = self.expression()
+            node = self.binary()
             self.expect_op(")")
             return node
         if kind == "ident":
             if text == self.variable:
+                self.variable_count += 1
                 return Var()
             if text == "pi":
                 return Const(math.pi)
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expression()
+                arg = self.binary()
                 self.expect_op(")")
                 return Call(text, arg)
             raise UnknownIdentifier(text, pos)
         raise ExpressionSyntaxError(
             "unexpected end of input" if kind == "eof" else f"unexpected {text!r}", pos
         )
-
-
-def _const_value(node: Node) -> float | None:
-    """Fold a variable-free subtree to its float value; None if it has the variable."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return None
-    if isinstance(node, Neg):
-        v = _const_value(node.arg)
-        return None if v is None else -v
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        a = _const_value(node.left)
-        b = _const_value(node.right)
-        if a is None or b is None:
-            return None
-        if isinstance(node, Add):
-            return a + b
-        if isinstance(node, Sub):
-            return a - b
-        if isinstance(node, Mul):
-            return a * b
-        return a / b
-    if isinstance(node, Pow):
-        b = _const_value(node.base)
-        return None if b is None else b**node.exponent
-    v = _const_value(node.arg)
-    if v is None:
-        return None
-    fn = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos,
-          "tanh": math.tanh, "sqrt": math.sqrt}[node.fn]
-    return fn(v)
 
 
 def parse(text: str, variable: str) -> Expression:
@@ -298,6 +246,19 @@ class Jet3:
 _TC = tuple[float, float, float, float]
 
 
+class _Undefined(Exception):
+    """A jet rule left its domain; _eval re-raises it as a DomainError that
+    names the node."""
+
+
+def _add(a: _TC, b: _TC) -> _TC:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+
+
+def _sub(a: _TC, b: _TC) -> _TC:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+
+
 def _mul(a: _TC, b: _TC) -> _TC:
     return (
         a[0] * b[0],
@@ -307,14 +268,19 @@ def _mul(a: _TC, b: _TC) -> _TC:
     )
 
 
-def _div(a: _TC, b: _TC, where: str) -> _TC:
+def _div(a: _TC, b: _TC) -> _TC:
     if b[0] == 0.0:
-        raise DomainError(f"division by zero in '{where}'")
+        raise _Undefined("division by zero")
     d0 = a[0] / b[0]
     d1 = (a[1] - d0 * b[1]) / b[0]
     d2 = (a[2] - d0 * b[2] - d1 * b[1]) / b[0]
     d3 = (a[3] - d0 * b[3] - d1 * b[2] - d2 * b[1]) / b[0]
     return (d0, d1, d2, d3)
+
+
+# symbol -> (precedence, jet rule); the parser, the printer and _eval all
+# read their binary operators from here.
+_BINARY = {"+": (1, _add), "-": (1, _sub), "*": (2, _mul), "/": (2, _div)}
 
 
 def _compose(f0: float, f1: float, f2: float, f3: float, u: _TC) -> _TC:
@@ -330,18 +296,18 @@ def _compose(f0: float, f1: float, f2: float, f3: float, u: _TC) -> _TC:
     )
 
 
-def _pow(base: _TC, p: float, where: str) -> _TC:
+def _pow(base: _TC, p: float) -> _TC:
     if p == round(p) and abs(p) <= 64:
         n = int(round(p))
         if n < 0:
-            return _div((1.0, 0.0, 0.0, 0.0), _pow(base, float(-n), where), where)
+            return _div((1.0, 0.0, 0.0, 0.0), _pow(base, float(-n)))
         out = (1.0, 0.0, 0.0, 0.0)
         for _ in range(n):
             out = _mul(out, base)
         return out
     x = base[0]
     if x <= 0.0:
-        raise DomainError(f"non-integer power of non-positive base in '{where}'")
+        raise _Undefined("non-integer power of non-positive base")
     return _compose(
         x**p,
         p * x ** (p - 1.0),
@@ -351,14 +317,14 @@ def _pow(base: _TC, p: float, where: str) -> _TC:
     )
 
 
-def _call(fn: str, u: _TC, where: str) -> _TC:
+def _call(fn: str, u: _TC) -> _TC:
     x = u[0]
     if fn == "exp":
         e = math.exp(x)
         return _compose(e, e, e, e, u)
     if fn == "ln":
         if x <= 0.0:
-            raise DomainError(f"ln of non-positive value in '{where}'")
+            raise _Undefined("ln of non-positive value")
         return _compose(math.log(x), 1.0 / x, -1.0 / x**2, 2.0 / x**3, u)
     if fn == "sin":
         s, c = math.sin(x), math.cos(x)
@@ -372,7 +338,7 @@ def _call(fn: str, u: _TC, where: str) -> _TC:
         return _compose(th, sech2, -2.0 * th * sech2, sech2 * (6.0 * th * th - 2.0), u)
     # sqrt
     if x <= 0.0:
-        raise DomainError(f"sqrt of non-positive value in '{where}'")
+        raise _Undefined("sqrt of non-positive value")
     r = math.sqrt(x)
     return _compose(r, 0.5 / r, -0.25 / (x * r), 0.375 / (x * x * r), u)
 
@@ -385,25 +351,19 @@ def _eval(node: Node, at: _TC, variable: str) -> _TC:
     if isinstance(node, Neg):
         a = _eval(node.arg, at, variable)
         return (-a[0], -a[1], -a[2], -a[3])
-    if isinstance(node, Add):
-        a = _eval(node.left, at, variable)
-        b = _eval(node.right, at, variable)
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-    if isinstance(node, Sub):
-        a = _eval(node.left, at, variable)
-        b = _eval(node.right, at, variable)
-        return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-    if isinstance(node, Mul):
-        return _mul(_eval(node.left, at, variable), _eval(node.right, at, variable))
-    if isinstance(node, Div):
-        return _div(
-            _eval(node.left, at, variable),
-            _eval(node.right, at, variable),
-            _to_text(node, variable),
-        )
-    if isinstance(node, Pow):
-        return _pow(_eval(node.base, at, variable), node.exponent, _to_text(node, variable))
-    return _call(node.fn, _eval(node.arg, at, variable), _to_text(node, variable))
+    # A child that fails raises DomainError itself, which passes through here.
+    try:
+        if isinstance(node, Binary):
+            rule = _BINARY[node.op][1]
+            return rule(_eval(node.left, at, variable), _eval(node.right, at, variable))
+        if isinstance(node, Pow):
+            return _pow(_eval(node.base, at, variable), node.exponent)
+        return _call(node.fn, _eval(node.arg, at, variable))
+    except _Undefined as exc:
+        reason = str(exc)
+    except ArithmeticError:  # float overflow, or a derivative's 1/x^k overflowing
+        reason = "overflow"
+    raise DomainError(f"{reason} in '{_to_text(node, variable)}'") from None
 
 
 def eval_jet3(expression: Expression, v: float) -> Jet3:

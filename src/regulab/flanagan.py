@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DensityResult
 from .errors import DegenerateMap, NonpositiveWeight, SingularRegulator
 from .exprlang import Expression, Jet3, eval_jet3, parse
-from .numerics import QuadratureSpec, integrate_interval
+from .numerics import QuadratureResult, QuadratureSpec, integrate_interval
 
 __all__ = [
     "ConformalMap",
@@ -133,7 +132,7 @@ def delta_tau(V: ConformalMap, v: float, tau: float) -> float:
     return -(d1 * d1 - 1.0) / (_FOUR_PI * tau * tau)
 
 
-def qi_bound_rhs(rho: WeightFunction, spec: QuadratureSpec | None = None) -> DensityResult:
+def qi_bound_rhs(rho: WeightFunction, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Lower bound -(1/24 pi) * integral of rho'^2/rho over the support.
 
     Always <= 0.  The error estimate folds in a crude bound for whatever was
@@ -152,6 +151,6 @@ def qi_bound_rhs(rho: WeightFunction, spec: QuadratureSpec | None = None) -> Den
     quad = integrate_interval(integrand, lo, hi, spec)
     tail = (hi - lo) * max(integrand(lo), integrand(hi))
     pref = 1.0 / (24.0 * math.pi)
-    return DensityResult(
-        -pref * quad.value.real, pref * (quad.error_estimate + tail), None, quad.evaluations
+    return QuadratureResult(
+        -pref * quad.value.real, pref * (quad.error_estimate + tail), quad.evaluations
     )

@@ -68,9 +68,17 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: complex
+    """An integral, or a density computed from one, with its error estimate
+    and the number of integrand evaluations it cost (0 for a closed form).
+    The integrators return a complex value; the densities a real one."""
+
+    value: complex | float
     error_estimate: float
-    evaluations: int
+    evaluations: int = 0
+
+    def __post_init__(self):
+        if self.error_estimate < 0.0:
+            raise ValueError("error_estimate must be >= 0")
 
 
 # Kronrod-15 node magnitudes on [-1, 1] and the paired weights; nodes with odd
@@ -120,6 +128,18 @@ def _gk15(
     return resk * h, abs((resk - resg) * h), resabs * abs(h)
 
 
+def _not_finite(a: float, b: float, value: complex, err: float, evals: int) -> ToleranceNotMet:
+    """The failure for a panel whose K15 - G7 difference is not finite, which
+    it is whenever the panel's value is not."""
+    return ToleranceNotMet(
+        f"the quadrature of the panel [{a!r}, {b!r}] is not finite "
+        f"(value {value}, error estimate {err})",
+        value=value,
+        error_estimate=err,
+        evaluations=evals,
+    )
+
+
 def _adaptive_panels(
     f: Callable[[float], complex],
     breakpoints: Sequence[float],
@@ -135,8 +155,10 @@ def _adaptive_panels(
     checked once they are done.
 
     Raises ToleranceNotMet when the bisection budget runs out above
-    tolerance.  Ties in the refinement queue resolve toward the leftmost panel
-    so that panels near the origin are refined first.
+    tolerance, or at once, naming the panel, when a panel's value or error
+    is not finite: no bisection can repair that.  Ties in the refinement
+    queue resolve toward the leftmost panel so that panels near the origin
+    are refined first.
     """
     # Queue entries are (checked, -error, a, b, value): panels not yet
     # bisected (checked = 0) pop before any others.
@@ -147,6 +169,8 @@ def _adaptive_panels(
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
         val, err, _ = _gk15(f, a, b)
         evals += 15
+        if not math.isfinite(err):
+            raise _not_finite(a, b, val, err, evals)
         total += val
         total_err += err
         heapq.heappush(heap, (0, -err, a, b, val))
@@ -171,6 +195,8 @@ def _adaptive_panels(
         v1, e1, abs1 = _gk15(f, a, m)
         v2, e2, abs2 = _gk15(f, m, b)
         evals += 30
+        if not math.isfinite(e1 + e2):
+            raise _not_finite(a, b, v1 + v2, e1 + e2, evals)
         jump = 0.5 * abs(v1 + v2 - val)
         e1 = max(e1, min(jump, abs1))
         e2 = max(e2, min(jump, abs2))

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .core import DensityResult, Regulator
+from .core import Regulator
 from .errors import InvalidCutoff, InvalidFrequency, OutsideRegionI, SingularRegulator
-from .numerics import QuadratureSpec, integrate_halfline
+from .numerics import QuadratureResult, QuadratureSpec, integrate_halfline
 
 __all__ = [
     "WellConfig",
@@ -257,7 +257,7 @@ def t00r_static(
     x: float,
     t: float = 0.0,
     spec: QuadratureSpec | None = None,
-) -> DensityResult:
+) -> QuadratureResult:
     """Renormalized point-split kinetic energy density inside the well.
 
     Quadrature of s_omega under the cutoff weight, plus the closed form for
@@ -269,7 +269,7 @@ def t00r_static(
     _check_region(cfg, reg, x)
     spec = spec or QuadratureSpec()
     if cfg.lam == 0.0:
-        return DensityResult(0.0, 0.0, reg)
+        return QuadratureResult(0.0, 0.0)
     quad = integrate_halfline(lambda w: s_omega(cfg, w, reg, x), reg.tau, spec)
     value = quad.value.real + r_integral_closed(cfg, reg)
-    return DensityResult(value, quad.error_estimate, reg, quad.evaluations)
+    return QuadratureResult(value, quad.error_estimate, quad.evaluations)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import DensityResult, Regulator
+from .core import Regulator
 from .errors import (
     InvalidCutoff,
     SingularRegulator,
@@ -228,7 +228,7 @@ def _constant_part_integral(cfg: StepConfig) -> float:
 
 def mode_reg_density(
     cfg: StepConfig, t: float, spec: QuadratureSpec | None = None
-) -> DensityResult:
+) -> QuadratureResult:
     """Renormalized kinetic energy density at t > 0 from the mode sum.
 
     The non-oscillatory piece of the k-integral is elementary; the cos(2Et)
@@ -244,7 +244,7 @@ def mode_reg_density(
     if t < 0.0:
         raise ValueError("density is defined after the switch-on, t >= 0")
     if t == 0.0 or cfg.lam == 0.0:
-        return DensityResult(0.0, 0.0, None)
+        return QuadratureResult(0.0, 0.0)
 
     pref = cfg.lam * cfg.lam / (16.0 * math.pi)
     steady = _constant_part_integral(cfg)
@@ -271,7 +271,7 @@ def mode_reg_density(
     tail_err = 2.0 * abs(du) * e_cut / (2.0 * t * k_cut)
     value = pref * (steady - 2.0 * (quad.value.real + tail))
     err = pref * 2.0 * (quad.error_estimate + tail_err)
-    return DensityResult(value, err, None, quad.evaluations)
+    return QuadratureResult(value, err, quad.evaluations)
 
 
 def pointsplit_density(
@@ -279,7 +279,7 @@ def pointsplit_density(
     t: float,
     reg: Regulator,
     spec: QuadratureSpec | None = None,
-) -> DensityResult:
+) -> QuadratureResult:
     """Renormalized point-split density at t > 0 under the cutoff weight.
 
     Integrates the full subtracted integrand (remainder included, so the
@@ -297,12 +297,12 @@ def pointsplit_density(
     if cfg.m <= 0.0:
         raise ValueError("pointsplit_density requires m > 0")
     if cfg.lam == 0.0:
-        return DensityResult(0.0, 0.0, reg)
+        return QuadratureResult(0.0, 0.0)
 
     quad = integrate_halfline(_folded_pointsplit(cfg, t, reg), reg.tau, spec)
     two_pi = 2.0 * math.pi
-    return DensityResult(
-        quad.value.real / two_pi, quad.error_estimate / two_pi, reg, quad.evaluations
+    return QuadratureResult(
+        quad.value.real / two_pi, quad.error_estimate / two_pi, quad.evaluations
     )
 
 

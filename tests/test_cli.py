@@ -81,6 +81,31 @@ class TestValidation:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_non_finite_integrand_exits_3_at_once(self, capsys):
+        # exp(450)^2 overflows to inf, so rho'^2/rho is nan near the ends
+        code, out, err = run_cli(
+            ["qi-bound", "--rho", "exp(x^2/2)*exp(x^2/2)", "--support", "-30,30"], capsys
+        )
+        assert code == 3
+        assert "panel [-30.0, 30.0] is not finite" in err
+
+    @pytest.mark.parametrize(
+        "args,node",
+        [
+            (["flanagan", "--V", "v^(1/0)", "--grid", "1:2:2"], "1.0/0.0"),
+            (["flanagan", "--V", "v^((-8)^(1/3))", "--grid", "1:2:2"], "(-8.0)^0.3333333333333333"),
+            (["flanagan", "--V", "v^(2^1000000)", "--grid", "1:2:2"], "2.0^1000000.0"),
+            (["flanagan", "--V", "2^2000", "--grid", "1:2:2"], "2.0^2000.0"),
+            (["flanagan", "--V", "exp(1000*v)", "--grid", "1:2:2"], "exp(1000.0*v)"),
+            (["qi-bound", "--rho", "exp(x^2)", "--support", "-30,30"], "exp(x^2.0)"),
+        ],
+    )
+    def test_expression_domain_failure_exits_2_naming_the_node(self, capsys, args, node):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert "DomainError: " in err
+        assert f"in '{node}'" in err
+
     def test_failed_selftest_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(selftest, "CHECKS", [("always-fails", lambda: (False, "forced"))])
         code, out, _ = run_cli(["selftest"], capsys)

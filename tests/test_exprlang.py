@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regulab import exprlang
 from regulab.errors import DomainError, ExpressionSyntaxError, UnknownIdentifier
 from regulab.exprlang import eval_jet3, parse
 
@@ -145,6 +146,39 @@ class TestDomainErrors:
         with pytest.raises(DomainError) as err:
             eval_jet3(parse("1/(v - 1)", "v"), 1.0)
         assert "v - 1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,node",
+        [
+            ("v^(1/0)", "1.0/0.0"),
+            ("v^((-8)^(1/3))", "(-8.0)^0.3333333333333333"),
+            ("v^(2^1000000)", "2.0^1000000.0"),
+            ("v^ln(-1)", "ln(-1.0)"),
+        ],
+    )
+    def test_constant_exponent_fails_at_parse_time(self, text, node):
+        with pytest.raises(DomainError) as err:
+            parse(text, "v")
+        assert f"in '{node}'" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,node", [("2^2000", "2.0^2000.0"), ("exp(1000*v)", "exp(1000.0*v)")]
+    )
+    def test_overflow_names_offending_node(self, text, node):
+        with pytest.raises(DomainError) as err:
+            eval_jet3(parse(text, "v"), 1.0)
+        assert str(err.value) == f"overflow in '{node}'"
+
+
+def test_evaluation_formats_no_text(monkeypatch):
+    e = parse("exp(-(x/2)^2)/(2*sqrt(pi))", "x")
+    expect = eval_jet3(e, 0.5)
+
+    def refuse(node, variable):
+        raise AssertionError("evaluation formatted a node")
+
+    monkeypatch.setattr(exprlang, "_to_text", refuse)
+    assert eval_jet3(e, 0.5) == expect
 
 
 ROUND_TRIP_CASES = [

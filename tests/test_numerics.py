@@ -173,6 +173,25 @@ class TestInterval:
             integrate_interval(lambda x: x, 1.0, 1.0, SPEC)
 
 
+class TestNonFinite:
+    """A panel whose value is not finite stops the integral at once, naming
+    the panel; bisection cannot repair it."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_stops_at_the_first_panel(self, bad):
+        with pytest.raises(ToleranceNotMet) as err:
+            integrate_interval(lambda x: bad, 0.0, 1.0, SPEC)
+        assert err.value.evaluations <= 45
+        assert "[0.0, 1.0]" in str(err.value)
+
+    def test_halfline_stops_on_the_failing_initial_panel(self):
+        # 1/tau = 1: initial panels are 2 wide, so the first with w > 20 is [20, 22]
+        with pytest.raises(ToleranceNotMet) as err:
+            integrate_halfline(lambda w: math.nan if w > 20.0 else 1.0, 1.0, SPEC)
+        assert "[20.0, 22.0]" in str(err.value)
+        assert err.value.evaluations == 15 * (12 + 11)
+
+
 class TestClassifyLimit:
     S4 = (0.1, 0.01, 0.001, 0.0001)
 
