@@ -6,9 +6,11 @@ free variable fixed at parse time.  Exponents of ^ must be constant; the
 parser evaluates each one once, with the same jet evaluator as the rest.
 
 Evaluation propagates truncated Taylor jets, so first through third
-derivatives come out exact to rounding -- no finite differencing.  A node
-that leaves its domain or overflows raises DomainError naming that node; its
-text is formatted only then.
+derivatives come out exact to rounding -- no finite differencing.  A
+function of a jet with no derivative terms (a constant) takes only its
+value, so derivative terms it never uses cannot overflow.  A node that leaves
+its domain, overflows or makes a math function raise ValueError raises
+DomainError naming that node; its text is formatted only then.
 """
 
 from __future__ import annotations
@@ -22,7 +24,15 @@ from .errors import DomainError, ExpressionSyntaxError, UnknownIdentifier
 
 __all__ = ["Expression", "Jet3", "parse", "eval_jet3"]
 
-FUNCTIONS = ("exp", "ln", "sin", "cos", "tanh", "sqrt")
+# name -> value; _call adds the derivative rules
+FUNCTIONS = {
+    "exp": math.exp,
+    "ln": math.log,
+    "sin": math.sin,
+    "cos": math.cos,
+    "tanh": math.tanh,
+    "sqrt": math.sqrt,
+}
 
 
 # --- AST ---------------------------------------------------------------
@@ -289,7 +299,7 @@ def _compose(f0: float, f1: float, f2: float, f3: float, u: _TC) -> _TC:
     p2 = _mul(p, p)
     p3 = _mul(p2, p)
     return (
-        f0 + f2 / 2.0 * p2[0] + f3 / 6.0 * p3[0],
+        f0,  # p[0] = 0, so no derivative term reaches the value
         f1 * p[1] + f2 / 2.0 * p2[1] + f3 / 6.0 * p3[1],
         f1 * p[2] + f2 / 2.0 * p2[2] + f3 / 6.0 * p3[2],
         f1 * p[3] + f2 / 2.0 * p2[3] + f3 / 6.0 * p3[3],
@@ -308,6 +318,8 @@ def _pow(base: _TC, p: float) -> _TC:
     x = base[0]
     if x <= 0.0:
         raise _Undefined("non-integer power of non-positive base")
+    if base[1] == base[2] == base[3] == 0.0:  # a constant, as in _call
+        return (x**p, 0.0, 0.0, 0.0)
     return _compose(
         x**p,
         p * x ** (p - 1.0),
@@ -319,28 +331,27 @@ def _pow(base: _TC, p: float) -> _TC:
 
 def _call(fn: str, u: _TC) -> _TC:
     x = u[0]
+    if fn in ("ln", "sqrt") and x <= 0.0:
+        raise _Undefined(f"{fn} of non-positive value")
+    f0 = FUNCTIONS[fn](x)
+    if u[1] == u[2] == u[3] == 0.0:
+        # a constant: F(u) has no derivative terms, and F's own may overflow where f0 does not
+        return (f0, 0.0, 0.0, 0.0)
     if fn == "exp":
-        e = math.exp(x)
-        return _compose(e, e, e, e, u)
+        return _compose(f0, f0, f0, f0, u)
     if fn == "ln":
-        if x <= 0.0:
-            raise _Undefined("ln of non-positive value")
-        return _compose(math.log(x), 1.0 / x, -1.0 / x**2, 2.0 / x**3, u)
+        return _compose(f0, 1.0 / x, -1.0 / x**2, 2.0 / x**3, u)
     if fn == "sin":
-        s, c = math.sin(x), math.cos(x)
-        return _compose(s, c, -s, -c, u)
+        c = math.cos(x)
+        return _compose(f0, c, -f0, -c, u)
     if fn == "cos":
-        s, c = math.sin(x), math.cos(x)
-        return _compose(c, -s, -c, s, u)
+        s = math.sin(x)
+        return _compose(f0, -s, -f0, s, u)
     if fn == "tanh":
-        th = math.tanh(x)
-        sech2 = 1.0 - th * th
-        return _compose(th, sech2, -2.0 * th * sech2, sech2 * (6.0 * th * th - 2.0), u)
+        sech2 = 1.0 - f0 * f0
+        return _compose(f0, sech2, -2.0 * f0 * sech2, sech2 * (6.0 * f0 * f0 - 2.0), u)
     # sqrt
-    if x <= 0.0:
-        raise _Undefined("sqrt of non-positive value")
-    r = math.sqrt(x)
-    return _compose(r, 0.5 / r, -0.25 / (x * r), 0.375 / (x * x * r), u)
+    return _compose(f0, 0.5 / f0, -0.25 / (x * f0), 0.375 / (x * x * f0), u)
 
 
 def _eval(node: Node, at: _TC, variable: str) -> _TC:
@@ -359,7 +370,7 @@ def _eval(node: Node, at: _TC, variable: str) -> _TC:
         if isinstance(node, Pow):
             return _pow(_eval(node.base, at, variable), node.exponent)
         return _call(node.fn, _eval(node.arg, at, variable))
-    except _Undefined as exc:
+    except (_Undefined, ValueError) as exc:  # ValueError: math.sin(inf), round(nan), ...
         reason = str(exc)
     except ArithmeticError:  # float overflow, or a derivative's 1/x^k overflowing
         reason = "overflow"

@@ -152,5 +152,5 @@ def qi_bound_rhs(rho: WeightFunction, spec: QuadratureSpec | None = None) -> Qua
     tail = (hi - lo) * max(integrand(lo), integrand(hi))
     pref = 1.0 / (24.0 * math.pi)
     return QuadratureResult(
-        -pref * quad.value.real, pref * (quad.error_estimate + tail), quad.evaluations
+        -pref * quad.value, pref * (quad.error_estimate + tail), quad.evaluations
     )

@@ -10,6 +10,9 @@ estimates alone decide where to refine, behind a guard against aliasing that
 bisects every initial panel once and carries the change in value across each
 bisection into the error estimate.
 
+The integrators use the integrand's own arithmetic: a real integrand is
+summed in floats and gives a float, a complex one a complex.
+
 `classify_limit` extrapolates a sequence of samples taken along a shrinking
 scale parameter s and decides whether the s -> 0 limit is finite, divergent,
 or undecidable from the data.
@@ -70,7 +73,8 @@ class QuadratureSpec:
 class QuadratureResult:
     """An integral, or a density computed from one, with its error estimate
     and the number of integrand evaluations it cost (0 for a closed form).
-    The integrators return a complex value; the densities a real one."""
+    An integrator's value has its integrand's type: float for a real
+    integrand, complex for a complex one."""
 
     value: complex | float
     error_estimate: float
@@ -113,14 +117,14 @@ def _gk15(
     integral of |f|)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = complex(f(c))
+    fc = f(c)
     resk = _WGK_CENTER * fc
     resg = _WG_CENTER * fc
     resabs = _WGK_CENTER * abs(fc)
     for i in range(7):
         dx = h * _XGK[i]
-        f1 = complex(f(c - dx))
-        f2 = complex(f(c + dx))
+        f1 = f(c - dx)
+        f2 = f(c + dx)
         resk += _WGK[i] * (f1 + f2)
         resabs += _WGK[i] * (abs(f1) + abs(f2))
         if i % 2 == 1:
@@ -163,7 +167,7 @@ def _adaptive_panels(
     # Queue entries are (checked, -error, a, b, value): panels not yet
     # bisected (checked = 0) pop before any others.
     heap = []
-    total = 0j
+    total = 0.0
     total_err = 0.0
     evals = 0
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
@@ -256,10 +260,10 @@ def integrate_halfline(
     cut = spec.tail_truncation_multiple / tau
 
     def weighted(w: float) -> complex:
-        return complex(f(w)) * math.exp(-w * tau)
+        return f(w) * math.exp(-w * tau)
 
     value, err, evals = _adaptive_panels(weighted, _breakpoints(cut, 2.0 / tau), spec)
-    m_tail = max(abs(complex(f(cut * r))) for r in (1.0, 0.97, 0.93, 0.88))
+    m_tail = max(abs(f(cut * r)) for r in (1.0, 0.97, 0.93, 0.88))
     tail = m_tail * math.exp(-spec.tail_truncation_multiple) / tau
     return QuadratureResult(value, err + tail, evals + 4)
 

@@ -90,28 +90,19 @@ class AmbiguityExpr:
 
     id: AmbiguityId
     evaluate: Callable[[Regulator], complex] = field(compare=False)
-    detail: str = ""
 
     @classmethod
     def ratio239(cls) -> "AmbiguityExpr":
-        return cls(AmbiguityId.RATIO_239, ratio_239, "eps1^2/sigma1")
+        return cls(AmbiguityId.RATIO_239, ratio_239)
 
     @classmethod
     def r_static317(cls, lam: float = 1.0, a: float = 1.0) -> "AmbiguityExpr":
         cfg = WellConfig(lam, a)
-        return cls(
-            AmbiguityId.R_STATIC_317,
-            lambda reg: complex(r_integral_closed(cfg, reg)),
-            f"static-well remainder integral, lam={lam}",
-        )
+        return cls(AmbiguityId.R_STATIC_317, lambda reg: r_integral_closed(cfg, reg))
 
     @classmethod
     def d_term616(cls, lam: float = 1.0) -> "AmbiguityExpr":
-        return cls(
-            AmbiguityId.D_TERM_616,
-            lambda reg: complex(d_term_value(lam, reg.eps0, reg.eps1, reg.tau)),
-            f"mode-vs-pointsplit gap, lam={lam}",
-        )
+        return cls(AmbiguityId.D_TERM_616, lambda reg: d_term_value(lam, reg.eps0, reg.eps1, reg.tau))
 
     @classmethod
     def flanagan_delta(cls, V: ConformalMap, v: float) -> "AmbiguityExpr":
@@ -120,7 +111,6 @@ class AmbiguityExpr:
         return cls(
             AmbiguityId.FLANAGAN_DELTA,
             lambda reg: delta_pointsplit(V, v, v - reg.eps1, reg.tau),
-            f"conformal-map delta at v={v}",
         )
 
 

@@ -107,7 +107,7 @@ def check_halfline_examples():
 def _worst_on_grid(closed, quad, taus, fractions) -> tuple[float, float]:
     """Worst |closed - quad| / |closed| and worst _miss_ratio over
     Regulator(f0*tau, f1*tau, tau) for tau in taus and f0, f1 in fractions;
-    quad returns a QuadratureResult whose real part is compared."""
+    quad returns a QuadratureResult."""
     worst = ratio = 0.0
     for tau in taus:
         for f0 in fractions:
@@ -115,8 +115,8 @@ def _worst_on_grid(closed, quad, taus, fractions) -> tuple[float, float]:
                 reg = Regulator(f0 * tau, f1 * tau, tau)
                 exact = closed(reg)
                 res = quad(reg)
-                worst = max(worst, abs(exact - res.value.real) / max(abs(exact), 1e-12))
-                ratio = max(ratio, _miss_ratio(exact, res.value.real, res.error_estimate))
+                worst = max(worst, abs(exact - res.value) / max(abs(exact), 1e-12))
+                ratio = max(ratio, _miss_ratio(exact, res.value, res.error_estimate))
     return worst, ratio
 
 
@@ -153,8 +153,8 @@ def check_dterm_closed_form(taus=(0.01, 0.1, 1.0), fractions=(0.0, 0.25, 0.5)):
 def info_dterm_mass_correction():
     cfg = StepConfig(1.0, 1.0)
     reg = Regulator(0.001, 0.002, 0.05)
-    massless = d_term_quadrature(cfg, reg, massless=True).value.real
-    massive = d_term_quadrature(cfg, reg, massless=False).value.real
+    massless = d_term_quadrature(cfg, reg, massless=True).value
+    massive = d_term_quadrature(cfg, reg, massless=False).value
     return True, (
         "finite-mass correction to the small-split gap at "
         f"(0.001, 0.002, 0.05): massless {massless:.6e}, with omega(k) "

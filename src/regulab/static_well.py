@@ -95,15 +95,15 @@ def _sinc_sqrt(z: float, c: float) -> float:
     return math.sinh(w) / w
 
 
-def _interior_denominators(cfg: WellConfig, omega: float) -> tuple[float, float, float]:
-    """(n1, n2, z): amp_sq_j = omega^2 / n_j, with n1 = omega^2 - lam*sin^2(a q)
-    and n2 = omega^2 - lam*cos^2(a q) = z*(1 + lam*a^2*sinc^2)."""
+def _interior_factors(cfg: WellConfig, omega: float) -> tuple[float, float, float, float]:
+    """(z, sa, shared, n1) at frequency omega: z = omega^2 - lam,
+    sa = sinc(a sqrt(z)) and shared = 1 + lam*a^2*sa^2.  amp_sq_j = omega^2 / n_j,
+    with n1 = omega^2 - lam*sin^2(a q) = lam + z*(2 - shared) and
+    n2 = omega^2 - lam*cos^2(a q) = z*shared."""
     z = omega * omega - cfg.lam
     sa = _sinc_sqrt(z, cfg.a)
     shared = 1.0 + cfg.lam * cfg.a * cfg.a * sa * sa
-    n1 = cfg.lam + z * (2.0 - shared)
-    n2 = z * shared
-    return n1, n2, z
+    return z, sa, shared, cfg.lam + z * (2.0 - shared)
 
 
 def mode_solution(cfg: WellConfig, j: ModeParity | int, omega: float) -> ModeSolution:
@@ -115,10 +115,8 @@ def mode_solution(cfg: WellConfig, j: ModeParity | int, omega: float) -> ModeSol
     if not (omega > 0.0) or not math.isfinite(omega):
         raise InvalidFrequency(f"omega must be > 0, got {omega}")
     j = ModeParity(j)
-    n1, n2, z = _interior_denominators(cfg, omega)
-    sa = _sinc_sqrt(z, cfg.a)
+    z, sa, shared, n1 = _interior_factors(cfg, omega)
     ca = _cos_sqrt(z, cfg.a)
-    shared = 1.0 + cfg.lam * cfg.a * cfg.a * sa * sa
 
     if j is ModeParity.SYMMETRIC:
         amp_sq = omega * omega / n1
@@ -128,6 +126,7 @@ def mode_solution(cfg: WellConfig, j: ModeParity | int, omega: float) -> ModeSol
         sin_part = z * cfg.a * sa / rn1
         theta = math.atan2(sin_part, cos_part)
     else:
+        n2 = z * shared
         amp_sq = math.inf if n2 == 0.0 else omega * omega / n2
         rs = math.sqrt(shared)
         sin_part = omega * cfg.a * sa / rs
@@ -143,9 +142,7 @@ def chi_inside(cfg: WellConfig, j: ModeParity | int, omega: float, x: float) -> 
     if not (omega > 0.0):
         raise InvalidFrequency(f"omega must be > 0, got {omega}")
     j = ModeParity(j)
-    n1, _, z = _interior_denominators(cfg, omega)
-    sa = _sinc_sqrt(z, cfg.a)
-    shared = 1.0 + cfg.lam * cfg.a * cfg.a * sa * sa
+    z, _, shared, n1 = _interior_factors(cfg, omega)
     cx = _cos_sqrt(z, x)
     sx = _sinc_sqrt(z, x)
     if j is ModeParity.SYMMETRIC:
@@ -177,18 +174,15 @@ def _interior_ratios(cfg: WellConfig, omega: float, reg: Regulator, x: float) ->
     """Sum over both families of the per-mode interior bilinear, divided by
     the common factor omega*cos(omega*eps0)/(4*pi).  Fused so that the 1/omega
     and the omega^2 -> lam cancellations happen analytically."""
-    lam, a = cfg.lam, cfg.a
-    z = omega * omega - lam
+    z, _, shared, n1 = _interior_factors(cfg, omega)
     y1 = x + reg.eps1 / 2.0
     y1p = x - reg.eps1 / 2.0
     ce = _cos_sqrt(z, reg.eps1)
     sy = _sinc_sqrt(z, y1)
     syp = _sinc_sqrt(z, y1p)
-    sa = _sinc_sqrt(z, a)
-    shared = 1.0 + lam * a * a * sa * sa
-    cross = lam * y1 * y1p * sy * syp
+    cross = cfg.lam * y1 * y1p * sy * syp
     ratio2 = (ce + cross) / shared
-    ratio1 = ((lam + z) * ce - z * cross) / (lam + z * (2.0 - shared))
+    ratio1 = ((cfg.lam + z) * ce - z * cross) / n1
     return ratio1 + ratio2
 
 
@@ -271,5 +265,5 @@ def t00r_static(
     if cfg.lam == 0.0:
         return QuadratureResult(0.0, 0.0)
     quad = integrate_halfline(lambda w: s_omega(cfg, w, reg, x), reg.tau, spec)
-    value = quad.value.real + r_integral_closed(cfg, reg)
+    value = quad.value + r_integral_closed(cfg, reg)
     return QuadratureResult(value, quad.error_estimate, quad.evaluations)

@@ -269,7 +269,7 @@ def mode_reg_density(
     du = -u * (1.0 / k_cut + k_cut / omega_cut**2 + k_cut / e_cut**2)
     tail = -u * math.sin(2.0 * e_cut * t)
     tail_err = 2.0 * abs(du) * e_cut / (2.0 * t * k_cut)
-    value = pref * (steady - 2.0 * (quad.value.real + tail))
+    value = pref * (steady - 2.0 * (quad.value + tail))
     err = pref * 2.0 * (quad.error_estimate + tail_err)
     return QuadratureResult(value, err, quad.evaluations)
 
@@ -302,7 +302,7 @@ def pointsplit_density(
     quad = integrate_halfline(_folded_pointsplit(cfg, t, reg), reg.tau, spec)
     two_pi = 2.0 * math.pi
     return QuadratureResult(
-        quad.value.real / two_pi, quad.error_estimate / two_pi, quad.evaluations
+        quad.value / two_pi, quad.error_estimate / two_pi, quad.evaluations
     )
 
 

@@ -98,6 +98,7 @@ class TestValidation:
             (["flanagan", "--V", "2^2000", "--grid", "1:2:2"], "2.0^2000.0"),
             (["flanagan", "--V", "exp(1000*v)", "--grid", "1:2:2"], "exp(1000.0*v)"),
             (["qi-bound", "--rho", "exp(x^2)", "--support", "-30,30"], "exp(x^2.0)"),
+            (["flanagan", "--V", "v + sin(1e200*1e200)", "--grid", "1:2:2"], "sin(1e+200*1e+200)"),
         ],
     )
     def test_expression_domain_failure_exits_2_naming_the_node(self, capsys, args, node):
@@ -105,6 +106,19 @@ class TestValidation:
         assert code == 2
         assert "DomainError: " in err
         assert f"in '{node}'" in err
+
+    @pytest.mark.parametrize(
+        "V", ["v*ln(1e200)", "v*sqrt(1e-200)", "v^(1e-200^0.5)", "v^ln(1e300)"]
+    )
+    def test_constant_with_overflowing_derivative_terms_exits_0(self, capsys, V):
+        code, out, err = run_cli(["flanagan", "--V", V, "--grid", "1:2:2"], capsys)
+        assert code == 0, err
+
+    def test_exponent_that_underflows_to_zero(self, capsys):
+        # 0.5^1e300 is 0.0, so V = v^0 = 1 is degenerate
+        code, out, err = run_cli(["flanagan", "--V", "v^(0.5^1e300)", "--grid", "1:2:2"], capsys)
+        assert code == 2
+        assert "DegenerateMap: V'(1.0) = 0" in err
 
     def test_failed_selftest_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(selftest, "CHECKS", [("always-fails", lambda: (False, "forced"))])

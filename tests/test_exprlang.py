@@ -169,6 +169,35 @@ class TestDomainErrors:
             eval_jet3(parse(text, "v"), 1.0)
         assert str(err.value) == f"overflow in '{node}'"
 
+    @pytest.mark.parametrize(
+        "text,node,reason",
+        [
+            ("v + sin(1e200*1e200)", "sin(1e+200*1e+200)", "math domain error"),
+            ("v^(0*1e400)", "v^nan", "cannot convert float NaN to integer"),
+        ],
+    )
+    def test_value_error_names_offending_node(self, text, node, reason):
+        with pytest.raises(DomainError) as err:
+            eval_jet3(parse(text, "v"), 1.0)
+        assert str(err.value) == f"{reason} in '{node}'"
+
+    @pytest.mark.parametrize(
+        "text,same_as",
+        [
+            ("v*ln(1e200)", f"v*{math.log(1e200)!r}"),
+            ("v*sqrt(1e-200)", f"v*{math.sqrt(1e-200)!r}"),
+            ("v^(1e-200^0.5)", f"v^{1e-200 ** 0.5!r}"),
+            ("v^ln(1e300)", f"v^{math.log(1e300)!r}"),
+            ("v^(0.5^1e300)", "v^0.0"),
+        ],
+    )
+    def test_constant_skips_derivative_terms(self, text, same_as):
+        # a constant's derivative terms are zero however large F's derivatives
+        # at its value are
+        e, plain = parse(text, "v"), parse(same_as, "v")
+        for v0 in (0.5, 1.0, 2.0):
+            assert eval_jet3(e, v0) == eval_jet3(plain, v0)
+
 
 def test_evaluation_formats_no_text(monkeypatch):
     e = parse("exp(-(x/2)^2)/(2*sqrt(pi))", "x")

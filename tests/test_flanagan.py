@@ -145,7 +145,9 @@ class TestQiBound:
 
     def test_evaluation_count(self):
         rho = WeightFunction.from_text("exp(-(x/2)^2)/(2*sqrt(pi))", (-30.0, 30.0))
-        assert qi_bound_rhs(rho, SPEC).evaluations == 405
+        res = qi_bound_rhs(rho, SPEC)
+        assert res.evaluations == 405
+        assert type(res.value) is float
 
     def test_width_scaling(self):
         # the narrower gaussian needs a narrower support: e^(-900) underflows

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regulab.core import Regulator
 from regulab.errors import InvalidCutoff, ToleranceNotMet, TooFewSamples
 from regulab.numerics import (
     LimitKind,
@@ -16,6 +17,8 @@ from regulab.numerics import (
     integrate_interval,
     integrate_realline,
 )
+from regulab.static_well import WellConfig, s_omega
+from regulab.time_step import StepConfig, _folded_pointsplit
 
 SPEC = QuadratureSpec()
 
@@ -109,7 +112,7 @@ class TestHalfline:
     def test_cutoff_monotonicity(self):
         f = lambda w: 1.0 / (1.0 + w * w)
         values = [
-            integrate_halfline(f, tau, SPEC).value.real for tau in (0.2, 0.5, 1.0, 2.0)
+            integrate_halfline(f, tau, SPEC).value for tau in (0.2, 0.5, 1.0, 2.0)
         ]
         assert all(v1 >= v2 for v1, v2 in zip(values, values[1:]))
 
@@ -190,6 +193,33 @@ class TestNonFinite:
             integrate_halfline(lambda w: math.nan if w > 20.0 else 1.0, 1.0, SPEC)
         assert "[20.0, 22.0]" in str(err.value)
         assert err.value.evaluations == 15 * (12 + 11)
+
+
+class TestIntegrandType:
+    """The value has the integrand's type, and a real integrand takes the same
+    path as the same integrand boxed into a complex."""
+
+    def test_real_integrand_gives_float(self):
+        assert type(integrate_interval(lambda x: x * x, 0.0, 3.0, SPEC).value) is float
+        assert type(integrate_halfline(lambda w: w, 0.5, SPEC).value) is float
+        assert type(integrate_realline(lambda k: math.exp(-k * k), 0.5, SPEC).value) is float
+
+    @pytest.mark.parametrize(
+        "f,tau",
+        [
+            (lambda w: math.cos(50.0 * w) / (1.0 + w), 0.1),
+            (_folded_pointsplit(StepConfig(1.0, 1.0), 1.0, Regulator(0.0025, 0.0025, 0.05)), 0.05),
+            (lambda w: s_omega(WellConfig(1.0, 1.0), w, Regulator(0.0025, 0.0025, 0.05), 0.0), 0.05),
+        ],
+        ids=["cos50", "folded-pointsplit", "s-omega"],
+    )
+    def test_complex_boxing_changes_no_bit(self, f, tau):
+        real = integrate_halfline(f, tau, SPEC)
+        boxed = integrate_halfline(lambda w: complex(f(w)), tau, SPEC)
+        assert type(boxed.value) is complex
+        assert boxed.value.real == real.value
+        assert boxed.error_estimate == real.error_estimate
+        assert boxed.evaluations == real.evaluations
 
 
 class TestClassifyLimit:
