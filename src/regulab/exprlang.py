@@ -2,7 +2,8 @@
 
 Grammar: standard infix with precedence ^ > unary- > *,/ > +,- and
 parentheses; functions exp, ln, sin, cos, tanh, sqrt; the constant pi; one
-free variable fixed at parse time.  Exponents of ^ must be constant; the
+free variable fixed at parse time.  A numeric literal must be finite (1e400
+is a syntax error at its position).  Exponents of ^ must be constant; the
 parser evaluates each one once, with the same jet evaluator as the rest.
 
 Evaluation propagates truncated Taylor jets, so first through third
@@ -133,6 +134,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             bad = len(text) - len(text[pos:].lstrip())
             raise ExpressionSyntaxError(f"unexpected character {text[bad]!r}", bad)
         if m.lastgroup == "num":
+            if not math.isfinite(float(m.group("num"))):
+                raise ExpressionSyntaxError(
+                    f"numeric literal {m.group('num')!r} is not finite", m.start("num")
+                )
             tokens.append(("num", m.group("num"), m.start("num")))
         elif m.lastgroup == "ident":
             tokens.append(("ident", m.group("ident"), m.start("ident")))

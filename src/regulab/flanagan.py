@@ -11,16 +11,21 @@ first:
 * delta_tau sets vbar = v first and keeps tau (a cutoff-scale term that
   vanishes iff V'(v)^2 = 1).
 
+delta_pointsplit, delta_flanagan and delta_tau raise DomainError naming v
+where their value is not finite.
+
 qi_bound_rhs evaluates the weighted-average lower bound -(1/24 pi) *
 integral of rho'(x)^2 / rho(x) for a strictly positive weight rho.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMap, NonpositiveWeight, SingularRegulator
+from .errors import DegenerateMap, DomainError, NonpositiveWeight, SingularRegulator
 from .exprlang import Expression, Jet3, eval_jet3, parse
 from .numerics import QuadratureResult, QuadratureSpec, integrate_interval
 
@@ -95,6 +100,28 @@ def _map_difference(jet_v: Jet3, v: float, vbar: float, value_vbar: float) -> fl
     return jet_v.f - value_vbar
 
 
+def _finite_in_v(fn):
+    """Wrap fn(V, v, ...) so that a result that is not finite raises
+    DomainError naming v.  A division by an intermediate that underflowed to
+    0 (V'(v)^2 of a tiny V', say) counts as not finite."""
+
+    @functools.wraps(fn)
+    def checked(V, v, *args, **kwargs):
+        try:
+            value = fn(V, v, *args, **kwargs)
+        except ZeroDivisionError:
+            value = math.nan
+        if not cmath.isfinite(value):
+            raise DomainError(
+                f"{fn.__name__} at v = {v!r} is not finite ({value}): "
+                "an intermediate overflowed or underflowed"
+            )
+        return value
+
+    return checked
+
+
+@_finite_in_v
 def delta_pointsplit(V: ConformalMap, v: float, vbar: float, tau: float = 0.0) -> complex:
     """Split-and-cutoff regulated density difference between the two
     quantizations; the object whose coincidence limit is order-dependent."""
@@ -113,6 +140,7 @@ def delta_pointsplit(V: ConformalMap, v: float, vbar: float, tau: float = 0.0) -
     ) / _FOUR_PI
 
 
+@_finite_in_v
 def delta_flanagan(V: ConformalMap, v: float) -> float:
     """Coincidence limit taken with the cutoff already removed:
     (1/4 pi) [V'''/(6 V') - V''^2/(4 V'^2)]."""
@@ -124,6 +152,7 @@ def delta_flanagan(V: ConformalMap, v: float) -> float:
     ) / _FOUR_PI
 
 
+@_finite_in_v
 def delta_tau(V: ConformalMap, v: float, tau: float) -> float:
     """Coincidence limit taken before the cutoff: -(1/(4 pi tau^2)) (V'^2 - 1)."""
     if not (tau > 0.0):

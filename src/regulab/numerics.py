@@ -159,10 +159,10 @@ def _adaptive_panels(
     checked once they are done.
 
     Raises ToleranceNotMet when the bisection budget runs out above
-    tolerance, or at once, naming the panel, when a panel's value or error
-    is not finite: no bisection can repair that.  Ties in the refinement
-    queue resolve toward the leftmost panel so that panels near the origin
-    are refined first.
+    tolerance, naming the panel with the largest error, or at once, naming
+    the panel, when a panel's value or error is not finite: no bisection can
+    repair that.  Ties in the refinement queue resolve toward the leftmost
+    panel so that panels near the origin are refined first.
     """
     # Queue entries are (checked, -error, a, b, value): panels not yet
     # bisected (checked = 0) pop before any others.
@@ -186,10 +186,12 @@ def _adaptive_panels(
             if total_err <= tol:
                 return total, total_err, evals
             if subdivisions >= spec.max_subdivisions:
+                _, neg_worst, wa, wb, _ = heap[0]
                 raise ToleranceNotMet(
                     f"{subdivisions} bisections (max_subdivisions = "
                     f"{spec.max_subdivisions}) left the error estimate "
-                    f"{total_err:.3e} above tolerance {tol:.3e}",
+                    f"{total_err:.3e} above tolerance {tol:.3e}; worst panel "
+                    f"[{wa!r}, {wb!r}] (error {-neg_worst:.3e})",
                     value=total,
                     error_estimate=total_err,
                     evaluations=evals,

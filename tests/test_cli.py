@@ -111,8 +111,22 @@ class TestValidation:
         "V", ["v*ln(1e200)", "v*sqrt(1e-200)", "v^(1e-200^0.5)", "v^ln(1e300)"]
     )
     def test_constant_with_overflowing_derivative_terms_exits_0(self, capsys, V):
-        code, out, err = run_cli(["flanagan", "--V", V, "--grid", "1:2:2"], capsys)
+        # on 1:2:2, v^ln(1e300) itself overflows at v = 2 (see the test below)
+        code, out, err = run_cli(["flanagan", "--V", V, "--grid", "0.9:1.1:3"], capsys)
         assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "V,message",
+        [
+            ("v*1e400", "ExpressionSyntaxError: numeric literal '1e400' is not finite (position 2)"),
+            ("v^ln(1e300)", "DomainError: delta_flanagan at v = 2.0 is not finite (nan)"),
+        ],
+    )
+    def test_not_finite_exits_2_naming_the_input(self, capsys, V, message):
+        code, out, err = run_cli(["flanagan", "--V", V, "--grid", "1:2:2"], capsys)
+        assert code == 2
+        assert message in err
+        assert "nan" not in out
 
     def test_exponent_that_underflows_to_zero(self, capsys):
         # 0.5^1e300 is 0.0, so V = v^0 = 1 is degenerate

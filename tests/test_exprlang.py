@@ -59,6 +59,13 @@ class TestParse:
         with pytest.raises(ExpressionSyntaxError):
             parse("v @ 2", "v")
 
+    @pytest.mark.parametrize("text,literal,position", [("v*1e400", "1e400", 2), ("2.5E+309 - v", "2.5E+309", 0)])
+    def test_literal_that_is_not_finite_rejected(self, text, literal, position):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(text, "v")
+        assert err.value.position == position
+        assert f"numeric literal '{literal}' is not finite" in str(err.value)
+
 
 class TestPrecedence:
     def test_power_binds_tighter_than_unary_minus(self):
@@ -173,7 +180,7 @@ class TestDomainErrors:
         "text,node,reason",
         [
             ("v + sin(1e200*1e200)", "sin(1e+200*1e+200)", "math domain error"),
-            ("v^(0*1e400)", "v^nan", "cannot convert float NaN to integer"),
+            ("v^(0*(1e200*1e200))", "v^nan", "cannot convert float NaN to integer"),
         ],
     )
     def test_value_error_names_offending_node(self, text, node, reason):

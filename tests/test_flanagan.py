@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from regulab.errors import DegenerateMap, NonpositiveWeight, SingularRegulator
+from regulab.errors import DegenerateMap, DomainError, NonpositiveWeight, SingularRegulator
 from regulab.flanagan import (
     ConformalMap,
     WeightFunction,
@@ -102,6 +102,25 @@ class TestDeltaFlanagan:
                 )
                 assert out.kind is LimitKind.FINITE
                 assert abs(out.value.real - delta_flanagan(V, v)) <= 1e-7
+
+
+class TestNonFiniteResult:
+    # V''^2 of v^690.8 overflows at v = 2, and V'^2 underflows to 0 at v = 0.5
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: delta_flanagan(ConformalMap.from_text("v^ln(1e300)"), 2.0),
+            lambda: delta_flanagan(ConformalMap.from_text("v^ln(1e300)"), 0.5),
+            lambda: delta_tau(IDENTITY, 2.0, 1e-170),
+            lambda: delta_pointsplit(ConformalMap.from_text("exp(700*v)"), 1.0, 0.5, 0.1),
+        ],
+        ids=["flanagan-overflow", "flanagan-underflow", "tau-underflow", "pointsplit-overflow"],
+    )
+    def test_raises_domain_error_naming_v(self, call):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert "at v = " in str(err.value)
+        assert "is not finite" in str(err.value)
 
 
 class TestDeltaTau:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import sys
 
 import numpy as np
@@ -55,6 +56,22 @@ class TestHalfline:
         # has had its guard bisection
         assert "above tolerance" in str(err.value)
         assert err.value.evaluations == 42 * (15 + 30)
+
+    @pytest.mark.parametrize("spot", [0.3, 0.71])
+    @pytest.mark.parametrize("budget", [20, 21, 40])
+    def test_budget_exhaustion_names_the_worst_panel(self, spot, budget):
+        with pytest.raises(ToleranceNotMet) as err:
+            integrate_interval(
+                lambda x: 1.0 if x > spot else 0.0, 0.0, 1.0, QuadratureSpec(max_subdivisions=budget)
+            )
+        found = re.search(r"worst panel \[(\S+), (\S+)\] \(error (\S+)\)", str(err.value))
+        assert found, str(err.value)
+        a, b, worst = (float(g) for g in found.groups())
+        # the jump sits in the named panel or in its sibling: a bisection
+        # gives both halves at least half the change in the panel's value
+        assert a - (b - a) < spot < b + (b - a)
+        assert 0.0 < worst <= float(f"{err.value.error_estimate:.3e}")  # both printed to 4 digits
+        assert "above tolerance" in str(err.value)
 
     def test_budget_below_guard_count_still_converges(self):
         one = QuadratureSpec(max_subdivisions=1)

@@ -25,6 +25,7 @@ from regulab.static_well import (
     xi_free,
     xi_lambda,
 )
+from regulab.static_well import _subtracted_integrand
 
 CFG = WellConfig(1.0, 1.0)
 SPEC = QuadratureSpec()
@@ -197,6 +198,39 @@ class TestRemainder:
             assert abs(r_integral_closed(CFG, Regulator(e0, e1, tau)) - oracle) < 1e-15 + 1e-12 * abs(oracle)
 
 
+class TestSubtractedIntegrand:
+    """The closure t00r_static integrates, against the per-mode route."""
+
+    @staticmethod
+    def oracle(cfg, omega, reg, x):
+        return xi_brute_force(cfg, omega, reg, x) - xi_free(omega, reg) - r_omega(cfg, omega, reg)
+
+    @pytest.mark.parametrize("lam,a", [(1.0, 1.0), (2.5, 1.0), (1.0, 5.0)])
+    @pytest.mark.parametrize(
+        "reg,x",
+        [(Regulator(0.01, 0.02, 0.0), 0.3), (Regulator(0.0, 0.05, 0.0), -0.4), (Regulator(0.03, 0.0, 0.0), 0.2)],
+    )
+    def test_matches_per_mode_oracle(self, lam, a, reg, x):
+        cfg = WellConfig(lam, a)
+        f = _subtracted_integrand(cfg, reg, x)
+        r = math.sqrt(lam)
+        below = (0.3 * r, r * (1.0 - 1e-9))
+        at = r * (1.0 + 3e-15)
+        above = (r * (1.0 + 1e-9), 1.7 * r, 12.0)
+        # the sinc series branch, with x != 0
+        assert 0.0 < abs(a * a * (at * at - lam)) < 1e-12
+        for omega in below + (at,) + above:
+            assert abs(f(omega) - self.oracle(cfg, omega, reg, x)) < 1e-12, omega
+
+    def test_finite_at_the_barrier_top(self):
+        # omega^2 = lam exactly is a pole of the antisymmetric amplitude, where
+        # the oracle has no value; the closure takes the two-sided limit
+        reg = Regulator(0.01, 0.02, 0.0)
+        f = _subtracted_integrand(CFG, reg, 0.3)
+        sides = [self.oracle(CFG, 1.0 + d, reg, 0.3) for d in (-1e-12, 1e-12)]
+        assert abs(f(1.0) - 0.5 * (sides[0] + sides[1])) < 1e-12
+
+
 class TestDensity:
     def test_free_field_zero(self):
         res = t00r_static(WellConfig(0.0, 1.0), Regulator(0.01, 0.02, 0.1), 0.0)
@@ -225,6 +259,22 @@ class TestDensity:
         assert res.evaluations == 3904
         assert type(res.value) is float
         assert t00r_static(WellConfig(0.0, 1.0), reg, 0.0).evaluations == 0
+
+    @pytest.mark.parametrize(
+        "lam,a,x,value,error_estimate,evaluations",
+        [
+            (1.0, 1.0, 0.0, -0.03206327455816155, 2.967532116376639e-12, 3904),
+            (1.0, 1.0, 0.3, -0.030216597212533138, 2.891772108975965e-12, 3934),
+            (1.0, 5.0, 1.5, -0.0394756490833376, 3.93210036712419e-12, 13804),
+        ],
+    )
+    def test_bit_exact_pins(self, lam, a, x, value, error_estimate, evaluations):
+        # recorded when every node went through s_omega; the integrand built
+        # once per call does the same floating-point operations in the same
+        # order, so on the same libm every bit must repeat
+        s = 0.05
+        res = t00r_static(WellConfig(lam, a), Regulator(s * s, s * s, s), x)
+        assert (res.value, res.error_estimate, res.evaluations) == (value, error_estimate, evaluations)
 
     def test_time_independent(self):
         reg = Regulator(0.01, 0.01, 0.2)
