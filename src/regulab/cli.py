@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -33,13 +35,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-# config key -> default for every QuadratureSpec field
-_QUADRATURE = {f"quadrature.{f.name}": f.default for f in dataclasses.fields(QuadratureSpec)}
-
-_CONFIG_KEYS = {
-    **{key: type(default) for key, default in _QUADRATURE.items()},
-    "output.format": str,
-    "output.path": str,
+# config key -> default; a key's type is its default's type, and the flag
+# that sets it has the key as its argparse dest
+_DEFAULTS = {
+    **{f"quadrature.{f.name}": f.default for f in dataclasses.fields(QuadratureSpec)},
+    "output.format": "csv",
+    "output.path": "-",
 }
 
 
@@ -68,10 +69,10 @@ def _parse_config_file(path: str) -> dict:
                 key, _, val = line.partition("=")
                 key = key.strip()
                 val = val.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _DEFAULTS:
                     raise ValidationFailure(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _CONFIG_KEYS[key](val)
+                    values[key] = type(_DEFAULTS[key])(val)
                 except ValueError as exc:
                     raise ValidationFailure(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
@@ -81,24 +82,11 @@ def _parse_config_file(path: str) -> dict:
 
 def _resolve(args) -> dict:
     """defaults <- env config file <- --config file <- flags."""
-    resolved = {**_QUADRATURE, "output.format": "csv", "output.path": "-"}
-    env_path = os.environ.get("REGULAB_CONFIG")
-    if env_path:
-        resolved.update(_parse_config_file(env_path))
-    if args.config:
-        resolved.update(_parse_config_file(args.config))
-    flag_map = {
-        "rel_tol": "quadrature.rel_tol",
-        "abs_tol": "quadrature.abs_tol",
-        "max_subdivisions": "quadrature.max_subdivisions",
-        "tail_multiple": "quadrature.tail_truncation_multiple",
-        "format": "output.format",
-        "out": "output.path",
-    }
-    for attr, key in flag_map.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            resolved[key] = val
+    resolved = dict(_DEFAULTS)
+    for path in (os.environ.get("REGULAB_CONFIG"), args.config):
+        if path:
+            resolved.update(_parse_config_file(path))
+    resolved.update((k, v) for k, v in vars(args).items() if k in _DEFAULTS and v is not None)
     if resolved["output.format"] not in ("csv", "json"):
         raise ValidationFailure(
             f"--format must be csv or json, got {resolved['output.format']!r}"
@@ -109,7 +97,7 @@ def _resolve(args) -> dict:
 def _spec_from(resolved: dict) -> QuadratureSpec:
     try:
         return QuadratureSpec(
-            **{key.removeprefix("quadrature."): resolved[key] for key in _QUADRATURE}
+            **{k.removeprefix("quadrature."): v for k, v in resolved.items() if k.startswith("quadrature.")}
         )
     except ValueError as exc:
         raise ValidationFailure(f"quadrature settings: {exc}") from exc
@@ -126,10 +114,10 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         raise ValidationFailure(f"{flag}: {exc}") from exc
     if count < 1:
         raise ValidationFailure(f"{flag}: count must be >= 1")
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
+    step = (stop - start) / (count - 1) if count > 1 else 0.0
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationFailure(f"{flag}: start, stop and step must be finite, got {text!r}")
+    return [start + i * step for i in range(count)] if count > 1 else [start]
 
 
 def _parse_floats(text: str, flag: str, n_min=1) -> list[float]:
@@ -194,6 +182,10 @@ def cmd_well_energy(args, resolved: dict) -> int:
         raise ValidationFailure(f"--lambda/--a: {exc}") from exc
     spec = _spec_from(resolved)
     xs = _parse_grid(args.grid, "--grid")
+    if args.path is not None and args.s_schedule is None:
+        raise ValidationFailure("--s-schedule: required with --path")
+    if args.s_schedule is not None and args.path is None:
+        raise ValidationFailure("--path: required with --s-schedule")
     if args.path is not None:
         path = _parse_path(args.path)
         schedule = _parse_floats(args.s_schedule, "--s-schedule")
@@ -236,17 +228,19 @@ def cmd_step_energy(args, resolved: dict) -> int:
     if any(t < 0.0 for t in ts):
         raise ValidationFailure("--grid: t must be >= 0 (after the switch-on)")
     reg = _regulator_from(args)
+    if args.compare:
+        if not (reg.tau > 0.0):
+            raise ValidationFailure("--tau: need tau > 0 for --compare")
+        for t in ts:
+            if t <= reg.eps0 / 2.0:
+                raise ValidationFailure(
+                    f"--grid: need t > eps0/2 for the point split (t = {_fmt(t)})"
+                )
     records = []
     for t in ts:
         mode = mode_reg_density(cfg, t, spec)
         rec = {"t": t, "mode_reg": mode.value}
         if args.compare:
-            if not (reg.tau > 0.0):
-                raise ValidationFailure("--tau: need tau > 0 for --compare")
-            if t <= reg.eps0 / 2.0:
-                raise ValidationFailure(
-                    f"--grid: need t > eps0/2 for the point split (t = {_fmt(t)})"
-                )
             ps = pointsplit_density(cfg, t, reg, spec)
             gap = d_term(cfg, reg)
             rec["pointsplit"] = ps.value
@@ -258,21 +252,23 @@ def cmd_step_energy(args, resolved: dict) -> int:
     return EXIT_OK
 
 
+# limit-scan's --expr: expression id -> its constructor from the parsed flags
+_EXPRESSIONS = {
+    AmbiguityId.RATIO_239.value: lambda args: AmbiguityExpr.ratio239(),
+    AmbiguityId.R_STATIC_317.value: lambda args: AmbiguityExpr.r_static317(args.lam, args.a),
+    AmbiguityId.D_TERM_616.value: lambda args: AmbiguityExpr.d_term616(args.lam),
+    AmbiguityId.FLANAGAN_DELTA.value: lambda args: AmbiguityExpr.flanagan_delta(
+        ConformalMap.from_text(args.V, "v"), args.v0
+    ),
+}
+
+
 def _build_expr(args) -> AmbiguityExpr:
-    ids = {e.value: e for e in AmbiguityId}
-    if args.expr not in ids:
+    if args.expr not in _EXPRESSIONS:
         raise ValidationFailure(
-            f"--expr: unknown expression id {args.expr!r}; choose from {sorted(ids)}"
+            f"--expr: unknown expression id {args.expr!r}; choose from {sorted(_EXPRESSIONS)}"
         )
-    which = ids[args.expr]
-    if which is AmbiguityId.RATIO_239:
-        return AmbiguityExpr.ratio239()
-    if which is AmbiguityId.R_STATIC_317:
-        return AmbiguityExpr.r_static317(args.lam, args.a)
-    if which is AmbiguityId.D_TERM_616:
-        return AmbiguityExpr.d_term616(args.lam)
-    V = ConformalMap.from_text(args.V, "v")
-    return AmbiguityExpr.flanagan_delta(V, args.v0)
+    return _EXPRESSIONS[args.expr](args)
 
 
 def cmd_limit_scan(args, resolved: dict) -> int:
@@ -300,15 +296,12 @@ def cmd_flanagan(args, resolved: dict) -> int:
     vs = _parse_grid(args.grid, "--grid")
     mode = args.mode
     records = []
-    if mode == "taylor":
-        for v in vs:
-            records.append({"v": v, "delta": delta_flanagan(V, v), "mode": mode})
-        columns = ["v", "delta", "mode"]
-    elif mode == "tau_first":
-        if not (args.tau > 0.0):
+    if mode != "pointsplit":
+        if mode == "tau_first" and not (args.tau > 0.0):
             raise ValidationFailure("--tau: need tau > 0 for tau_first mode")
         for v in vs:
-            records.append({"v": v, "delta": delta_tau(V, v, args.tau), "mode": mode})
+            delta = delta_flanagan(V, v) if mode == "taylor" else delta_tau(V, v, args.tau)
+            records.append({"v": v, "delta": delta, "mode": mode})
         columns = ["v", "delta", "mode"]
     else:
         offset = args.vbar_offset
@@ -354,13 +347,16 @@ def cmd_selftest(args, resolved: dict) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-    p.add_argument("--out", default=None, help="output path, '-' for stdout")
-    p.add_argument("--config", default=None, help="config file (overrides REGULAB_CONFIG)")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    p.add_argument("--max-subdivisions", dest="max_subdivisions", type=int, default=None)
-    p.add_argument("--tail-multiple", dest="tail_multiple", type=float, default=None)
+    def setting(flag, key, **kwargs):  # dest is the config key, type its default's
+        p.add_argument(flag, dest=key, type=type(_DEFAULTS[key]), **kwargs)
+
+    setting("--format", "output.format", choices=("csv", "json"), help="output format")
+    setting("--out", "output.path", metavar="OUT", help="output path, '-' for stdout")
+    p.add_argument("--config", help="config file (overrides REGULAB_CONFIG)")
+    setting("--rel-tol", "quadrature.rel_tol", metavar="REL_TOL")
+    setting("--abs-tol", "quadrature.abs_tol", metavar="ABS_TOL")
+    setting("--max-subdivisions", "quadrature.max_subdivisions", metavar="MAX_SUBDIVISIONS")
+    setting("--tail-multiple", "quadrature.tail_truncation_multiple", metavar="TAIL_MULTIPLE")
 
 
 def _add_regulator(p: argparse.ArgumentParser):
@@ -369,7 +365,10 @@ def _add_regulator(p: argparse.ArgumentParser):
     p.add_argument("--tau", type=float, default=0.0, help="frequency cutoff scale")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every main() call:
+    parse_args keeps no state in it, and no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="regulab",
         description="Point-split and mode-sum vacuum energy densities, and the "
@@ -397,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_step_energy)
 
     p = sub.add_parser("limit-scan", help="classify a regulator expression along a path")
-    p.add_argument("--expr", required=True, help="ratio239 | rstatic317 | dterm616 | flanagan-delta")
+    p.add_argument("--expr", required=True, help=" | ".join(_EXPRESSIONS))
     p.add_argument("--path", required=True, help="limit path p0,p1,ptau[,c0,c1,ctau]")
     p.add_argument("--s-schedule", dest="s_schedule", required=True, help="decreasing s values (>= 4)")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="strength for rstatic317/dterm616")
@@ -454,10 +453,8 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_merge_negative_values(argv))
     try:
         resolved = _resolve(args)
         return args.func(args, resolved)

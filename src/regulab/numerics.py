@@ -52,7 +52,8 @@ class QuadratureSpec:
     where it is not negligible, so the default of 20000 is sized for the
     most oscillatory inputs of the density modules (see README).
     tail_truncation_multiple T means cutoff integrals are cut at
-    omega (or |k|) = T/tau, where the cutoff weight is e^(-T).
+    omega (or |k|) = T/tau, where the cutoff weight is e^(-T); T runs from 10
+    to 745, past which e^(-T) is 0.0.  Every field must be finite.
     """
 
     rel_tol: float = 1e-10
@@ -61,12 +62,17 @@ class QuadratureSpec:
     tail_truncation_multiple: float = 60.0
 
     def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "tail_truncation_multiple"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be > 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         if self.tail_truncation_multiple < 10.0:
             raise ValueError("tail_truncation_multiple must be >= 10")
+        if self.tail_truncation_multiple > 745.0:
+            raise ValueError("tail_truncation_multiple must be <= 745")
 
 
 @dataclass(frozen=True)

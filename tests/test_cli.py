@@ -1,9 +1,10 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from regulab import selftest
+from regulab import cli, selftest
 from regulab.cli import main
 
 
@@ -62,6 +63,66 @@ class TestValidation:
         )
         assert code == 2
         assert "--grid" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["well-energy", "--lambda", "1", "--a", "1", "--grid", "nan:nan:1", "--tau", "0.1"],
+            ["step-energy", "--lambda", "1", "--mass", "1", "--grid", "0:inf:3"],
+            ["flanagan", "--V", "v", "--grid", "-1e308:1e308:3"],  # the step overflows
+        ],
+    )
+    def test_non_finite_grid_exits_2_naming_grid(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert "--grid: start, stop and step must be finite" in err
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--tail-multiple", "inf", "tail_truncation_multiple must be finite"),
+            ("--tail-multiple", "nan", "tail_truncation_multiple must be finite"),
+            ("--tail-multiple", "746", "tail_truncation_multiple must be <= 745"),
+            ("--abs-tol", "nan", "abs_tol must be finite"),
+            ("--rel-tol", "inf", "rel_tol must be finite"),
+        ],
+    )
+    def test_non_finite_setting_exits_2(self, capsys, flag, value, message):
+        code, out, err = run_cli(
+            ["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1", flag, value], capsys
+        )
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "extra,named",
+        [
+            (["--path", "2,2,1"], "--s-schedule"),
+            (["--s-schedule", "0.2,0.1", "--tau", "0.1"], "--path"),
+        ],
+    )
+    def test_well_path_and_schedule_go_together(self, capsys, extra, named):
+        code, out, err = run_cli(
+            ["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0:1"] + extra, capsys
+        )
+        assert code == 2
+        assert err.startswith(f"error: {named}: required with")
+
+    def test_compare_validates_before_computing(self, capsys, monkeypatch):
+        def no_density(*args):
+            raise AssertionError("computed a density before validating")
+
+        monkeypatch.setattr(cli, "mode_reg_density", no_density)
+        monkeypatch.setattr(cli, "pointsplit_density", no_density)
+        base = ["step-energy", "--lambda", "1", "--mass", "1", "--compare"]
+        code, out, err = run_cli(base + ["--grid", "0.5:2:4", "--eps0", "0.0025"], capsys)
+        assert code == 2
+        assert "--tau: need tau > 0 for --compare" in err
+        # t = 2 is a valid row; t = 1.5 is the first to break t > eps0/2
+        code, out, err = run_cli(base + ["--grid", "2:0.5:4", "--eps0", "3", "--tau", "0.1"], capsys)
+        assert code == 2
+        assert "--grid: need t > eps0/2 for the point split (t = 1.5)" in err
 
     def test_negative_time_grid(self, capsys):
         code, out, err = run_cli(
@@ -317,6 +378,41 @@ class TestConfig:
         assert code == 0
         assert "# quadrature.max_subdivisions = 500" in out
 
+    @pytest.mark.parametrize(
+        "flag,key,values",
+        [
+            ("--format", "output.format", ("json", "csv", "json")),
+            ("--out", "output.path", ("env.txt", "cfg.txt", "flag.txt")),
+            ("--rel-tol", "quadrature.rel_tol", ("0.5", "0.25", "0.125")),
+            ("--abs-tol", "quadrature.abs_tol", ("0.5", "0.25", "0.125")),
+            ("--max-subdivisions", "quadrature.max_subdivisions", ("500", "600", "700")),
+            ("--tail-multiple", "quadrature.tail_truncation_multiple", ("20", "30", "40")),
+        ],
+    )
+    def test_flag_beats_config_beats_env(self, capsys, tmp_path, monkeypatch, flag, key, values):
+        monkeypatch.chdir(tmp_path)
+        env_val, cfg_val, flag_val = values
+        (tmp_path / "env.conf").write_text(f"{key} = {env_val}\n")
+        (tmp_path / "lab.conf").write_text(f"{key} = {cfg_val}\n")
+        monkeypatch.setenv("REGULAB_CONFIG", "env.conf")
+
+        def resolved(extra):
+            code, out, err = run_cli(["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1"] + extra, capsys)
+            assert code == 0, err
+            if key == "output.path":
+                assert out == ""
+                (written,) = [p for p in values if (tmp_path / p).exists()]
+                out = (tmp_path / written).read_text()
+                (tmp_path / written).unlink()
+            if out.startswith("{"):
+                return str(json.loads(out)["config"][key])
+            (line,) = [l for l in out.splitlines() if l.startswith(f"# {key} = ")]
+            return line.split(" = ", 1)[1]
+
+        assert resolved([]) == env_val
+        assert resolved(["--config", "lab.conf"]) == cfg_val
+        assert resolved(["--config", "lab.conf", flag, flag_val]) == flag_val
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("quadrature.magic = 3\n")
@@ -325,6 +421,30 @@ class TestConfig:
         )
         assert code == 2
         assert "unknown key" in err
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        args = ["flanagan", "--V", "v", "--grid", "0:0:1"]
+        assert run_cli(args, capsys)[0] == 0
+
+        def no_parser(*args, **kwargs):
+            raise AssertionError("built a second parser")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+        code, out, err = run_cli(args, capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "0,0,taylor"
+
+    def test_flags_do_not_carry_over_between_calls(self, capsys):
+        args = ["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1"]
+        code, out, err = run_cli(args + ["--format", "json", "--rel-tol", "0.5"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["output.format"] == "json"
+        code, out, err = run_cli(args, capsys)
+        assert code == 0
+        assert "# output.format = csv" in out
+        assert "# quadrature.rel_tol = 1e-10" in out
 
 
 class TestDeterminism:
