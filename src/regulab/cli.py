@@ -1,10 +1,12 @@
 """Command-line surface: every computation as a subcommand, CSV/JSON output.
 
-Configuration resolves as defaults <- config file (REGULAB_CONFIG or
---config) <- command-line flags, later wins.  Config files are flat
-`key = value` lines with `#` comments and dotted section prefixes, e.g.
-`quadrature.rel_tol = 1e-12`.  All output is deterministic: identical inputs
-produce byte-identical files.
+Each subcommand declares only the settings it reads.  Configuration
+resolves as defaults <- config file (REGULAB_CONFIG or --config) <-
+command-line flags, later wins, over those settings, and the output's config
+block lists exactly them.  Config files are flat `key = value` lines with `#`
+comments and dotted section prefixes, e.g. `quadrature.rel_tol = 1e-12`; a
+file may set any known key, and a subcommand ignores those it does not read.
+All output is deterministic: identical inputs produce byte-identical files.
 
 Exit codes: 0 success, 1 a selftest check failed, 2 validation error,
 3 numerical failure.
@@ -27,7 +29,7 @@ from .core import Regulator
 from .errors import RegulabError, ToleranceNotMet
 from .flanagan import ConformalMap, WeightFunction, delta_flanagan, delta_pointsplit, delta_tau, qi_bound_rhs
 from .numerics import QuadratureSpec
-from .regulator_lab import AmbiguityExpr, AmbiguityId, LimitPath, scan_path
+from .regulator_lab import AmbiguityExpr, LimitPath, scan_path
 from .static_well import WellConfig, t00r_static
 from .time_step import StepConfig, d_term, mode_reg_density, pointsplit_density
 
@@ -41,6 +43,14 @@ _DEFAULTS = {
     **{f"quadrature.{f.name}": f.default for f in dataclasses.fields(QuadratureSpec)},
     "output.format": "csv",
     "output.path": "-",
+}
+
+# quadrature flag -> its config key, in --help order
+_QUADRATURE_FLAGS = {
+    "--rel-tol": "quadrature.rel_tol",
+    "--abs-tol": "quadrature.abs_tol",
+    "--max-subdivisions": "quadrature.max_subdivisions",
+    "--tail-multiple": "quadrature.tail_truncation_multiple",
 }
 
 
@@ -81,13 +91,16 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _resolve(args) -> dict:
-    """defaults <- env config file <- --config file <- flags."""
-    resolved = dict(_DEFAULTS)
-    for path in (os.environ.get("REGULAB_CONFIG"), args.config):
+    """defaults <- env config file <- --config file <- flags, over the
+    settings the subcommand declares (its flags' dests); a file's other keys
+    are ignored."""
+    flags = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
+    resolved = {k: _DEFAULTS[k] for k in flags}
+    for path in (os.environ.get("REGULAB_CONFIG"), getattr(args, "config", None)):
         if path:
-            resolved.update(_parse_config_file(path))
-    resolved.update((k, v) for k, v in vars(args).items() if k in _DEFAULTS and v is not None)
-    if resolved["output.format"] not in ("csv", "json"):
+            resolved.update((k, v) for k, v in _parse_config_file(path).items() if k in flags)
+    resolved.update((k, v) for k, v in flags.items() if v is not None)
+    if resolved.get("output.format", "csv") not in ("csv", "json"):
         raise ValidationFailure(
             f"--format must be csv or json, got {resolved['output.format']!r}"
         )
@@ -140,11 +153,24 @@ def _parse_path(text: str) -> LimitPath:
         raise ValidationFailure(f"--path: {exc}") from exc
 
 
+def _finite(x: float, flag: str) -> float:
+    if not math.isfinite(x):
+        raise ValidationFailure(f"{flag}: must be finite, got {_fmt(x)}")
+    return x
+
+
 def _regulator_from(args) -> Regulator:
+    """The regulator from --eps0/--eps1/--tau; a flag not given is 0."""
     try:
-        return Regulator(args.eps0, args.eps1, args.tau)
+        return Regulator(*(0.0 if x is None else x for x in (args.eps0, args.eps1, args.tau)))
     except ValueError as exc:
         raise ValidationFailure(f"--eps0/--eps1/--tau: {exc}") from exc
+
+
+def _refuse_regulator(args, reason: str):
+    given = [f"--{name}" for name in ("eps0", "eps1", "tau") if getattr(args, name) is not None]
+    if given:
+        raise ValidationFailure(f"{'/'.join(given)}: {reason}")
 
 
 def _emit(resolved: dict, columns: list[str], records: list[dict], summary: dict | None):
@@ -187,6 +213,7 @@ def cmd_well_energy(args, resolved: dict) -> int:
     if args.s_schedule is not None and args.path is None:
         raise ValidationFailure("--path: required with --s-schedule")
     if args.path is not None:
+        _refuse_regulator(args, "not read with --path, which sets the regulator")
         path = _parse_path(args.path)
         schedule = _parse_floats(args.s_schedule, "--s-schedule")
         regulators = [path.regulator_at(s) for s in schedule]
@@ -228,7 +255,9 @@ def cmd_step_energy(args, resolved: dict) -> int:
     if any(t < 0.0 for t in ts):
         raise ValidationFailure("--grid: t must be >= 0 (after the switch-on)")
     reg = _regulator_from(args)
-    if args.compare:
+    if not args.compare:
+        _refuse_regulator(args, "only read with --compare")
+    else:
         if not (reg.tau > 0.0):
             raise ValidationFailure("--tau: need tau > 0 for --compare")
         for t in ts:
@@ -254,11 +283,11 @@ def cmd_step_energy(args, resolved: dict) -> int:
 
 # limit-scan's --expr: expression id -> its constructor from the parsed flags
 _EXPRESSIONS = {
-    AmbiguityId.RATIO_239.value: lambda args: AmbiguityExpr.ratio239(),
-    AmbiguityId.R_STATIC_317.value: lambda args: AmbiguityExpr.r_static317(args.lam, args.a),
-    AmbiguityId.D_TERM_616.value: lambda args: AmbiguityExpr.d_term616(args.lam),
-    AmbiguityId.FLANAGAN_DELTA.value: lambda args: AmbiguityExpr.flanagan_delta(
-        ConformalMap.from_text(args.V, "v"), args.v0
+    "ratio239": lambda args: AmbiguityExpr.ratio239(),
+    "rstatic317": lambda args: AmbiguityExpr.r_static317(args.lam, args.a),
+    "dterm616": lambda args: AmbiguityExpr.d_term616(args.lam),
+    "flanagan-delta": lambda args: AmbiguityExpr.flanagan_delta(
+        ConformalMap.from_text(args.V), _finite(args.v0, "--v0")
     ),
 }
 
@@ -292,19 +321,22 @@ def cmd_limit_scan(args, resolved: dict) -> int:
 
 
 def cmd_flanagan(args, resolved: dict) -> int:
-    V = ConformalMap.from_text(args.V, "v")
+    V = ConformalMap.from_text(args.V)
     vs = _parse_grid(args.grid, "--grid")
     mode = args.mode
     records = []
     if mode != "pointsplit":
-        if mode == "tau_first" and not (args.tau > 0.0):
-            raise ValidationFailure("--tau: need tau > 0 for tau_first mode")
+        if mode == "tau_first":
+            if not (args.tau > 0.0):
+                raise ValidationFailure("--tau: need tau > 0 for tau_first mode")
+            _finite(args.tau, "--tau")
         for v in vs:
             delta = delta_flanagan(V, v) if mode == "taylor" else delta_tau(V, v, args.tau)
             records.append({"v": v, "delta": delta, "mode": mode})
         columns = ["v", "delta", "mode"]
     else:
-        offset = args.vbar_offset
+        _finite(args.tau, "--tau")
+        offset = _finite(args.vbar_offset, "--vbar-offset")
         for v in vs:
             z = delta_pointsplit(V, v, v - offset, args.tau)
             records.append(
@@ -327,7 +359,7 @@ def cmd_qi_bound(args, resolved: dict) -> int:
     if len(support) != 2:
         raise ValidationFailure("--support: expected lo,hi")
     try:
-        rho = WeightFunction.from_text(args.rho, (support[0], support[1]), "x")
+        rho = WeightFunction.from_text(args.rho, (support[0], support[1]))
     except ValueError as exc:
         raise ValidationFailure(f"--support: {exc}") from exc
     spec = _spec_from(resolved)
@@ -346,23 +378,24 @@ def cmd_selftest(args, resolved: dict) -> int:
     return EXIT_OK if ok else 1
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_settings(p: argparse.ArgumentParser, *quadrature_flags: str):
+    """Declare --format, --out and --config, then the given quadrature flags:
+    the settings a subcommand reads."""
+
     def setting(flag, key, **kwargs):  # dest is the config key, type its default's
         p.add_argument(flag, dest=key, type=type(_DEFAULTS[key]), **kwargs)
 
     setting("--format", "output.format", choices=("csv", "json"), help="output format")
     setting("--out", "output.path", metavar="OUT", help="output path, '-' for stdout")
     p.add_argument("--config", help="config file (overrides REGULAB_CONFIG)")
-    setting("--rel-tol", "quadrature.rel_tol", metavar="REL_TOL")
-    setting("--abs-tol", "quadrature.abs_tol", metavar="ABS_TOL")
-    setting("--max-subdivisions", "quadrature.max_subdivisions", metavar="MAX_SUBDIVISIONS")
-    setting("--tail-multiple", "quadrature.tail_truncation_multiple", metavar="TAIL_MULTIPLE")
+    for flag in quadrature_flags:
+        setting(flag, _QUADRATURE_FLAGS[flag], metavar=flag[2:].upper().replace("-", "_"))
 
 
 def _add_regulator(p: argparse.ArgumentParser):
-    p.add_argument("--eps0", type=float, default=0.0, help="time split")
-    p.add_argument("--eps1", type=float, default=0.0, help="space split")
-    p.add_argument("--tau", type=float, default=0.0, help="frequency cutoff scale")
+    p.add_argument("--eps0", type=float, help="time split")
+    p.add_argument("--eps1", type=float, help="space split")
+    p.add_argument("--tau", type=float, help="frequency cutoff scale")
 
 
 @functools.cache
@@ -383,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_regulator(p)
     p.add_argument("--path", default=None, help="limit path p0,p1,ptau[,c0,c1,ctau]")
     p.add_argument("--s-schedule", dest="s_schedule", default=None, help="decreasing s values")
-    _add_common(p)
+    _add_settings(p, *_QUADRATURE_FLAGS)
     p.set_defaults(func=cmd_well_energy)
 
     p = sub.add_parser("step-energy", help="density after a sudden switch-on")
@@ -392,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="t grid start:stop:count")
     _add_regulator(p)
     p.add_argument("--compare", action="store_true", help="also compute point-split and residual")
-    _add_common(p)
+    _add_settings(p, *_QUADRATURE_FLAGS)
     p.set_defaults(func=cmd_step_energy)
 
     p = sub.add_parser("limit-scan", help="classify a regulator expression along a path")
@@ -403,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0, help="half-width for rstatic317")
     p.add_argument("--V", default="exp(v)", help="map for flanagan-delta")
     p.add_argument("--v0", type=float, default=0.0, help="evaluation point for flanagan-delta")
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(func=cmd_limit_scan)
 
     p = sub.add_parser("flanagan", help="conformal-map density differences")
@@ -413,17 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--vbar-offset", dest="vbar_offset", type=float, default=0.01,
                    help="v - vbar in pointsplit mode")
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(func=cmd_flanagan)
 
     p = sub.add_parser("qi-bound", help="weighted-average energy lower bound")
     p.add_argument("--rho", required=True, help="strictly positive weight rho(x)")
     p.add_argument("--support", required=True, help="lo,hi quadrature support")
-    _add_common(p)
+    _add_settings(p, "--rel-tol", "--abs-tol", "--max-subdivisions")
     p.set_defaults(func=cmd_qi_bound)
 
     p = sub.add_parser("selftest", help="run oracle-vs-closed-form checks")
-    _add_common(p)
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -431,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Turn ['--support', '-30,30'] into ['--support=-30,30'] so argparse does
-    not mistake a leading-dash numeric value for an option."""
+    not mistake a leading-dash value (a number, or '-inf') for an option: any
+    token after a long option that starts with a single '-', other than a
+    lone '-' and '-h', is that option's value."""
     out = []
     i = 0
     while i < len(argv):
@@ -442,7 +476,8 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
             and "=" not in a
             and len(nxt) > 1
             and nxt[0] == "-"
-            and (nxt[1].isdigit() or nxt[1] == ".")
+            and nxt[1] != "-"
+            and nxt != "-h"
         ):
             out.append(a + "=" + nxt)
             i += 2

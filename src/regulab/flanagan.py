@@ -53,8 +53,8 @@ class ConformalMap:
     expr: Expression
 
     @classmethod
-    def from_text(cls, text: str, variable: str = "v") -> "ConformalMap":
-        return cls(parse(text, variable))
+    def from_text(cls, text: str) -> "ConformalMap":
+        return cls(parse(text, "v"))
 
     def jet(self, v: float) -> Jet3:
         return eval_jet3(self.expr, v)
@@ -68,10 +68,8 @@ class WeightFunction:
     support: tuple[float, float]
 
     @classmethod
-    def from_text(
-        cls, text: str, support: tuple[float, float], variable: str = "x"
-    ) -> "WeightFunction":
-        return cls(parse(text, variable), (float(support[0]), float(support[1])))
+    def from_text(cls, text: str, support: tuple[float, float]) -> "WeightFunction":
+        return cls(parse(text, "x"), (float(support[0]), float(support[1])))
 
     def __post_init__(self):
         lo, hi = self.support

@@ -10,8 +10,7 @@ component identically to zero along the whole path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import Regulator
@@ -23,7 +22,6 @@ from .time_step import d_term_value
 
 __all__ = [
     "LimitPath",
-    "AmbiguityId",
     "AmbiguityExpr",
     "ScanResult",
     "sigma1",
@@ -77,41 +75,30 @@ def ratio_239(reg: Regulator) -> complex:
     return reg.eps1 * reg.eps1 / s1
 
 
-class AmbiguityId(Enum):
-    RATIO_239 = "ratio239"
-    R_STATIC_317 = "rstatic317"
-    D_TERM_616 = "dterm616"
-    FLANAGAN_DELTA = "flanagan-delta"
-
-
 @dataclass(frozen=True)
 class AmbiguityExpr:
-    """A named pure evaluator Regulator -> complex."""
+    """A pure evaluator Regulator -> complex."""
 
-    id: AmbiguityId
-    evaluate: Callable[[Regulator], complex] = field(compare=False)
+    evaluate: Callable[[Regulator], complex]
 
     @classmethod
     def ratio239(cls) -> "AmbiguityExpr":
-        return cls(AmbiguityId.RATIO_239, ratio_239)
+        return cls(ratio_239)
 
     @classmethod
     def r_static317(cls, lam: float = 1.0, a: float = 1.0) -> "AmbiguityExpr":
         cfg = WellConfig(lam, a)
-        return cls(AmbiguityId.R_STATIC_317, lambda reg: r_integral_closed(cfg, reg))
+        return cls(lambda reg: r_integral_closed(cfg, reg))
 
     @classmethod
     def d_term616(cls, lam: float = 1.0) -> "AmbiguityExpr":
-        return cls(AmbiguityId.D_TERM_616, lambda reg: d_term_value(lam, reg.eps0, reg.eps1, reg.tau))
+        return cls(lambda reg: d_term_value(lam, reg.eps0, reg.eps1, reg.tau))
 
     @classmethod
     def flanagan_delta(cls, V: ConformalMap, v: float) -> "AmbiguityExpr":
         """Density-difference split in the null coordinate: eps1 is the
         separation v - vbar and tau the cutoff (eps0 is unused)."""
-        return cls(
-            AmbiguityId.FLANAGAN_DELTA,
-            lambda reg: delta_pointsplit(V, v, v - reg.eps1, reg.tau),
-        )
+        return cls(lambda reg: delta_pointsplit(V, v, v - reg.eps1, reg.tau))
 
 
 @dataclass(frozen=True)

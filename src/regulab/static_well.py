@@ -78,8 +78,6 @@ class ModeSolution:
     stays real); it passes through a pole at omega^2 = lam.
     """
 
-    j: ModeParity
-    omega: float
     amp_sq: float
     phase: float
 
@@ -147,7 +145,7 @@ def mode_solution(cfg: WellConfig, j: ModeParity | int, omega: float) -> ModeSol
         theta = math.atan2(sin_part, cos_part)
     delta = theta - omega * cfg.a
     delta -= _TWO_PI * round(delta / _TWO_PI)
-    return ModeSolution(j, omega, amp_sq, delta)
+    return ModeSolution(amp_sq, delta)
 
 
 def chi_inside(cfg: WellConfig, j: ModeParity | int, omega: float, x: float) -> tuple[float, float]:

@@ -53,7 +53,6 @@ __all__ = [
     "delta_xi_k",
     "pointsplit_integrand",
     "r_k_integrand",
-    "s_k_integrand",
     "mode_reg_density",
     "pointsplit_density",
     "d_term",
@@ -155,11 +154,6 @@ def r_k_integrand(cfg: StepConfig, k: float, reg: Regulator, massless: bool = Fa
     regime in which d_term is derived)."""
     omega = abs(k) if massless else math.hypot(k, cfg.m)
     return -(cfg.lam * reg.eps0 / 4.0) * math.sin(k * reg.eps1 - omega * reg.eps0)
-
-
-def s_k_integrand(cfg: StepConfig, k: float, t: float, reg: Regulator) -> float:
-    """pointsplit_integrand minus r_k_integrand."""
-    return pointsplit_integrand(cfg, k, t, reg) - r_k_integrand(cfg, k, reg)
 
 
 def _folded_pointsplit(cfg: StepConfig, t: float, reg: Regulator) -> Callable[[float], float]:
@@ -282,8 +276,7 @@ def pointsplit_density(
 ) -> QuadratureResult:
     """Renormalized point-split density at t > 0 under the cutoff weight.
 
-    Integrates the full subtracted integrand (remainder included, so the
-    split into s_k_integrand + r_k_integrand recombines exactly) over the
+    Integrates the full subtracted integrand (remainder included) over the
     k-line, as its even fold over k >= 0 (_folded_pointsplit).
     """
     spec = spec or QuadratureSpec()

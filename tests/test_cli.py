@@ -6,6 +6,13 @@ import pytest
 
 from regulab import cli, selftest
 from regulab.cli import main
+from regulab.flanagan import ConformalMap
+from regulab.regulator_lab import AmbiguityExpr, LimitPath
+
+WELL = ["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0:1", "--tau", "0.1"]
+OUTPUT = {"output.format", "output.path"}
+QUADRATURE = {"quadrature.rel_tol", "quadrature.abs_tol", "quadrature.max_subdivisions"}
+TAIL = {"quadrature.tail_truncation_multiple"}
 
 
 def run_cli(args, capsys):
@@ -88,9 +95,8 @@ class TestValidation:
         ],
     )
     def test_non_finite_setting_exits_2(self, capsys, flag, value, message):
-        code, out, err = run_cli(
-            ["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1", flag, value], capsys
-        )
+        # well-energy validates the settings before its first integral
+        code, out, err = run_cli(WELL + [flag, value], capsys)
         assert code == 2
         assert message in err
         assert out == ""
@@ -108,6 +114,75 @@ class TestValidation:
         )
         assert code == 2
         assert err.startswith(f"error: {named}: required with")
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (
+                ["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0:1", "--path", "2,2,1",
+                 "--s-schedule", "0.2", "--tau", "5", "--eps1", "0.9"],
+                "error: --eps1/--tau: not read with --path, which sets the regulator",
+            ),
+            (
+                ["step-energy", "--lambda", "1", "--mass", "1", "--grid", "1:1:1", "--tau", "5",
+                 "--eps1", "0.9"],
+                "error: --eps1/--tau: only read with --compare",
+            ),
+        ],
+        ids=["well-energy-path", "step-energy-no-compare"],
+    )
+    def test_regulator_flags_the_mode_ignores_exit_2(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.strip() == message
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["flanagan", "--V", "exp(v)", "--grid", "0:0:1", "--mode", "pointsplit", "--tau", "nan"],
+             "--tau: must be finite, got nan"),
+            (["flanagan", "--V", "exp(v)", "--grid", "0:0:1", "--mode", "pointsplit", "--tau", "0.1",
+              "--vbar-offset", "nan"], "--vbar-offset: must be finite, got nan"),
+            (["flanagan", "--V", "exp(v)", "--grid", "0:0:1", "--mode", "tau_first", "--tau", "inf"],
+             "--tau: must be finite, got inf"),
+            (["limit-scan", "--expr", "flanagan-delta", "--path", "0,1,3",
+              "--s-schedule", "0.2,0.1,0.05,0.025", "--v0", "nan"], "--v0: must be finite, got nan"),
+        ],
+        ids=["pointsplit-tau", "vbar-offset", "tau_first-tau", "v0"],
+    )
+    def test_non_finite_flag_exits_2_naming_it(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["qi-bound", "--rho", "3 + 0*x", "--support", "-inf,1"], "error: --support: "),
+            (["flanagan", "--V", "v", "--grid", "-inf:0:3"], "error: --grid: start, stop and step must be finite"),
+        ],
+        ids=["support", "grid"],
+    )
+    def test_value_starting_with_dash_and_letter_reaches_its_check(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.startswith(message)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["flanagan", "--V", "v", "--grid", "0:0:1", "--rel-tol", "1e-3"],
+            ["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1", "--tail-multiple", "20"],
+            ["selftest", "--out", "x"],
+        ],
+        ids=["flanagan-rel-tol", "qi-bound-tail-multiple", "selftest-out"],
+    )
+    def test_setting_the_command_does_not_read_exits_2(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
 
     def test_compare_validates_before_computing(self, capsys, monkeypatch):
         def no_density(*args):
@@ -211,7 +286,7 @@ class TestOutputs:
         assert code == 0
         lines = out.splitlines()
         comments = [l for l in lines if l.startswith("#")]
-        assert any("quadrature.rel_tol" in c for c in comments)
+        assert comments == ["# output.format = csv", "# output.path = -"]
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "v,delta,mode"
 
@@ -372,11 +447,15 @@ class TestConfig:
         cfg = tmp_path / "env.conf"
         cfg.write_text("quadrature.max_subdivisions = 500\n")
         monkeypatch.setenv("REGULAB_CONFIG", str(cfg))
+        code, out, err = run_cli(["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1"], capsys)
+        assert code == 0
+        assert "# quadrature.max_subdivisions = 500" in out
+        # flanagan integrates nothing, so it ignores the key
         code, out, err = run_cli(
             ["flanagan", "--V", "v", "--grid", "0:0:1", "--mode", "taylor"], capsys
         )
         assert code == 0
-        assert "# quadrature.max_subdivisions = 500" in out
+        assert "max_subdivisions" not in out
 
     @pytest.mark.parametrize(
         "flag,key,values",
@@ -397,7 +476,7 @@ class TestConfig:
         monkeypatch.setenv("REGULAB_CONFIG", "env.conf")
 
         def resolved(extra):
-            code, out, err = run_cli(["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1"] + extra, capsys)
+            code, out, err = run_cli(WELL + extra, capsys)
             assert code == 0, err
             if key == "output.path":
                 assert out == ""
@@ -421,6 +500,56 @@ class TestConfig:
         )
         assert code == 2
         assert "unknown key" in err
+
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            (WELL, OUTPUT | QUADRATURE | TAIL),
+            (["step-energy", "--lambda", "1", "--mass", "1", "--grid", "1:1:1"], OUTPUT | QUADRATURE | TAIL),
+            (["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1"], OUTPUT | QUADRATURE),
+            (["limit-scan", "--expr", "ratio239", "--path", "2,1,2",
+              "--s-schedule", "0.2,0.1,0.05,0.025"], OUTPUT),
+            (["flanagan", "--V", "v", "--grid", "0:0:1"], OUTPUT),
+        ],
+        ids=["well-energy", "step-energy", "qi-bound", "limit-scan", "flanagan"],
+    )
+    def test_config_block_lists_the_declared_settings(self, capsys, args, expected):
+        code, out, err = run_cli(args, capsys)
+        assert code == 0, err
+        block = [l for l in out.splitlines() if l.startswith("# ") and " = " in l and "summary" not in l]
+        assert {l[2:].split(" = ")[0] for l in block} == expected
+        code, out, err = run_cli(args + ["--format", "json"], capsys)
+        assert set(json.loads(out)["config"]) == expected
+
+
+class TestExpressions:
+    @pytest.mark.parametrize(
+        "expr_id,extra,expr",
+        [
+            ("ratio239", [], lambda: AmbiguityExpr.ratio239()),
+            ("rstatic317", ["--lambda", "1.7", "--a", "0.8"], lambda: AmbiguityExpr.r_static317(1.7, 0.8)),
+            ("dterm616", ["--lambda", "1.7"], lambda: AmbiguityExpr.d_term616(1.7)),
+            (
+                "flanagan-delta",
+                ["--V", "v + 0.5*sin(v)", "--v0", "0.3"],
+                lambda: AmbiguityExpr.flanagan_delta(ConformalMap.from_text("v + 0.5*sin(v)"), 0.3),
+            ),
+        ],
+    )
+    def test_limit_scan_samples_equal_the_constructor(self, capsys, expr_id, extra, expr):
+        path = "0,1,3,0,1,1"
+        code, out, err = run_cli(
+            ["limit-scan", "--expr", expr_id, "--path", path, "--s-schedule", "0.2,0.1,0.05,0.025",
+             "--format", "json"] + extra,
+            capsys,
+        )
+        assert code == 0, err
+        limit_path = LimitPath(*(float(p) for p in path.split(",")))
+        evaluate = expr().evaluate
+        records = json.loads(out)["records"]
+        assert [rec["s"] for rec in records] == [0.2, 0.1, 0.05, 0.025]
+        for rec in records:
+            assert complex(rec["value_re"], rec["value_im"]) == evaluate(limit_path.regulator_at(rec["s"]))
 
 
 class TestParser:

@@ -8,7 +8,6 @@ from regulab.flanagan import ConformalMap, delta_flanagan
 from regulab.numerics import LimitKind
 from regulab.regulator_lab import (
     AmbiguityExpr,
-    AmbiguityId,
     LimitPath,
     ratio_239,
     scan_path,
@@ -143,10 +142,3 @@ class TestFlanaganDeltaExpr:
             abs(tau_first_gone.outcome.value - split_first.outcome.value)
             > 1e-3
         )
-
-    def test_ids_are_wired(self):
-        assert AmbiguityExpr.ratio239().id is AmbiguityId.RATIO_239
-        assert AmbiguityExpr.r_static317().id is AmbiguityId.R_STATIC_317
-        assert AmbiguityExpr.d_term616().id is AmbiguityId.D_TERM_616
-        V = ConformalMap.from_text("v")
-        assert AmbiguityExpr.flanagan_delta(V, 0.0).id is AmbiguityId.FLANAGAN_DELTA

@@ -26,7 +26,6 @@ from regulab.time_step import (
     r_k_integrand,
     s_k,
     s_k_deriv,
-    s_k_integrand,
 )
 
 CFG = StepConfig(1.0, 1.0)
@@ -199,7 +198,6 @@ class TestPointsplitIntegrand:
             dxi = pointsplit_integrand(CFG, k, t, reg)
             r = r_k_integrand(CFG, k, reg)
             assert abs(dxi + r) < 0.02 * abs(r)
-            assert abs(s_k_integrand(CFG, k, t, reg) + 2.0 * r) < 0.02 * abs(r)
 
 
 def riemann_mode_sum(cfg, t, box=200.0, n_max=20000):
