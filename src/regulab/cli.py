@@ -6,6 +6,12 @@ command-line flags, later wins, over those settings, and the output's config
 block lists exactly them.  Config files are flat `key = value` lines with `#`
 comments and dotted section prefixes, e.g. `quadrature.rel_tol = 1e-12`; a
 file may set any known key, and a subcommand ignores those it does not read.
+
+A flag is accepted only where its mode reads it: `_MODES` states which flags
+each mode reads.  One given in a mode that does not read it exits 2, naming
+the flag and the mode, before any other input is parsed; a setting the mode
+does not read is left out of the config block.
+
 All output is deterministic: identical inputs produce byte-identical files.
 
 Exit codes: 0 success, 1 a selftest check failed, 2 validation error,
@@ -53,9 +59,38 @@ _QUADRATURE_FLAGS = {
     "--tail-multiple": "quadrature.tail_truncation_multiple",
 }
 
+_REGULATOR_FLAGS = {"--eps0": 0.0, "--eps1": 0.0, "--tau": 0.0}
+
+# The mode table: subcommand -> (its mode, from the parsed arguments; why a
+# mode refuses a flag it does not read; mode -> {flag it reads: its default}).
+# These flags parse as None, "not given"; a default of None is the setting's.
+_MODES = {
+    "well-energy": (lambda args: args.path is not None, "not read with --path, which sets the regulator",
+                    {True: {}, False: _REGULATOR_FLAGS}),
+    "step-energy": (lambda args: args.compare, "only read with --compare",
+                    {True: {**_REGULATOR_FLAGS, "--tail-multiple": None}, False: {}}),
+    "flanagan": (lambda args: args.mode, "not read in {} mode",
+                 {"taylor": {}, "tau_first": {"--tau": 0.0},
+                  "pointsplit": {"--tau": 0.0, "--vbar-offset": 0.01}}),
+    "limit-scan": (lambda args: args.expr, "not read by --expr {}",
+                   {"ratio239": {}, "rstatic317": {"--lambda": 1.0, "--a": 1.0},
+                    "dterm616": {"--lambda": 1.0}, "flanagan-delta": {"--V": "exp(v)", "--v0": 0.0}}),
+}
+
+# a mode-dependent flag's dest, where it is not the one argparse derives
+_DESTS = {"--lambda": "lam", **_QUADRATURE_FLAGS}
+
 
 class ValidationFailure(Exception):
     pass
+
+
+def _named(flags: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError reported as bad input in flags."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationFailure(f"{flags}: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -81,23 +116,45 @@ def _parse_config_file(path: str) -> dict:
                 val = val.strip()
                 if key not in _DEFAULTS:
                     raise ValidationFailure(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    values[key] = type(_DEFAULTS[key])(val)
-                except ValueError as exc:
-                    raise ValidationFailure(f"{path}:{lineno}: {exc}") from exc
+                values[key] = _named(f"{path}:{lineno}", type(_DEFAULTS[key]), val)
     except OSError as exc:
         raise ValidationFailure(f"--config: cannot read {path}: {exc}") from exc
     return values
 
 
+def _apply_mode(args):
+    """Hold the parsed arguments to the mode table: refuse a given flag the
+    mode does not read and drop the others it does not read; give a flag it
+    reads its default, and require a number to be finite."""
+    if args.command not in _MODES:
+        return
+    mode_of, refusal, by_mode = _MODES[args.command]
+    mode = mode_of(args)
+    if mode not in by_mode:  # only limit-scan's --expr can name a mode the table lacks
+        raise ValidationFailure(f"--expr: unknown expression id {mode!r}; choose from {sorted(by_mode)}")
+    reads = by_mode[mode]
+    dests = {flag: _DESTS.get(flag, flag[2:].replace("-", "_")) for r in by_mode.values() for flag in r}
+    given = [flag for flag, dest in dests.items() if flag not in reads and getattr(args, dest) is not None]
+    if given:
+        raise ValidationFailure(f"{'/'.join(given)}: {refusal.format(mode)}")
+    for flag, dest in dests.items():
+        value = getattr(args, dest)
+        if flag not in reads:
+            delattr(args, dest)
+        elif value is None:
+            setattr(args, dest, reads[flag])
+        elif isinstance(reads[flag], float) and not math.isfinite(value):
+            raise ValidationFailure(f"{flag}: must be finite, got {_fmt(value)}")
+
+
 def _resolve(args) -> dict:
     """defaults <- env config file <- --config file <- flags, over the
-    settings the subcommand declares (its flags' dests); a file's other keys
-    are ignored."""
+    settings the subcommand declares (its flags' dests) and its mode reads;
+    a file's other keys are ignored."""
     flags = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
     resolved = {k: _DEFAULTS[k] for k in flags}
     for path in (os.environ.get("REGULAB_CONFIG"), getattr(args, "config", None)):
-        if path:
+        if path and flags:  # a command without settings reads no config file
             resolved.update((k, v) for k, v in _parse_config_file(path).items() if k in flags)
     resolved.update((k, v) for k, v in flags.items() if v is not None)
     if resolved.get("output.format", "csv") not in ("csv", "json"):
@@ -108,23 +165,16 @@ def _resolve(args) -> dict:
 
 
 def _spec_from(resolved: dict) -> QuadratureSpec:
-    try:
-        return QuadratureSpec(
-            **{k.removeprefix("quadrature."): v for k, v in resolved.items() if k.startswith("quadrature.")}
-        )
-    except ValueError as exc:
-        raise ValidationFailure(f"quadrature settings: {exc}") from exc
+    settings = {k.removeprefix("quadrature."): v for k, v in resolved.items() if k.startswith("quadrature.")}
+    return _named("quadrature settings", QuadratureSpec, **settings)
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationFailure(f"{flag}: expected start:stop:count, got {text!r}")
-    try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
-    except ValueError as exc:
-        raise ValidationFailure(f"{flag}: {exc}") from exc
+    start, stop = (_named(flag, float, p) for p in parts[:2])
+    count = _named(flag, int, parts[2])
     if count < 1:
         raise ValidationFailure(f"{flag}: count must be >= 1")
     step = (stop - start) / (count - 1) if count > 1 else 0.0
@@ -134,10 +184,7 @@ def _parse_grid(text: str, flag: str) -> list[float]:
 
 
 def _parse_floats(text: str, flag: str, n_min=1) -> list[float]:
-    try:
-        vals = [float(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise ValidationFailure(f"{flag}: {exc}") from exc
+    vals = [_named(flag, float, p) for p in text.split(",") if p.strip() != ""]
     if len(vals) < n_min:
         raise ValidationFailure(f"{flag}: need at least {n_min} values")
     return vals
@@ -147,30 +194,7 @@ def _parse_path(text: str) -> LimitPath:
     vals = _parse_floats(text, "--path", 3)
     if len(vals) not in (3, 6):
         raise ValidationFailure("--path: expected p0,p1,ptau or p0,p1,ptau,c0,c1,ctau")
-    try:
-        return LimitPath(*vals)
-    except ValueError as exc:
-        raise ValidationFailure(f"--path: {exc}") from exc
-
-
-def _finite(x: float, flag: str) -> float:
-    if not math.isfinite(x):
-        raise ValidationFailure(f"{flag}: must be finite, got {_fmt(x)}")
-    return x
-
-
-def _regulator_from(args) -> Regulator:
-    """The regulator from --eps0/--eps1/--tau; a flag not given is 0."""
-    try:
-        return Regulator(*(0.0 if x is None else x for x in (args.eps0, args.eps1, args.tau)))
-    except ValueError as exc:
-        raise ValidationFailure(f"--eps0/--eps1/--tau: {exc}") from exc
-
-
-def _refuse_regulator(args, reason: str):
-    given = [f"--{name}" for name in ("eps0", "eps1", "tau") if getattr(args, name) is not None]
-    if given:
-        raise ValidationFailure(f"{'/'.join(given)}: {reason}")
+    return _named("--path", LimitPath, *vals)
 
 
 def _emit(resolved: dict, columns: list[str], records: list[dict], summary: dict | None):
@@ -202,10 +226,7 @@ def _emit(resolved: dict, columns: list[str], records: list[dict], summary: dict
 
 
 def cmd_well_energy(args, resolved: dict) -> int:
-    try:
-        cfg = WellConfig(args.lam, args.a)
-    except ValueError as exc:
-        raise ValidationFailure(f"--lambda/--a: {exc}") from exc
+    cfg = _named("--lambda/--a", WellConfig, args.lam, args.a)
     spec = _spec_from(resolved)
     xs = _parse_grid(args.grid, "--grid")
     if args.path is not None and args.s_schedule is None:
@@ -213,12 +234,11 @@ def cmd_well_energy(args, resolved: dict) -> int:
     if args.s_schedule is not None and args.path is None:
         raise ValidationFailure("--path: required with --s-schedule")
     if args.path is not None:
-        _refuse_regulator(args, "not read with --path, which sets the regulator")
         path = _parse_path(args.path)
         schedule = _parse_floats(args.s_schedule, "--s-schedule")
         regulators = [path.regulator_at(s) for s in schedule]
     else:
-        regulators = [_regulator_from(args)]
+        regulators = [_named("--eps0/--eps1/--tau", Regulator, args.eps0, args.eps1, args.tau)]
     for x in xs:
         for reg in regulators:
             if abs(x) + reg.eps1 / 2.0 >= cfg.a:
@@ -246,18 +266,13 @@ def cmd_well_energy(args, resolved: dict) -> int:
 
 
 def cmd_step_energy(args, resolved: dict) -> int:
-    try:
-        cfg = StepConfig(args.lam, args.mass)
-    except ValueError as exc:
-        raise ValidationFailure(f"--lambda/--mass: {exc}") from exc
+    cfg = _named("--lambda/--mass", StepConfig, args.lam, args.mass)
     spec = _spec_from(resolved)
     ts = _parse_grid(args.grid, "--grid")
     if any(t < 0.0 for t in ts):
         raise ValidationFailure("--grid: t must be >= 0 (after the switch-on)")
-    reg = _regulator_from(args)
-    if not args.compare:
-        _refuse_regulator(args, "only read with --compare")
-    else:
+    if args.compare:
+        reg = _named("--eps0/--eps1/--tau", Regulator, args.eps0, args.eps1, args.tau)
         if not (reg.tau > 0.0):
             raise ValidationFailure("--tau: need tau > 0 for --compare")
         for t in ts:
@@ -284,24 +299,14 @@ def cmd_step_energy(args, resolved: dict) -> int:
 # limit-scan's --expr: expression id -> its constructor from the parsed flags
 _EXPRESSIONS = {
     "ratio239": lambda args: AmbiguityExpr.ratio239(),
-    "rstatic317": lambda args: AmbiguityExpr.r_static317(args.lam, args.a),
+    "rstatic317": lambda args: _named("--lambda/--a", AmbiguityExpr.r_static317, args.lam, args.a),
     "dterm616": lambda args: AmbiguityExpr.d_term616(args.lam),
-    "flanagan-delta": lambda args: AmbiguityExpr.flanagan_delta(
-        ConformalMap.from_text(args.V), _finite(args.v0, "--v0")
-    ),
+    "flanagan-delta": lambda args: AmbiguityExpr.flanagan_delta(ConformalMap.from_text(args.V), args.v0),
 }
 
 
-def _build_expr(args) -> AmbiguityExpr:
-    if args.expr not in _EXPRESSIONS:
-        raise ValidationFailure(
-            f"--expr: unknown expression id {args.expr!r}; choose from {sorted(_EXPRESSIONS)}"
-        )
-    return _EXPRESSIONS[args.expr](args)
-
-
 def cmd_limit_scan(args, resolved: dict) -> int:
-    expr = _build_expr(args)
+    expr = _EXPRESSIONS[args.expr](args)
     path = _parse_path(args.path)
     schedule = _parse_floats(args.s_schedule, "--s-schedule", n_min=4)
     result = scan_path(expr, path, schedule)
@@ -325,27 +330,25 @@ def cmd_flanagan(args, resolved: dict) -> int:
     vs = _parse_grid(args.grid, "--grid")
     mode = args.mode
     records = []
+    if mode == "tau_first" and not (args.tau > 0.0):
+        raise ValidationFailure("--tau: need tau > 0 for tau_first mode")
+    if mode == "pointsplit" and args.tau < 0.0:
+        raise ValidationFailure("--tau: need tau >= 0 for pointsplit mode")
     if mode != "pointsplit":
-        if mode == "tau_first":
-            if not (args.tau > 0.0):
-                raise ValidationFailure("--tau: need tau > 0 for tau_first mode")
-            _finite(args.tau, "--tau")
         for v in vs:
             delta = delta_flanagan(V, v) if mode == "taylor" else delta_tau(V, v, args.tau)
             records.append({"v": v, "delta": delta, "mode": mode})
         columns = ["v", "delta", "mode"]
     else:
-        _finite(args.tau, "--tau")
-        offset = _finite(args.vbar_offset, "--vbar-offset")
         for v in vs:
-            z = delta_pointsplit(V, v, v - offset, args.tau)
+            z = delta_pointsplit(V, v, v - args.vbar_offset, args.tau)
             records.append(
                 {
                     "v": v,
                     "delta_re": z.real,
                     "delta_im": z.imag,
                     "mode": mode,
-                    "vbar": v - offset,
+                    "vbar": v - args.vbar_offset,
                     "tau": args.tau,
                 }
             )
@@ -358,10 +361,7 @@ def cmd_qi_bound(args, resolved: dict) -> int:
     support = _parse_floats(args.support, "--support", 2)
     if len(support) != 2:
         raise ValidationFailure("--support: expected lo,hi")
-    try:
-        rho = WeightFunction.from_text(args.rho, (support[0], support[1]))
-    except ValueError as exc:
-        raise ValidationFailure(f"--support: {exc}") from exc
+    rho = _named("--support", WeightFunction.from_text, args.rho, (support[0], support[1]))
     spec = _spec_from(resolved)
     res = qi_bound_rhs(rho, spec)
     _emit(
@@ -432,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True, help=" | ".join(_EXPRESSIONS))
     p.add_argument("--path", required=True, help="limit path p0,p1,ptau[,c0,c1,ctau]")
     p.add_argument("--s-schedule", dest="s_schedule", required=True, help="decreasing s values (>= 4)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="strength for rstatic317/dterm616")
-    p.add_argument("--a", type=float, default=1.0, help="half-width for rstatic317")
-    p.add_argument("--V", default="exp(v)", help="map for flanagan-delta")
-    p.add_argument("--v0", type=float, default=0.0, help="evaluation point for flanagan-delta")
+    p.add_argument("--lambda", dest="lam", type=float, help="strength for rstatic317/dterm616")
+    p.add_argument("--a", type=float, help="half-width for rstatic317")
+    p.add_argument("--V", help="map for flanagan-delta")
+    p.add_argument("--v0", type=float, help="evaluation point for flanagan-delta")
     _add_settings(p)
     p.set_defaults(func=cmd_limit_scan)
 
@@ -443,9 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--V", required=True, help="map V(v)")
     p.add_argument("--grid", required=True, help="v grid start:stop:count")
     p.add_argument("--mode", choices=("taylor", "tau_first", "pointsplit"), default="taylor")
-    p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--vbar-offset", dest="vbar_offset", type=float, default=0.01,
-                   help="v - vbar in pointsplit mode")
+    p.add_argument("--tau", type=float)
+    p.add_argument("--vbar-offset", type=float, help="v - vbar in pointsplit mode")
     _add_settings(p)
     p.set_defaults(func=cmd_flanagan)
 
@@ -491,6 +490,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_merge_negative_values(argv))
     try:
+        _apply_mode(args)
         resolved = _resolve(args)
         return args.func(args, resolved)
     except ValidationFailure as exc:

@@ -92,6 +92,8 @@ class AmbiguityExpr:
 
     @classmethod
     def d_term616(cls, lam: float = 1.0) -> "AmbiguityExpr":
+        if not math.isfinite(lam):
+            raise ValueError(f"lam must be finite, got {lam}")
         return cls(lambda reg: d_term_value(lam, reg.eps0, reg.eps1, reg.tau))
 
     @classmethod

@@ -1,6 +1,10 @@
 import argparse
+import importlib
 import json
 import math
+import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,44 @@ WELL = ["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0:1", "--tau", 
 OUTPUT = {"output.format", "output.path"}
 QUADRATURE = {"quadrature.rel_tol", "quadrature.abs_tol", "quadrature.max_subdivisions"}
 TAIL = {"quadrature.tail_truncation_multiple"}
+ROOT = Path(__file__).resolve().parents[1]
+
+# (subcommand, mode) -> (argv whose other inputs are all malformed, why the
+# mode refuses a flag, the mode-dependent flags that mode does not read)
+UNREAD = {
+    ("well-energy", "--path"): (
+        ["well-energy", "--lambda", "-1", "--a", "1", "--grid", "x", "--path", "x", "--s-schedule", "x"],
+        "not read with --path, which sets the regulator",
+        ["--eps0", "--eps1", "--tau"],
+    ),
+    ("step-energy", "no --compare"): (
+        ["step-energy", "--lambda", "1", "--mass", "-1", "--grid", "x"],
+        "only read with --compare",
+        ["--eps0", "--eps1", "--tau", "--tail-multiple"],
+    ),
+    **{
+        ("flanagan", mode): (
+            ["flanagan", "--V", "sin(", "--grid", "x", "--mode", mode],
+            f"not read in {mode} mode",
+            flags,
+        )
+        for mode, flags in [("taylor", ["--tau", "--vbar-offset"]), ("tau_first", ["--vbar-offset"])]
+    },
+    **{
+        ("limit-scan", expr): (
+            ["limit-scan", "--expr", expr, "--path", "x", "--s-schedule", "x"],
+            f"not read by --expr {expr}",
+            flags,
+        )
+        for expr, flags in [
+            ("ratio239", ["--lambda", "--a", "--V", "--v0"]),
+            ("rstatic317", ["--V", "--v0"]),
+            ("dterm616", ["--a", "--V", "--v0"]),
+            ("flanagan-delta", ["--lambda", "--a"]),
+        ]
+    },
+}
+REFUSALS = [(command, mode, flag) for (command, mode), (_, _, flags) in UNREAD.items() for flag in flags]
 
 
 def run_cli(args, capsys):
@@ -148,8 +190,10 @@ class TestValidation:
              "--tau: must be finite, got inf"),
             (["limit-scan", "--expr", "flanagan-delta", "--path", "0,1,3",
               "--s-schedule", "0.2,0.1,0.05,0.025", "--v0", "nan"], "--v0: must be finite, got nan"),
+            (["limit-scan", "--expr", "dterm616", "--path", "2,2,1",
+              "--s-schedule", "0.2,0.1,0.05,0.025", "--lambda", "nan"], "--lambda: must be finite, got nan"),
         ],
-        ids=["pointsplit-tau", "vbar-offset", "tau_first-tau", "v0"],
+        ids=["pointsplit-tau", "vbar-offset", "tau_first-tau", "v0", "dterm616-lambda"],
     )
     def test_non_finite_flag_exits_2_naming_it(self, capsys, args, message):
         code, out, err = run_cli(args, capsys)
@@ -183,6 +227,16 @@ class TestValidation:
             main(args)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau,expected", [("-0.1", 2), ("0", 0)])
+    def test_pointsplit_tau_must_not_be_negative(self, capsys, tau, expected):
+        # tau = 0 is the pure split, and pointsplit's default
+        code, out, err = run_cli(
+            ["flanagan", "--V", "exp(v)", "--grid", "0:0:1", "--mode", "pointsplit", "--tau", tau], capsys
+        )
+        assert code == expected, err
+        if code:
+            assert (out, err) == ("", "error: --tau: need tau >= 0 for pointsplit mode\n")
 
     def test_compare_validates_before_computing(self, capsys, monkeypatch):
         def no_density(*args):
@@ -492,6 +546,16 @@ class TestConfig:
         assert resolved(["--config", "lab.conf"]) == cfg_val
         assert resolved(["--config", "lab.conf", flag, flag_val]) == flag_val
 
+    @pytest.mark.parametrize("content", ["quadrature.magic = 1\n", None], ids=["unknown-key", "missing"])
+    def test_selftest_reads_no_config_file(self, capsys, tmp_path, monkeypatch, content):
+        cfg = tmp_path / "env.conf"
+        if content is not None:
+            cfg.write_text(content)
+        monkeypatch.setenv("REGULAB_CONFIG", str(cfg))
+        monkeypatch.setattr(selftest, "CHECKS", [("always-passes", lambda: (True, "forced"))])
+        code, out, err = run_cli(["selftest"], capsys)
+        assert code == 0, err
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("quadrature.magic = 3\n")
@@ -505,13 +569,16 @@ class TestConfig:
         "args,expected",
         [
             (WELL, OUTPUT | QUADRATURE | TAIL),
-            (["step-energy", "--lambda", "1", "--mass", "1", "--grid", "1:1:1"], OUTPUT | QUADRATURE | TAIL),
+            # mode_reg_density reads no tail multiple; --compare's point split does
+            (["step-energy", "--lambda", "1", "--mass", "1", "--grid", "1:1:1"], OUTPUT | QUADRATURE),
+            (["step-energy", "--lambda", "1", "--mass", "1", "--grid", "1:1:1", "--compare", "--tau", "0.5"],
+             OUTPUT | QUADRATURE | TAIL),
             (["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1"], OUTPUT | QUADRATURE),
             (["limit-scan", "--expr", "ratio239", "--path", "2,1,2",
               "--s-schedule", "0.2,0.1,0.05,0.025"], OUTPUT),
             (["flanagan", "--V", "v", "--grid", "0:0:1"], OUTPUT),
         ],
-        ids=["well-energy", "step-energy", "qi-bound", "limit-scan", "flanagan"],
+        ids=["well-energy", "step-energy", "step-energy-compare", "qi-bound", "limit-scan", "flanagan"],
     )
     def test_config_block_lists_the_declared_settings(self, capsys, args, expected):
         code, out, err = run_cli(args, capsys)
@@ -534,6 +601,14 @@ class TestExpressions:
                 ["--V", "v + 0.5*sin(v)", "--v0", "0.3"],
                 lambda: AmbiguityExpr.flanagan_delta(ConformalMap.from_text("v + 0.5*sin(v)"), 0.3),
             ),
+            # each mode's defaults
+            ("rstatic317", [], lambda: AmbiguityExpr.r_static317(1.0, 1.0)),
+            ("dterm616", [], lambda: AmbiguityExpr.d_term616(1.0)),
+            (
+                "flanagan-delta",
+                [],
+                lambda: AmbiguityExpr.flanagan_delta(ConformalMap.from_text("exp(v)"), 0.0),
+            ),
         ],
     )
     def test_limit_scan_samples_equal_the_constructor(self, capsys, expr_id, extra, expr):
@@ -550,6 +625,42 @@ class TestExpressions:
         assert [rec["s"] for rec in records] == [0.2, 0.1, 0.05, 0.025]
         for rec in records:
             assert complex(rec["value_re"], rec["value_im"]) == evaluate(limit_path.regulator_at(rec["s"]))
+
+
+class TestModes:
+    @pytest.mark.parametrize("command,mode,flag", REFUSALS, ids=["/".join(t) for t in REFUSALS])
+    def test_flag_the_mode_does_not_read_exits_2_first(self, capsys, command, mode, flag):
+        argv, refusal, _ = UNREAD[command, mode]
+        code, out, err = run_cli(argv + [flag, "v" if flag == "--V" else "0.5"], capsys)
+        assert (code, out, err) == (2, "", f"error: {flag}: {refusal}\n")
+
+    def test_refusals_cover_the_mode_table(self):
+        table = []
+        for command, (_, _, by_mode) in cli._MODES.items():
+            flags = set().union(*by_mode.values())
+            table += [(command, sorted(flags - set(r))) for r in by_mode.values() if flags - set(r)]
+        tested = [(command, sorted(flags)) for (command, _), (_, _, flags) in UNREAD.items()]
+        assert sorted(table) == sorted(tested)
+
+    def test_bench_limit_lab_argv_shapes_exit_0(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        lab = importlib.import_module("workloads").LimitLab({"cli": cli}, None)
+        ops = lab.block(random.Random(1))
+        kinds = {"limit-scan", "flanagan-taylor", "flanagan-tau_first", "flanagan-pointsplit", "qi-bound"}
+        assert {op.kind for op in ops} == kinds
+        for op in ops:
+            assert op.check(op.call()) is None, op.kind
+
+    def test_readme_commands_exit_0(self, capsys):
+        block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```", 2)[1]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("regulab ")]
+        assert [argv[0] for argv in commands] == [
+            "well-energy", "step-energy", "limit-scan", "flanagan", "flanagan", "qi-bound", "selftest"
+        ]
+        for argv in commands:
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, (argv, err)
 
 
 class TestParser:

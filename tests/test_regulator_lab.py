@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +69,15 @@ class TestLimitPath:
     def test_s_out_of_range(self):
         with pytest.raises(ValueError):
             LimitPath(1, 1, 1).regulator_at(0.0)
+
+
+class TestExpressions:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_strength_is_refused(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            AmbiguityExpr.d_term616(lam)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            AmbiguityExpr.r_static317(lam)
 
 
 class TestScan:
