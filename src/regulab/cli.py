@@ -9,8 +9,8 @@ file may set any known key, and a subcommand ignores those it does not read.
 
 A flag is accepted only where its mode reads it: `_MODES` states which flags
 each mode reads.  One given in a mode that does not read it exits 2, naming
-the flag and the mode, before any other input is parsed; a setting the mode
-does not read is left out of the config block.
+the flag and the mode, before any other input is parsed.  Modes govern only
+flags, never a setting.
 
 All output is deterministic: identical inputs produce byte-identical files.
 
@@ -51,24 +51,21 @@ _DEFAULTS = {
     "output.path": "-",
 }
 
-# quadrature flag -> its config key, in --help order
+# quadrature flag -> its config key, one per QuadratureSpec field, in --help order
 _QUADRATURE_FLAGS = {
-    "--rel-tol": "quadrature.rel_tol",
-    "--abs-tol": "quadrature.abs_tol",
-    "--max-subdivisions": "quadrature.max_subdivisions",
-    "--tail-multiple": "quadrature.tail_truncation_multiple",
+    "--" + f.name.replace("_", "-"): f"quadrature.{f.name}" for f in dataclasses.fields(QuadratureSpec)
 }
 
 _REGULATOR_FLAGS = {"--eps0": 0.0, "--eps1": 0.0, "--tau": 0.0}
 
 # The mode table: subcommand -> (its mode, from the parsed arguments; why a
 # mode refuses a flag it does not read; mode -> {flag it reads: its default}).
-# These flags parse as None, "not given"; a default of None is the setting's.
+# These flags parse as None, "not given".
 _MODES = {
     "well-energy": (lambda args: args.path is not None, "not read with --path, which sets the regulator",
                     {True: {}, False: _REGULATOR_FLAGS}),
     "step-energy": (lambda args: args.compare, "only read with --compare",
-                    {True: {**_REGULATOR_FLAGS, "--tail-multiple": None}, False: {}}),
+                    {True: _REGULATOR_FLAGS, False: {}}),
     "flanagan": (lambda args: args.mode, "not read in {} mode",
                  {"taylor": {}, "tau_first": {"--tau": 0.0},
                   "pointsplit": {"--tau": 0.0, "--vbar-offset": 0.01}}),
@@ -78,7 +75,7 @@ _MODES = {
 }
 
 # a mode-dependent flag's dest, where it is not the one argparse derives
-_DESTS = {"--lambda": "lam", **_QUADRATURE_FLAGS}
+_DESTS = {"--lambda": "lam"}
 
 
 class ValidationFailure(Exception):
@@ -124,8 +121,8 @@ def _parse_config_file(path: str) -> dict:
 
 def _apply_mode(args):
     """Hold the parsed arguments to the mode table: refuse a given flag the
-    mode does not read and drop the others it does not read; give a flag it
-    reads its default, and require a number to be finite."""
+    mode does not read, give a flag it reads its default, and require a
+    number to be finite."""
     if args.command not in _MODES:
         return
     mode_of, refusal, by_mode = _MODES[args.command]
@@ -137,20 +134,18 @@ def _apply_mode(args):
     given = [flag for flag, dest in dests.items() if flag not in reads and getattr(args, dest) is not None]
     if given:
         raise ValidationFailure(f"{'/'.join(given)}: {refusal.format(mode)}")
-    for flag, dest in dests.items():
-        value = getattr(args, dest)
-        if flag not in reads:
-            delattr(args, dest)
-        elif value is None:
-            setattr(args, dest, reads[flag])
-        elif isinstance(reads[flag], float) and not math.isfinite(value):
+    for flag, default in reads.items():
+        value = getattr(args, dests[flag])
+        if value is None:
+            setattr(args, dests[flag], default)
+        elif isinstance(default, float) and not math.isfinite(value):
             raise ValidationFailure(f"{flag}: must be finite, got {_fmt(value)}")
 
 
 def _resolve(args) -> dict:
     """defaults <- env config file <- --config file <- flags, over the
-    settings the subcommand declares (its flags' dests) and its mode reads;
-    a file's other keys are ignored."""
+    settings the subcommand declares (its flags' dests); a file's other keys
+    are ignored."""
     flags = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
     resolved = {k: _DEFAULTS[k] for k in flags}
     for path in (os.environ.get("REGULAB_CONFIG"), getattr(args, "config", None)):
@@ -236,7 +231,7 @@ def cmd_well_energy(args, resolved: dict) -> int:
     if args.path is not None:
         path = _parse_path(args.path)
         schedule = _parse_floats(args.s_schedule, "--s-schedule")
-        regulators = [path.regulator_at(s) for s in schedule]
+        regulators = [_named("--s-schedule", path.regulator_at, s) for s in schedule]
     else:
         regulators = [_named("--eps0/--eps1/--tau", Regulator, args.eps0, args.eps1, args.tau)]
     for x in xs:
@@ -267,6 +262,8 @@ def cmd_well_energy(args, resolved: dict) -> int:
 
 def cmd_step_energy(args, resolved: dict) -> int:
     cfg = _named("--lambda/--mass", StepConfig, args.lam, args.mass)
+    if cfg.m == 0.0:  # StepConfig allows it; neither step density does
+        raise ValidationFailure("--mass: need m > 0 for the step densities")
     spec = _spec_from(resolved)
     ts = _parse_grid(args.grid, "--grid")
     if any(t < 0.0 for t in ts):
@@ -309,6 +306,9 @@ def cmd_limit_scan(args, resolved: dict) -> int:
     expr = _EXPRESSIONS[args.expr](args)
     path = _parse_path(args.path)
     schedule = _parse_floats(args.s_schedule, "--s-schedule", n_min=4)
+    # scan_path stops at its first singular sample, so check every s first
+    if not all(1.0 >= s > later > 0.0 for s, later in zip(schedule, schedule[1:])):
+        raise ValidationFailure("--s-schedule: need s strictly decreasing in (0, 1]")
     result = scan_path(expr, path, schedule)
     records = [
         {"s": s, "value_re": z.real, "value_im": z.imag} for s, z in result.samples
@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qi-bound", help="weighted-average energy lower bound")
     p.add_argument("--rho", required=True, help="strictly positive weight rho(x)")
     p.add_argument("--support", required=True, help="lo,hi quadrature support")
-    _add_settings(p, "--rel-tol", "--abs-tol", "--max-subdivisions")
+    _add_settings(p, *_QUADRATURE_FLAGS)
     p.set_defaults(func=cmd_qi_bound)
 
     p = sub.add_parser("selftest", help="run oracle-vs-closed-form checks")

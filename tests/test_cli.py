@@ -16,7 +16,6 @@ from regulab.regulator_lab import AmbiguityExpr, LimitPath
 WELL = ["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0:1", "--tau", "0.1"]
 OUTPUT = {"output.format", "output.path"}
 QUADRATURE = {"quadrature.rel_tol", "quadrature.abs_tol", "quadrature.max_subdivisions"}
-TAIL = {"quadrature.tail_truncation_multiple"}
 ROOT = Path(__file__).resolve().parents[1]
 
 # (subcommand, mode) -> (argv whose other inputs are all malformed, why the
@@ -30,7 +29,7 @@ UNREAD = {
     ("step-energy", "no --compare"): (
         ["step-energy", "--lambda", "1", "--mass", "-1", "--grid", "x"],
         "only read with --compare",
-        ["--eps0", "--eps1", "--tau", "--tail-multiple"],
+        ["--eps0", "--eps1", "--tau"],
     ),
     **{
         ("flanagan", mode): (
@@ -129,9 +128,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "flag,value,message",
         [
-            ("--tail-multiple", "inf", "tail_truncation_multiple must be finite"),
-            ("--tail-multiple", "nan", "tail_truncation_multiple must be finite"),
-            ("--tail-multiple", "746", "tail_truncation_multiple must be <= 745"),
             ("--abs-tol", "nan", "abs_tol must be finite"),
             ("--rel-tol", "inf", "rel_tol must be finite"),
         ],
@@ -219,14 +215,40 @@ class TestValidation:
             ["flanagan", "--V", "v", "--grid", "0:0:1", "--rel-tol", "1e-3"],
             ["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1", "--tail-multiple", "20"],
             ["selftest", "--out", "x"],
+            WELL + ["--tail-multiple", "60"],
+            ["step-energy", "--lambda", "1", "--mass", "1", "--grid", "1:1:1", "--compare", "--tau", "0.5",
+             "--tail-multiple", "60"],
         ],
-        ids=["flanagan-rel-tol", "qi-bound-tail-multiple", "selftest-out"],
+        ids=["flanagan-rel-tol", "qi-bound-tail-multiple", "selftest-out", "well-energy-tail-multiple",
+             "step-energy-compare-tail-multiple"],
     )
     def test_setting_the_command_does_not_read_exits_2(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["limit-scan", "--expr", "ratio239", "--path", "2,1,2", "--s-schedule", "2,1,0.5,0.25"],
+             "--s-schedule"),
+            (["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0:1", "--path", "2,2,1",
+              "--s-schedule", "0"], "--s-schedule"),
+            (["limit-scan", "--expr", "ratio239", "--path", "2,1,2", "--s-schedule", "0.1,0.2,0.05,0.025"],
+             "--s-schedule"),
+            # ratio239 is singular at the first sample of this path, where the scan stops
+            (["limit-scan", "--expr", "ratio239", "--path", "1,1,1,1,1,0", "--s-schedule", "0.1,2,0.05,0.025"],
+             "--s-schedule"),
+            (["step-energy", "--lambda", "1", "--mass", "0", "--grid", "1:1:1"], "--mass"),
+        ],
+        ids=["limit-scan-s-above-1", "well-energy-s-0", "limit-scan-s-rising", "limit-scan-singular-path",
+             "step-energy-mass-0"],
+    )
+    def test_bad_schedule_or_mass_exits_2_naming_the_flag(self, capsys, args, flag):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag}: ")
 
     @pytest.mark.parametrize("tau,expected", [("-0.1", 2), ("0", 0)])
     def test_pointsplit_tau_must_not_be_negative(self, capsys, tau, expected):
@@ -519,7 +541,6 @@ class TestConfig:
             ("--rel-tol", "quadrature.rel_tol", ("0.5", "0.25", "0.125")),
             ("--abs-tol", "quadrature.abs_tol", ("0.5", "0.25", "0.125")),
             ("--max-subdivisions", "quadrature.max_subdivisions", ("500", "600", "700")),
-            ("--tail-multiple", "quadrature.tail_truncation_multiple", ("20", "30", "40")),
         ],
     )
     def test_flag_beats_config_beats_env(self, capsys, tmp_path, monkeypatch, flag, key, values):
@@ -558,21 +579,22 @@ class TestConfig:
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.conf"
-        cfg.write_text("quadrature.magic = 3\n")
-        code, out, err = run_cli(
-            ["flanagan", "--V", "v", "--grid", "0:0:1", "--config", str(cfg)], capsys
-        )
-        assert code == 2
-        assert "unknown key" in err
+        # the truncation of half-line integrals is a constant, not a setting
+        for line in ("quadrature.magic = 3", "quadrature.tail_truncation_multiple = 60"):
+            cfg.write_text(line + "\n")
+            code, out, err = run_cli(
+                ["flanagan", "--V", "v", "--grid", "0:0:1", "--config", str(cfg)], capsys
+            )
+            assert code == 2
+            assert "unknown key" in err
 
     @pytest.mark.parametrize(
         "args,expected",
         [
-            (WELL, OUTPUT | QUADRATURE | TAIL),
-            # mode_reg_density reads no tail multiple; --compare's point split does
+            (WELL, OUTPUT | QUADRATURE),
             (["step-energy", "--lambda", "1", "--mass", "1", "--grid", "1:1:1"], OUTPUT | QUADRATURE),
             (["step-energy", "--lambda", "1", "--mass", "1", "--grid", "1:1:1", "--compare", "--tau", "0.5"],
-             OUTPUT | QUADRATURE | TAIL),
+             OUTPUT | QUADRATURE),
             (["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1"], OUTPUT | QUADRATURE),
             (["limit-scan", "--expr", "ratio239", "--path", "2,1,2",
               "--s-schedule", "0.2,0.1,0.05,0.025"], OUTPUT),

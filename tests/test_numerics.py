@@ -307,7 +307,6 @@ class TestSpecValidation:
         assert spec.rel_tol == 1e-10
         assert spec.abs_tol == 1e-14
         assert spec.max_subdivisions == 20000
-        assert spec.tail_truncation_multiple == 60.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -315,20 +314,12 @@ class TestSpecValidation:
             {"rel_tol": 0.0},
             {"abs_tol": -1.0},
             {"max_subdivisions": 0},
-            {"tail_truncation_multiple": 5.0},
             {"rel_tol": math.nan},
             {"abs_tol": math.nan},
             {"rel_tol": math.inf},
             {"abs_tol": math.inf},
-            {"tail_truncation_multiple": math.nan},
-            {"tail_truncation_multiple": math.inf},
-            {"tail_truncation_multiple": 746.0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
-
-    def test_accepts_the_largest_tail_multiple(self):
-        # e^(-745) is the last tail weight above 0.0 in double precision
-        assert QuadratureSpec(tail_truncation_multiple=745.0).tail_truncation_multiple == 745.0
