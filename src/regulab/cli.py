@@ -35,7 +35,7 @@ from .core import Regulator
 from .errors import RegulabError, ToleranceNotMet
 from .flanagan import ConformalMap, WeightFunction, delta_flanagan, delta_pointsplit, delta_tau, qi_bound_rhs
 from .numerics import QuadratureSpec
-from .regulator_lab import AmbiguityExpr, LimitPath, scan_path
+from .regulator_lab import AmbiguityExpr, LimitPath, check_schedule, scan_path
 from .static_well import WellConfig, t00r_static
 from .time_step import StepConfig, d_term, mode_reg_density, pointsplit_density
 
@@ -231,7 +231,8 @@ def cmd_well_energy(args, resolved: dict) -> int:
     if args.path is not None:
         path = _parse_path(args.path)
         schedule = _parse_floats(args.s_schedule, "--s-schedule")
-        regulators = [_named("--s-schedule", path.regulator_at, s) for s in schedule]
+        _named("--s-schedule", check_schedule, schedule)
+        regulators = [path.regulator_at(s) for s in schedule]
     else:
         regulators = [_named("--eps0/--eps1/--tau", Regulator, args.eps0, args.eps1, args.tau)]
     for x in xs:
@@ -306,9 +307,7 @@ def cmd_limit_scan(args, resolved: dict) -> int:
     expr = _EXPRESSIONS[args.expr](args)
     path = _parse_path(args.path)
     schedule = _parse_floats(args.s_schedule, "--s-schedule", n_min=4)
-    # scan_path stops at its first singular sample, so check every s first
-    if not all(1.0 >= s > later > 0.0 for s, later in zip(schedule, schedule[1:])):
-        raise ValidationFailure("--s-schedule: need s strictly decreasing in (0, 1]")
+    _named("--s-schedule", check_schedule, schedule)  # scan_path's check, naming the flag
     result = scan_path(expr, path, schedule)
     records = [
         {"s": s, "value_re": z.real, "value_im": z.imag} for s, z in result.samples

@@ -6,7 +6,8 @@ class RegulabError(Exception):
 
 
 class ToleranceNotMet(RegulabError):
-    """Adaptive quadrature exhausted its subdivision budget above tolerance."""
+    """Adaptive quadrature stopped above tolerance: its subdivision budget ran
+    out, a panel was not finite, or a half-line tail bound alone exceeded it."""
 
     def __init__(self, message, value=None, error_estimate=None, evaluations=0):
         super().__init__(message)

@@ -1,11 +1,13 @@
 """Adaptive quadrature and limit classification.
 
-Integrals over [0, inf) carry an exponential cutoff weight e^(-omega*tau) and
-are truncated where the weight is negligible; a sampled bound on the dropped
-tail is folded into the error estimate.  Integrals over the whole line, under
-e^(-|k|*tau), are folded onto [0, inf).  The panel integrator is a classic
-Gauss 7 / Kronrod 15 embedded pair with greedy bisection of the worst panel.
-Initial panels follow the cutoff only (2/tau wide, geometric toward 0); error
+Integrals over [0, inf) carry an exponential cutoff weight e^(-omega*tau).
+Their initial panels, 2/tau wide and geometric toward 0 in the first, are laid
+outward until a bound on the tail beyond the last one, sampled from |f| at its
+nodes, is a tenth of the tolerance (or omega*tau reaches 60); that bound counts
+in the error estimate that refinement drives below tolerance.  Integrals over
+the whole line, under e^(-|k|*tau), are folded onto [0, inf).  The panel
+integrator is a classic Gauss 7 / Kronrod 15 embedded pair with greedy
+bisection of the worst panel.  Initial panels follow the cutoff only; error
 estimates alone decide where to refine, behind a guard against aliasing that
 bisects every initial panel once and carries the change in value across each
 bisection into the error estimate.
@@ -143,93 +145,107 @@ def _not_finite(a: float, b: float, value: complex, err: float, evals: int) -> T
     )
 
 
-def _adaptive_panels(
-    f: Callable[[float], complex],
-    breakpoints: Sequence[float],
-    spec: QuadratureSpec,
-) -> tuple[complex, float, int]:
-    """Greedy refinement over the initial panels defined by `breakpoints`.
+class _Panels:
+    """The panels of one adaptive integral, queued for refinement, with their
+    running value, error sum and evaluation count.
 
     A panel's |K15 - G7| can be small by accident when the panel is too wide
-    for f (aliasing), so every initial panel is bisected once before the error
-    sum is trusted, and at every bisection each half's error is raised to
-    half the change in the panel's value, capped by the integral of |f| over
-    that half.  These guard bisections count toward max_subdivisions, which is
-    checked once they are done.
-
-    Raises ToleranceNotMet when the bisection budget runs out above
-    tolerance, naming the panel with the largest error, or at once, naming
-    the panel, when a panel's value or error is not finite: no bisection can
-    repair that.  Ties in the refinement queue resolve toward the leftmost
-    panel so that panels near the origin are refined first.
+    for f (aliasing), so every initial panel is bisected once before the
+    error sum is trusted, and at every bisection each half's error is raised
+    to half the change in the panel's value, capped by the integral of |f|
+    over that half.
     """
-    # Queue entries are (checked, -error, a, b, value): panels not yet
-    # bisected (checked = 0) pop before any others.
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    evals = 0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
+
+    def __init__(self):
+        # Queue entries are (checked, -error, a, b, value): initial panels not
+        # yet bisected (checked = 0) pop before any others.
+        self.queue = []
+        self.total = 0.0
+        self.error = 0.0
+        self.evals = 0
+
+    def tolerance(self, spec: QuadratureSpec) -> float:
+        return max(spec.abs_tol, spec.rel_tol * abs(self.total))
+
+    def add(self, f: Callable[[float], complex], a: float, b: float):
+        """Integrate f over the initial panel [a, b] and queue the panel for
+        its guard bisection; raises at once if the panel is not finite."""
         val, err, _ = _gk15(f, a, b)
-        evals += 15
+        self.evals += 15
         if not math.isfinite(err):
-            raise _not_finite(a, b, val, err, evals)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (0, -err, a, b, val))
+            raise _not_finite(a, b, val, err, self.evals)
+        self.total += val
+        self.error += err
+        heapq.heappush(self.queue, (0, -err, a, b, val))
 
-    subdivisions = 0
-    while True:
-        if heap[0][0] == 1:  # every initial panel has had its guard bisection
-            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-            if total_err <= tol:
-                return total, total_err, evals
-            if subdivisions >= spec.max_subdivisions:
-                _, neg_worst, wa, wb, _ = heap[0]
-                raise ToleranceNotMet(
-                    f"{subdivisions} bisections (max_subdivisions = "
-                    f"{spec.max_subdivisions}) left the error estimate "
-                    f"{total_err:.3e} above tolerance {tol:.3e}; worst panel "
-                    f"[{wa!r}, {wb!r}] (error {-neg_worst:.3e})",
-                    value=total,
-                    error_estimate=total_err,
-                    evaluations=evals,
-                )
-        _, neg_err, a, b, val = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        v1, e1, abs1 = _gk15(f, a, m)
-        v2, e2, abs2 = _gk15(f, m, b)
-        evals += 30
-        if not math.isfinite(e1 + e2):
-            raise _not_finite(a, b, v1 + v2, e1 + e2, evals)
-        jump = 0.5 * abs(v1 + v2 - val)
-        e1 = max(e1, min(jump, abs1))
-        e2 = max(e2, min(jump, abs2))
-        total += (v1 + v2) - val
-        total_err += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (1, -e1, a, m, v1))
-        heapq.heappush(heap, (1, -e2, m, b, v2))
-        subdivisions += 1
+    def refine(
+        self,
+        f: Callable[[float], complex],
+        spec: QuadratureSpec,
+        tail: Callable[[], float] = lambda: 0.0,
+    ) -> QuadratureResult:
+        """Bisect the worst panel until the error sum plus `tail()`, a bound
+        on what the panels leave out, is within tolerance.
+
+        `tail` runs before every step and may add initial panels to bring its
+        bound down; bisection cannot.  The guard bisections count toward
+        max_subdivisions, which is checked once they are done.  Raises
+        ToleranceNotMet, naming the panel with the largest error, when the
+        budget runs out above tolerance or the tail bound alone is above it,
+        or at once, naming the panel, when a panel's value or error is not
+        finite: no bisection can repair either of the last two.
+        Ties in the queue resolve toward the leftmost panel, so that panels
+        near the origin are refined first.
+        """
+        queue = self.queue
+        subdivisions = 0
+        while True:
+            tail_err = tail()
+            if queue[0][0] == 1:  # every initial panel has had its guard bisection
+                tol = self.tolerance(spec)
+                total_err = self.error + tail_err
+                if total_err <= tol:
+                    return QuadratureResult(self.total, total_err, self.evals)
+                if subdivisions >= spec.max_subdivisions or tail_err > tol:
+                    _, neg_worst, wa, wb, _ = queue[0]
+                    tail_note = f"; the tail beyond the last panel is bounded by {tail_err:.3e}"
+                    raise ToleranceNotMet(
+                        f"the error estimate {total_err:.3e} is above tolerance "
+                        f"{tol:.3e} after {subdivisions} bisections (max_subdivisions "
+                        f"= {spec.max_subdivisions}); worst panel [{wa!r}, {wb!r}] "
+                        f"(error {-neg_worst:.3e})" + (tail_note if tail_err else ""),
+                        value=self.total,
+                        error_estimate=total_err,
+                        evaluations=self.evals,
+                    )
+            _, neg_err, a, b, val = heapq.heappop(queue)
+            m = 0.5 * (a + b)
+            v1, e1, abs1 = _gk15(f, a, m)
+            v2, e2, abs2 = _gk15(f, m, b)
+            self.evals += 30
+            if not math.isfinite(e1 + e2):
+                raise _not_finite(a, b, v1 + v2, e1 + e2, self.evals)
+            jump = 0.5 * abs(v1 + v2 - val)
+            e1 = max(e1, min(jump, abs1))
+            e2 = max(e2, min(jump, abs2))
+            self.total += (v1 + v2) - val
+            self.error += (e1 + e2) - (-neg_err)
+            heapq.heappush(queue, (1, -e1, a, m, v1))
+            heapq.heappush(queue, (1, -e2, m, b, v2))
+            subdivisions += 1
 
 
-# T: half-line integrals stop at omega = T/tau.  Raised to 745 (the last T with
-# e^(-T) > 0.0), T changed no bit of the densities tried, at 2-9x the cost.
-_TAIL_MULTIPLE = 60.0
-
-
-def _breakpoints(hi: float, width: float) -> list[float]:
-    """Panel edges on [0, hi]: uniform steps of `width`, the first one split
-    by a geometric cascade toward 0 (where integrands often have removable
-    singularities)."""
-    pts = [0.0]
-    for g in range(12, 0, -1):
-        pts.append(width * 2.0 ** (-g))
-    start = width
-    while start < hi - 0.5 * width:
-        pts.append(start)
-        start += width
-    pts.append(hi)
-    return pts
+# Half-line initial panels are 2/tau wide, so the cut after k of them sits at
+# T = omega*tau = 2k, where the weight is e^(-2k).  T is capped at 60, where
+# the cut was fixed before it followed the tail bound: a fixed cut at 745 (the
+# last T with e^(-T) > 0.0) changed no bit of the densities tried.
+_MAX_PANELS = 30
+# The tail beyond the cut is bounded by _TAIL_GROWTH times the largest |f| at
+# the nodes of the last panel, times e^(-T)/tau; the cut is the first edge
+# where that bound is at most _TAIL_SHARE of the tolerance.  Sampled across
+# the whole panel, a slowly oscillating |f| cannot hide in a zero near the cut.
+_TAIL_GROWTH = 2.0
+_TAIL_SHARE = 0.1
 
 
 def integrate_interval(
@@ -243,8 +259,9 @@ def integrate_interval(
     spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise ValueError("need finite a < b")
-    value, err, evals = _adaptive_panels(f, [a, b], spec)
-    return QuadratureResult(value, err, evals)
+    panels = _Panels()
+    panels.add(f, a, b)
+    return panels.refine(f, spec)
 
 
 def integrate_halfline(
@@ -254,24 +271,47 @@ def integrate_halfline(
 ) -> QuadratureResult:
     """Approximate integral of f(omega) * e^(-omega*tau) over [0, inf).
 
-    The range is truncated at omega = T/tau, where the weight is e^(-T) with
-    T = 60, and split into initial panels 2/tau wide, the first one cascading
-    geometrically toward 0.  The dropped tail is estimated as M e^(-T)/tau
-    with M the largest |f| sampled at four points near the cut; this is a
-    sampled bound, not a certified one, and is added to the error estimate.
+    Initial panels 2/tau wide are laid outward from the origin, the first
+    one cascading geometrically toward 0 (where integrands often have
+    removable singularities).  The tail beyond the last panel is bounded by
+    2 M e^(-T)/tau, where T = omega*tau at the cut and M is the largest |f|
+    at the nodes of the last panel; panels are added until that bound is at
+    most a tenth of the tolerance, or T reaches 60.  The bound is sampled,
+    not certified.  It counts in the error that refinement drives below
+    tolerance, and if refinement shrinks the value, and with it the
+    tolerance, more panels are added.
     """
     spec = spec or QuadratureSpec()
     if not (tau > 0.0) or not math.isfinite(tau):
         raise InvalidCutoff(f"tau must be > 0, got {tau}")
-    cut = _TAIL_MULTIPLE / tau
+    width = 2.0 / tau
+    cascade = [0.0] + [width * 2.0 ** (-g) for g in range(12, 0, -1)] + [width]
+    panels = _Panels()
+    laid = 0  # initial panels 2/tau wide; the cut is at omega = laid * width
+    bound = math.inf  # the tail bound at the cut
+    peak = 0.0  # the largest |f| at the nodes of the panel being laid
 
     def weighted(w: float) -> complex:
         return f(w) * math.exp(-w * tau)
 
-    value, err, evals = _adaptive_panels(weighted, _breakpoints(cut, 2.0 / tau), spec)
-    m_tail = max(abs(f(cut * r)) for r in (1.0, 0.97, 0.93, 0.88))
-    tail = m_tail * math.exp(-_TAIL_MULTIPLE) / tau
-    return QuadratureResult(value, err + tail, evals + 4)
+    def sampled(w: float) -> complex:  # weighted, recording |f| for the tail bound
+        nonlocal peak
+        value = f(w)
+        peak = max(peak, abs(value))
+        return value * math.exp(-w * tau)
+
+    def tail() -> float:
+        nonlocal laid, bound, peak
+        while laid < _MAX_PANELS and bound > _TAIL_SHARE * panels.tolerance(spec):
+            edges = cascade if laid == 0 else (laid * width, (laid + 1) * width)
+            peak = 0.0
+            for a, b in zip(edges[:-1], edges[1:]):
+                panels.add(sampled, a, b)
+            laid += 1
+            bound = _TAIL_GROWTH * peak * math.exp(-2.0 * laid) / tau
+        return bound
+
+    return panels.refine(weighted, spec, tail)
 
 
 def integrate_realline(

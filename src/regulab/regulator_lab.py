@@ -26,6 +26,7 @@ __all__ = [
     "ScanResult",
     "sigma1",
     "ratio_239",
+    "check_schedule",
     "scan_path",
 ]
 
@@ -55,6 +56,14 @@ class LimitPath:
         return Regulator(
             self.c0 * s**self.p0, self.c1 * s**self.p1, self.ctau * s**self.ptau
         )
+
+
+def check_schedule(s_values: Sequence[float]) -> None:
+    """Raise ValueError unless the s values decrease strictly within (0, 1],
+    as a schedule along a LimitPath must."""
+    in_range = all(0.0 < s <= 1.0 for s in s_values)
+    if not in_range or any(s <= later for s, later in zip(s_values, s_values[1:])):
+        raise ValueError("need s strictly decreasing in (0, 1]")
 
 
 def sigma1(reg: Regulator) -> complex:
@@ -115,9 +124,12 @@ class ScanResult:
 def scan_path(
     expr: AmbiguityExpr, path: LimitPath, s_values: Sequence[float]
 ) -> ScanResult:
-    """Evaluate `expr` along `path` at the given decreasing s schedule and
-    classify the s -> 0 trend.  An on-path singularity is itself a verdict:
-    the scan reports Divergent with zero confidence rather than skipping."""
+    """Evaluate `expr` along `path` at the given s schedule, strictly
+    decreasing in (0, 1], and classify the s -> 0 trend.  A schedule that is
+    not raises ValueError before any sample is taken.  An on-path
+    singularity is itself a verdict: the scan reports Divergent with zero
+    confidence rather than skipping."""
+    check_schedule(s_values)
     samples: list[tuple[float, complex]] = []
     for s in s_values:
         try:

@@ -228,27 +228,31 @@ class TestValidation:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
 
+    SCHEDULE_RULE = "--s-schedule: need s strictly decreasing in (0, 1]"
+
     @pytest.mark.parametrize(
-        "args,flag",
+        "args,message",
         [
             (["limit-scan", "--expr", "ratio239", "--path", "2,1,2", "--s-schedule", "2,1,0.5,0.25"],
-             "--s-schedule"),
+             SCHEDULE_RULE),
             (["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0:1", "--path", "2,2,1",
-              "--s-schedule", "0"], "--s-schedule"),
+              "--s-schedule", "0"], SCHEDULE_RULE),
             (["limit-scan", "--expr", "ratio239", "--path", "2,1,2", "--s-schedule", "0.1,0.2,0.05,0.025"],
-             "--s-schedule"),
+             SCHEDULE_RULE),
             # ratio239 is singular at the first sample of this path, where the scan stops
             (["limit-scan", "--expr", "ratio239", "--path", "1,1,1,1,1,0", "--s-schedule", "0.1,2,0.05,0.025"],
-             "--s-schedule"),
-            (["step-energy", "--lambda", "1", "--mass", "0", "--grid", "1:1:1"], "--mass"),
+             SCHEDULE_RULE),
+            (["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0:1", "--path", "2,2,1",
+              "--s-schedule", "0.1,0.2"], SCHEDULE_RULE),
+            (["step-energy", "--lambda", "1", "--mass", "0", "--grid", "1:1:1"],
+             "--mass: need m > 0 for the step densities"),
         ],
         ids=["limit-scan-s-above-1", "well-energy-s-0", "limit-scan-s-rising", "limit-scan-singular-path",
-             "step-energy-mass-0"],
+             "well-energy-s-rising", "step-energy-mass-0"],
     )
-    def test_bad_schedule_or_mass_exits_2_naming_the_flag(self, capsys, args, flag):
+    def test_bad_schedule_or_mass_exits_2_naming_the_flag(self, capsys, args, message):
         code, out, err = run_cli(args, capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {flag}: ")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("tau,expected", [("-0.1", 2), ("0", 0)])
     def test_pointsplit_tau_must_not_be_negative(self, capsys, tau, expected):

@@ -18,8 +18,8 @@ from regulab.numerics import (
     integrate_interval,
     integrate_realline,
 )
-from regulab.static_well import WellConfig, s_omega
-from regulab.time_step import StepConfig, _folded_pointsplit
+from regulab.static_well import WellConfig, r_integral_closed, r_omega, s_omega
+from regulab.time_step import StepConfig, _folded_pointsplit, d_term, d_term_quadrature
 
 SPEC = QuadratureSpec()
 
@@ -52,9 +52,36 @@ class TestHalfline:
         with pytest.raises(ToleranceNotMet) as err:
             integrate_halfline(lambda w: math.cos(50.0 * w) / (1.0 + w), 0.01, tight)
         assert err.value.error_estimate > 0
-        # the budget stops refinement only once each of the 42 initial panels
-        # has had its guard bisection
+        # the budget stops refinement only once each of the 30 initial panels
+        # (13 in the cascade, then 17 up to the cut at T = 36) has had its
+        # guard bisection
         assert "above tolerance" in str(err.value)
+        assert err.value.evaluations == 30 * (15 + 30)
+
+    def test_cut_stops_early_when_the_integrand_decays(self):
+        # the panel after the cascade, [20, 40], leaves a tail bound of
+        # 2 e^(-400) e^(-4)/tau, far below the tolerance: the cut is at T = 4
+        res = integrate_halfline(lambda w: math.exp(-w * w), 0.1, SPEC)
+        exact = 0.5 * math.sqrt(math.pi) * math.exp(0.0025) * math.erfc(0.05)
+        assert abs(res.value - exact) <= res.error_estimate
+        assert res.evaluations == (13 + 1) * (15 + 30)
+
+    def test_cut_stops_at_the_cap_when_the_integrand_grows(self):
+        # the tail bound of w^10 stays above a tenth of the tolerance up to
+        # T = 60, which caps the cut: 42 initial panels, the most any
+        # half-line integral lays, and no evaluations beyond their nodes
+        spec = QuadratureSpec(rel_tol=1e-13)
+        res = integrate_halfline(lambda w: w**10, 1.0, spec)
+        exact = math.factorial(10)
+        assert abs(res.value - exact) <= res.error_estimate
+        assert res.error_estimate <= spec.rel_tol * exact
+        assert res.evaluations == 42 * (15 + 30)
+
+    def test_tail_above_tolerance_at_the_cap_raises_at_once(self):
+        # no bisection lowers the tail bound, so the budget is not spent
+        with pytest.raises(ToleranceNotMet) as err:
+            integrate_halfline(lambda w: w**12, 1.0, QuadratureSpec(rel_tol=1e-14))
+        assert "the tail beyond the last panel is bounded by" in str(err.value)
         assert err.value.evaluations == 42 * (15 + 30)
 
     @pytest.mark.parametrize("spot", [0.3, 0.71])
@@ -126,6 +153,33 @@ class TestHalfline:
                         trig.__name__, omega, tau, err, res.error_estimate
                     )
 
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-10, 1e-12])
+    @pytest.mark.parametrize("density", ["d_term", "static_remainder"])
+    def test_error_estimate_bounds_true_error_of_the_closed_forms(self, density, rel_tol):
+        # both integrands are bounded and oscillate slowly (their phases turn
+        # by eps0 or eps1 per unit omega), so a tail bound sampled near a zero
+        # of the oscillation would understate the part beyond the cut
+        spec = QuadratureSpec(rel_tol=rel_tol)
+        eps = sys.float_info.epsilon
+        step, well = StepConfig(1.0, 1.0), WellConfig(1.0, 1.0)
+        routes = {
+            "d_term": (
+                lambda reg: d_term(step, reg),
+                lambda reg: d_term_quadrature(step, reg, spec),
+            ),
+            "static_remainder": (
+                lambda reg: r_integral_closed(well, reg),
+                lambda reg: integrate_halfline(lambda w: r_omega(well, w, reg), reg.tau, spec),
+            ),
+        }
+        closed, quad = routes[density]
+        for s in (0.2, 0.1, 0.05, 0.025, 0.0125):
+            for reg in (Regulator(s * s, s * s, s), Regulator(s * s, s, s), Regulator(s, s * s, s)):
+                exact = closed(reg)
+                res = quad(reg)
+                err = abs(res.value - exact)
+                assert err <= res.error_estimate + 8.0 * eps * abs(exact), (reg, err, res.error_estimate)
+
     def test_cutoff_monotonicity(self):
         f = lambda w: 1.0 / (1.0 + w * w)
         values = [
@@ -175,8 +229,9 @@ class TestRealline:
         tight = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=1)
         with pytest.raises(ToleranceNotMet) as err:
             integrate_realline(lambda k: math.cos(50.0 * k) / (1.0 + k * k), 0.01, tight)
-        # the fold calls f twice per node of the 42 half-line panels
-        assert err.value.evaluations == 2 * 42 * (15 + 30)
+        # the fold calls f twice per node of the 28 half-line panels (13 in
+        # the cascade, then 15 up to the cut at T = 32)
+        assert err.value.evaluations == 2 * 28 * (15 + 30)
 
 
 class TestInterval:

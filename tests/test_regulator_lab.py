@@ -132,6 +132,28 @@ class TestScan:
         with pytest.raises(TooFewSamples):
             scan_path(AmbiguityExpr.ratio239(), LimitPath(2, 1, 2), [0.2, 0.1, 0.05])
 
+    @pytest.mark.parametrize(
+        "path,schedule",
+        [
+            # singular at the first sample, which used to end the scan with a verdict
+            (LimitPath(1, 1, 1, 1, 1, 0), [0.1, 2, 0.05, 0.025]),
+            (LimitPath(2, 1, 2), [0.1, 0.2, 0.05, 0.025]),
+            (LimitPath(2, 1, 2), [0.2, 0.1, 0.1, 0.05]),
+            (LimitPath(2, 1, 2), [0.2, 0.1, 0.05, 0.0]),
+        ],
+        ids=["above-1-singular-path", "rising", "repeated", "zero"],
+    )
+    def test_invalid_schedule_raises_before_any_sample(self, path, schedule):
+        calls = []
+
+        def counted(reg):
+            calls.append(reg)
+            return ratio_239(reg)
+
+        with pytest.raises(ValueError, match=r"need s strictly decreasing in \(0, 1\]"):
+            scan_path(AmbiguityExpr(counted), path, schedule)
+        assert calls == []
+
 
 class TestFlanaganDeltaExpr:
     def test_order_of_limits_through_paths(self):

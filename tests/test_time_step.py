@@ -436,19 +436,20 @@ class TestPointsplitDensity:
 class TestEvaluationCounts:
     """Exact, machine-independent costs under the default spec at lam = m = t = 1.
 
-    The step densities count calls of their folded integrand: half the calls
-    the unfolded real-line route made (5,408, 7,208 and 3,788) on the same
-    panels and bisections."""
+    The step densities count calls of their folded integrand.  Their half-line
+    integrals stop where the tail bound meets a tenth of the tolerance: at
+    T = 24 for the point split and T = 28 for d_term_quadrature (the cut at
+    T = 60 cost 2,704, 3,604 and 1,894 evaluations)."""
 
     def test_pointsplit_density(self):
         res = pointsplit_density(CFG, 1.0, split(0.05))
-        assert res.evaluations == 2704
+        assert res.evaluations == 1890
         assert type(res.value) is float
-        assert pointsplit_density(CFG, 1.0, split(0.025)).evaluations == 3604
+        assert pointsplit_density(CFG, 1.0, split(0.025)).evaluations == 2820
 
     def test_d_term_quadrature(self):
         res = d_term_quadrature(CFG, split(0.05))
-        assert res.evaluations == 1894
+        assert res.evaluations == 1170
         assert type(res.value) is float
 
     def test_mode_reg_density(self):
