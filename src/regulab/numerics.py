@@ -1,10 +1,10 @@
 """Adaptive quadrature and limit classification.
 
 Integrals over [0, inf) carry an exponential cutoff weight e^(-omega*tau).
-Their initial panels, 2/tau wide and geometric toward 0 in the first, are laid
-outward until a bound on the tail beyond the last one, sampled from |f| at its
-nodes, is a tenth of the tolerance (or omega*tau reaches 60); that bound counts
-in the error estimate that refinement drives below tolerance.  Integrals over
+Their initial panels, all 2/tau wide, are laid outward from the origin until a
+bound on the tail beyond the last one, sampled from |f| at its nodes, is a
+tenth of the tolerance (or omega*tau reaches 60); that bound counts in the
+error estimate that refinement drives below tolerance.  Integrals over
 the whole line, under e^(-|k|*tau), are folded onto [0, inf).  The panel
 integrator is a classic Gauss 7 / Kronrod 15 embedded pair with greedy
 bisection of the worst panel.  Initial panels follow the cutoff only; error
@@ -271,21 +271,20 @@ def integrate_halfline(
 ) -> QuadratureResult:
     """Approximate integral of f(omega) * e^(-omega*tau) over [0, inf).
 
-    Initial panels 2/tau wide are laid outward from the origin, the first
-    one cascading geometrically toward 0 (where integrands often have
-    removable singularities).  The tail beyond the last panel is bounded by
-    2 M e^(-T)/tau, where T = omega*tau at the cut and M is the largest |f|
-    at the nodes of the last panel; panels are added until that bound is at
-    most a tenth of the tolerance, or T reaches 60.  The bound is sampled,
-    not certified.  It counts in the error that refinement drives below
-    tolerance, and if refinement shrinks the value, and with it the
-    tolerance, more panels are added.
+    Initial panels 2/tau wide are laid outward from the origin; an integrand
+    singular at 0 is resolved by bisection toward it, as in QUADPACK's QAGI.
+    The tail beyond the last panel is bounded by 2 M e^(-T)/tau, where
+    T = omega*tau at the cut and M is the largest |f| at the nodes of the
+    last panel; panels are added until that bound is at most a tenth of the
+    tolerance, or T reaches 60.  The bound is sampled, not certified.  It
+    counts in the error that refinement drives below tolerance, and if
+    refinement shrinks the value, and with it the tolerance, more panels are
+    added.
     """
     spec = spec or QuadratureSpec()
     if not (tau > 0.0) or not math.isfinite(tau):
         raise InvalidCutoff(f"tau must be > 0, got {tau}")
     width = 2.0 / tau
-    cascade = [0.0] + [width * 2.0 ** (-g) for g in range(12, 0, -1)] + [width]
     panels = _Panels()
     laid = 0  # initial panels 2/tau wide; the cut is at omega = laid * width
     bound = math.inf  # the tail bound at the cut
@@ -303,10 +302,8 @@ def integrate_halfline(
     def tail() -> float:
         nonlocal laid, bound, peak
         while laid < _MAX_PANELS and bound > _TAIL_SHARE * panels.tolerance(spec):
-            edges = cascade if laid == 0 else (laid * width, (laid + 1) * width)
             peak = 0.0
-            for a, b in zip(edges[:-1], edges[1:]):
-                panels.add(sampled, a, b)
+            panels.add(sampled, laid * width, (laid + 1) * width)
             laid += 1
             bound = _TAIL_GROWTH * peak * math.exp(-2.0 * laid) / tau
         return bound

@@ -2,8 +2,11 @@ import argparse
 import importlib
 import json
 import math
+import os
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -733,3 +736,18 @@ class TestDeterminism:
         code2, out2, _ = run_cli(["selftest"], capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestEntryPoints:
+    def test_python_m_regulab_matches_the_script(self, capsys):
+        # the `regulab` script runs cli:main in-process; `python -m regulab`
+        # runs regulab/__main__.py in a fresh interpreter
+        assert 'regulab = "regulab.cli:main"' in (ROOT / "pyproject.toml").read_text()
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "regulab", "selftest"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=False,
+        )
+        code, out, _ = run_cli(["selftest"], capsys)
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out

@@ -52,37 +52,37 @@ class TestHalfline:
         with pytest.raises(ToleranceNotMet) as err:
             integrate_halfline(lambda w: math.cos(50.0 * w) / (1.0 + w), 0.01, tight)
         assert err.value.error_estimate > 0
-        # the budget stops refinement only once each of the 30 initial panels
-        # (13 in the cascade, then 17 up to the cut at T = 36) has had its
-        # guard bisection
+        # the budget stops refinement only once each of the 17 initial panels
+        # (up to the cut at T = 34) has had its guard bisection
         assert "above tolerance" in str(err.value)
-        assert err.value.evaluations == 30 * (15 + 30)
+        assert err.value.evaluations == 17 * (15 + 30)
 
     def test_cut_stops_early_when_the_integrand_decays(self):
-        # the panel after the cascade, [20, 40], leaves a tail bound of
-        # 2 e^(-400) e^(-4)/tau, far below the tolerance: the cut is at T = 4
+        # the second panel, [20, 40], leaves a tail bound of 2 e^(-400)
+        # e^(-4)/tau, far below the tolerance: the cut is at T = 4, and the
+        # peak near 0 takes 4 bisections past the two guards
         res = integrate_halfline(lambda w: math.exp(-w * w), 0.1, SPEC)
         exact = 0.5 * math.sqrt(math.pi) * math.exp(0.0025) * math.erfc(0.05)
         assert abs(res.value - exact) <= res.error_estimate
-        assert res.evaluations == (13 + 1) * (15 + 30)
+        assert res.evaluations == 2 * (15 + 30) + 4 * 30
 
     def test_cut_stops_at_the_cap_when_the_integrand_grows(self):
         # the tail bound of w^10 stays above a tenth of the tolerance up to
-        # T = 60, which caps the cut: 42 initial panels, the most any
-        # half-line integral lays, and no evaluations beyond their nodes
+        # T = 60, which caps the cut: 30 initial panels, the most any
+        # half-line integral lays, and no bisections beyond their guards
         spec = QuadratureSpec(rel_tol=1e-13)
         res = integrate_halfline(lambda w: w**10, 1.0, spec)
         exact = math.factorial(10)
         assert abs(res.value - exact) <= res.error_estimate
         assert res.error_estimate <= spec.rel_tol * exact
-        assert res.evaluations == 42 * (15 + 30)
+        assert res.evaluations == 30 * (15 + 30)
 
     def test_tail_above_tolerance_at_the_cap_raises_at_once(self):
         # no bisection lowers the tail bound, so the budget is not spent
         with pytest.raises(ToleranceNotMet) as err:
             integrate_halfline(lambda w: w**12, 1.0, QuadratureSpec(rel_tol=1e-14))
         assert "the tail beyond the last panel is bounded by" in str(err.value)
-        assert err.value.evaluations == 42 * (15 + 30)
+        assert err.value.evaluations == 30 * (15 + 30)
 
     @pytest.mark.parametrize("spot", [0.3, 0.71])
     @pytest.mark.parametrize("budget", [20, 21, 40])
@@ -101,15 +101,18 @@ class TestHalfline:
         assert "above tolerance" in str(err.value)
 
     def test_budget_below_guard_count_still_converges(self):
+        # both integrands are resolved by the guard bisections of their 14
+        # initial panels alone, 14 bisections against a budget of 1
         one = QuadratureSpec(max_subdivisions=1)
         res = integrate_halfline(lambda w: 1.0, 0.5, one)
         assert abs(res.value - 2.0) <= res.error_estimate + 1e-14
-        res = integrate_realline(lambda k: math.exp(-k * k), 0.5, one)
-        exact = math.sqrt(math.pi) * math.exp(1.0 / 16.0) * math.erfc(0.25)
+        res = integrate_realline(lambda k: math.cos(k + 0.7), 0.5, one)
+        exact = 2.0 * 0.5 * math.cos(0.7) / (0.5 * 0.5 + 1.0)
         assert abs(res.value - exact) <= res.error_estimate
+        assert res.evaluations == 2 * 14 * (15 + 30)
 
     def test_removable_singularity_at_origin(self):
-        # (1 - cos w)/w is finite at 0; the geometric seeding must handle it
+        # (1 - cos w)/w is finite at 0; bisection toward 0 must resolve it
         def f(w):
             return (1.0 - math.cos(w)) / w if w > 0 else 0.0
 
@@ -117,6 +120,23 @@ class TestHalfline:
         # oracle: integral of (1-cos w)/w e^(-tau w) dw = ln(sqrt(1+tau^-2))
         exact = 0.5 * math.log(1.0 + 1.0 / 0.3**2)
         assert abs(res.value - exact) < 1e-9
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("tau", [1.0, 0.05, 0.01])
+    @pytest.mark.parametrize(
+        "f,closed",
+        [
+            (lambda w: w**-0.5, lambda tau: math.sqrt(math.pi / tau)),
+            (lambda w: math.log(w), lambda tau: -(0.5772156649015329 + math.log(tau)) / tau),
+            (lambda w: w**-0.9, lambda tau: math.gamma(0.1) * tau**-0.1),
+        ],
+        ids=["w^-0.5", "ln w", "w^-0.9"],
+    )
+    def test_error_estimate_bounds_true_error_of_singular_integrands(self, f, closed, tau, rel_tol):
+        # integrable singularities at 0, which only bisection toward 0 resolves;
+        # the Gauss-Kronrod nodes never touch the endpoint
+        res = integrate_halfline(f, tau, QuadratureSpec(rel_tol=rel_tol))
+        assert abs(res.value - closed(tau)) <= res.error_estimate
 
     def test_linearity(self):
         rng = np.random.default_rng(42)
@@ -229,9 +249,9 @@ class TestRealline:
         tight = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=1)
         with pytest.raises(ToleranceNotMet) as err:
             integrate_realline(lambda k: math.cos(50.0 * k) / (1.0 + k * k), 0.01, tight)
-        # the fold calls f twice per node of the 28 half-line panels (13 in
-        # the cascade, then 15 up to the cut at T = 32)
-        assert err.value.evaluations == 2 * 28 * (15 + 30)
+        # the fold calls f twice per node of the 14 half-line panels (up to
+        # the cut at T = 28)
+        assert err.value.evaluations == 2 * 14 * (15 + 30)
 
 
 class TestInterval:
@@ -260,11 +280,12 @@ class TestNonFinite:
         assert "[0.0, 1.0]" in str(err.value)
 
     def test_halfline_stops_on_the_failing_initial_panel(self):
-        # 1/tau = 1: initial panels are 2 wide, so the first with w > 20 is [20, 22]
+        # 1/tau = 1: initial panels are 2 wide, so the first with w > 20 is
+        # [20, 22], the 11th
         with pytest.raises(ToleranceNotMet) as err:
             integrate_halfline(lambda w: math.nan if w > 20.0 else 1.0, 1.0, SPEC)
         assert "[20.0, 22.0]" in str(err.value)
-        assert err.value.evaluations == 15 * (12 + 11)
+        assert err.value.evaluations == 15 * 11
 
 
 class TestIntegrandType:

@@ -254,26 +254,28 @@ class TestDensity:
 
     def test_evaluation_count(self):
         # exact and machine-independent under the default spec; the tail
-        # bound puts the cut at T = 14 (3,904 evaluations with the cut at 60)
+        # bound puts the cut at T = 14, after 7 initial panels, and refinement
+        # bisects 85 times (7 guards): 7 * 15 + 85 * 30 = 2,655
         reg = Regulator(0.0025, 0.0025, 0.05)
         res = t00r_static(CFG, reg, 0.0)
-        assert res.evaluations == 2865
+        assert res.evaluations == 2655
         assert type(res.value) is float
         assert t00r_static(WellConfig(0.0, 1.0), reg, 0.0).evaluations == 0
 
     @pytest.mark.parametrize(
         "lam,a,x,value,error_estimate,evaluations",
         [
-            (1.0, 1.0, 0.0, -0.0320632745581709, 3.0961349439548527e-12, 2865),
-            (1.0, 1.0, 0.3, -0.030216597212541805, 3.0152480347389517e-12, 2895),
-            (1.0, 5.0, 1.5, -0.039475649083346304, 3.923653416275816e-12, 12795),
+            (1.0, 1.0, 0.0, -0.0320632745581709, 3.12341042052838e-12, 2655),
+            (1.0, 1.0, 0.3, -0.030216597212542367, 2.7069761602948892e-12, 2715),
+            (1.0, 5.0, 1.5, -0.039475649083346304, 3.927482774303321e-12, 12615),
         ],
         ids=["a1-x0", "a1-x0.3", "a5-x1.5"],
     )
     def test_bit_exact_pins(self, lam, a, x, value, error_estimate, evaluations):
-        # recorded with the half-line cut taken from the tail bound; the
-        # integrand does the same floating-point operations in the same
-        # order on every run, so on the same libm every bit must repeat
+        # recorded with 2/tau-wide initial panels from the origin and the
+        # half-line cut taken from the tail bound; the integrand does the same
+        # floating-point operations in the same order on every run, so on the
+        # same libm every bit must repeat
         s = 0.05
         res = t00r_static(WellConfig(lam, a), Regulator(s * s, s * s, s), x)
         assert (res.value, res.error_estimate, res.evaluations) == (value, error_estimate, evaluations)

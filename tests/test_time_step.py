@@ -438,18 +438,20 @@ class TestEvaluationCounts:
 
     The step densities count calls of their folded integrand.  Their half-line
     integrals stop where the tail bound meets a tenth of the tolerance: at
-    T = 24 for the point split and T = 28 for d_term_quadrature (the cut at
-    T = 60 cost 2,704, 3,604 and 1,894 evaluations)."""
+    T = 24 for the point split and T = 28 for d_term_quadrature.  At s = 0.05
+    the point split lays 12 initial panels and bisects 48 times (12 guards,
+    36 refinements): 12 * 15 + 48 * 30 = 1,620.  d_term_quadrature lays 14
+    and needs no bisection beyond their guards: 14 * (15 + 30) = 630."""
 
     def test_pointsplit_density(self):
         res = pointsplit_density(CFG, 1.0, split(0.05))
-        assert res.evaluations == 1890
+        assert res.evaluations == 1620
         assert type(res.value) is float
-        assert pointsplit_density(CFG, 1.0, split(0.025)).evaluations == 2820
+        assert pointsplit_density(CFG, 1.0, split(0.025)).evaluations == 2610
 
     def test_d_term_quadrature(self):
         res = d_term_quadrature(CFG, split(0.05))
-        assert res.evaluations == 1170
+        assert res.evaluations == 630
         assert type(res.value) is float
 
     def test_mode_reg_density(self):
