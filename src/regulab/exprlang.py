@@ -3,38 +3,31 @@
 Grammar: standard infix with precedence ^ > unary- > *,/ > +,- and
 parentheses; functions exp, ln, sin, cos, tanh, sqrt; the constant pi; one
 free variable fixed at parse time.  A numeric literal must be finite (1e400
-is a syntax error at its position).  Exponents of ^ must be constant; the
-parser evaluates each one once, with the same jet evaluator as the rest.
+is a syntax error at its position).  Exponents of ^ must be constant.
 
 Evaluation propagates truncated Taylor jets, so first through third
-derivatives come out exact to rounding -- no finite differencing.  A
+derivatives come out exact to rounding -- no finite differencing.  Each
+Expression is compiled once, when it is built, into one closure per node,
+each holding its jet rule; a subtree without the variable is evaluated then
+and folded to its value.  Those closures are the only evaluator: the parser
+evaluates each constant exponent with them, and eval_jet3 calls them.  A
 function of a jet with no derivative terms (a constant) takes only its
 value, so derivative terms it never uses cannot overflow.  A node that leaves
 its domain, overflows or makes a math function raise ValueError raises
-DomainError naming that node; its text is formatted only then.
+DomainError naming that node; its text is formatted only then.  A constant
+subtree that fails so is not folded, and fails at each evaluation.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, ExpressionSyntaxError, UnknownIdentifier
 
 __all__ = ["Expression", "Jet3", "parse", "eval_jet3"]
-
-# name -> value; _call adds the derivative rules
-FUNCTIONS = {
-    "exp": math.exp,
-    "ln": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tanh": math.tanh,
-    "sqrt": math.sqrt,
-}
-
 
 # --- AST ---------------------------------------------------------------
 
@@ -109,6 +102,11 @@ class Expression:
 
     root: Node
     variable: str
+    # the compiled form: the variable's Taylor coefficients -> the expression's
+    taylor: Callable[[tuple], tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "taylor", _compile(self.root, self.variable)[0])
 
     def __str__(self) -> str:
         return _to_text(self.root, self.variable)
@@ -209,7 +207,7 @@ class _Parser:
         if self.variable_count != seen:
             raise ExpressionSyntaxError("exponent must be a constant", pos)
         # the exponent has no variable, so the point it is evaluated at is moot
-        return Pow(base, _eval(exponent, (0.0, 0.0, 0.0, 0.0), self.variable)[0])
+        return Pow(base, _compile(exponent, self.variable)[0](_ONE)[0])
 
     def atom(self) -> Node:
         kind, text, pos = self.next()
@@ -246,8 +244,7 @@ def parse(text: str, variable: str) -> Expression:
 # --- jets ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet3:
+class Jet3(NamedTuple):
     """Value and first three derivatives at a point."""
 
     f: float
@@ -259,130 +256,256 @@ class Jet3:
 # Internal representation: Taylor coefficients (c0, c1, c2, c3),
 # c_k = f^(k)/k!, which keeps products and compositions short.
 _TC = tuple[float, float, float, float]
+_ONE = (1.0, 0.0, 0.0, 0.0)
 
 
 class _Undefined(Exception):
-    """A jet rule left its domain; _eval re-raises it as a DomainError that
-    names the node."""
+    """A jet rule left its domain; the node's closure re-raises it as a
+    DomainError that names the node."""
+
+
+# ValueError: math.sin(inf), round(nan), ...; ArithmeticError: float overflow,
+# or a derivative's 1/x^k overflowing
+_FAILURES = (_Undefined, ValueError, ArithmeticError)
 
 
 def _add(a: _TC, b: _TC) -> _TC:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
 
 
 def _sub(a: _TC, b: _TC) -> _TC:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 - b0, a1 - b1, a2 - b2, a3 - b3)
 
 
 def _mul(a: _TC, b: _TC) -> _TC:
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
     return (
-        a[0] * b[0],
-        a[0] * b[1] + a[1] * b[0],
-        a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-        a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0],
+        a0 * b0,
+        a0 * b1 + a1 * b0,
+        a0 * b2 + a1 * b1 + a2 * b0,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
     )
 
 
 def _div(a: _TC, b: _TC) -> _TC:
-    if b[0] == 0.0:
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    if b0 == 0.0:
         raise _Undefined("division by zero")
-    d0 = a[0] / b[0]
-    d1 = (a[1] - d0 * b[1]) / b[0]
-    d2 = (a[2] - d0 * b[2] - d1 * b[1]) / b[0]
-    d3 = (a[3] - d0 * b[3] - d1 * b[2] - d2 * b[1]) / b[0]
+    d0 = a0 / b0
+    d1 = (a1 - d0 * b1) / b0
+    d2 = (a2 - d0 * b2 - d1 * b1) / b0
+    d3 = (a3 - d0 * b3 - d1 * b2 - d2 * b1) / b0
     return (d0, d1, d2, d3)
 
 
-# symbol -> (precedence, jet rule); the parser, the printer and _eval all
-# read their binary operators from here.
+# symbol -> (precedence, jet rule); the parser, the printer and the compiler
+# all read their binary operators from here.
 _BINARY = {"+": (1, _add), "-": (1, _sub), "*": (2, _mul), "/": (2, _div)}
 
 
 def _compose(f0: float, f1: float, f2: float, f3: float, u: _TC) -> _TC:
-    """Taylor coefficients of F(u) from derivatives of F at u's value."""
-    p = (0.0, u[1], u[2], u[3])
-    p2 = _mul(p, p)
-    p3 = _mul(p2, p)
+    """Taylor coefficients of F(u) from derivatives of F at u's value.
+
+    These are the sums f1*p + f2/2*q + f3/6*r over p = u - u[0], q = _mul(p, p)
+    and r = _mul(q, p), with q and r written out and reduced to the same bits
+    (z = 0.0*x is a zero with x's sign, or nan if x is not finite).
+    """
+    _, u1, u2, u3 = u
+    z1, z3, m = 0.0 * u1, 0.0 * u3, u1 * u2
+    q2 = u1 * u1 + 0.0 * u2
+    q3 = m + m + z3
+    r3 = z3 + z1 * u2 + q2 * u1 + q3 * 0.0
+    h2, h3 = f2 / 2.0, f3 / 6.0
     return (
-        f0,  # p[0] = 0, so no derivative term reaches the value
-        f1 * p[1] + f2 / 2.0 * p2[1] + f3 / 6.0 * p3[1],
-        f1 * p[2] + f2 / 2.0 * p2[2] + f3 / 6.0 * p3[2],
-        f1 * p[3] + f2 / 2.0 * p2[3] + f3 / 6.0 * p3[3],
+        f0,  # p's value is 0, so no derivative term reaches the value
+        f1 * u1 + h2 * z1 + h3 * z1,  # q1 = r1 = z1
+        f1 * u2 + h2 * q2 + h3 * (q2 * 0.0),  # r2 = +0 or nan, as 0.0*q2 with q2 >= 0
+        f1 * u3 + h2 * q3 + h3 * r3,
     )
 
 
-def _pow(base: _TC, p: float) -> _TC:
+def _power(p: float):
+    """The jet rule of ^p, its integer or real branch chosen once."""
+    if not math.isfinite(p):
+
+        def undefined(b: _TC) -> _TC:
+            return round(p)  # always raises, as the integer test would: ValueError for nan, OverflowError for +-inf
+
+        return undefined
     if p == round(p) and abs(p) <= 64:
         n = int(round(p))
-        if n < 0:
-            return _div((1.0, 0.0, 0.0, 0.0), _pow(base, float(-n)))
-        out = (1.0, 0.0, 0.0, 0.0)
-        for _ in range(n):
-            out = _mul(out, base)
-        return out
-    x = base[0]
-    if x <= 0.0:
-        raise _Undefined("non-integer power of non-positive base")
-    if base[1] == base[2] == base[3] == 0.0:  # a constant, as in _call
-        return (x**p, 0.0, 0.0, 0.0)
-    return _compose(
-        x**p,
-        p * x ** (p - 1.0),
-        p * (p - 1.0) * x ** (p - 2.0),
-        p * (p - 1.0) * (p - 2.0) * x ** (p - 3.0),
-        base,
-    )
+        times = range(abs(n))
+
+        def integer(b: _TC) -> _TC:
+            out = _ONE
+            for _ in times:
+                out = _mul(out, b)
+            return out if n >= 0 else _div(_ONE, out)
+
+        return integer
+    p1 = p * (p - 1.0)
+    p2 = p1 * (p - 2.0)
+
+    def real(b: _TC) -> _TC:
+        x = b[0]
+        if x <= 0.0:
+            raise _Undefined("non-integer power of non-positive base")
+        if b[1] == b[2] == b[3] == 0.0:  # a constant, as in _call
+            return (x**p, 0.0, 0.0, 0.0)
+        return _compose(x**p, p * x ** (p - 1.0), p1 * x ** (p - 2.0), p2 * x ** (p - 3.0), b)
+
+    return real
 
 
-def _call(fn: str, u: _TC) -> _TC:
-    x = u[0]
-    if fn in ("ln", "sqrt") and x <= 0.0:
-        raise _Undefined(f"{fn} of non-positive value")
-    f0 = FUNCTIONS[fn](x)
-    if u[1] == u[2] == u[3] == 0.0:
-        # a constant: F(u) has no derivative terms, and F's own may overflow where f0 does not
-        return (f0, 0.0, 0.0, 0.0)
-    if fn == "exp":
-        return _compose(f0, f0, f0, f0, u)
-    if fn == "ln":
-        return _compose(f0, 1.0 / x, -1.0 / x**2, 2.0 / x**3, u)
-    if fn == "sin":
-        c = math.cos(x)
-        return _compose(f0, c, -f0, -c, u)
-    if fn == "cos":
-        s = math.sin(x)
-        return _compose(f0, -s, -f0, s, u)
-    if fn == "tanh":
-        sech2 = 1.0 - f0 * f0
-        return _compose(f0, sech2, -2.0 * f0 * sech2, sech2 * (6.0 * f0 * f0 - 2.0), u)
-    # sqrt
-    return _compose(f0, 0.5 / f0, -0.25 / (x * f0), 0.375 / (x * x * f0), u)
+# derivative rules: F'(x), F''(x), F'''(x) from x and F(x)
+def _exp(x: float, f0: float):
+    return f0, f0, f0
 
 
-def _eval(node: Node, at: _TC, variable: str) -> _TC:
+def _ln(x: float, f0: float):
+    return 1.0 / x, -1.0 / x**2, 2.0 / x**3
+
+
+def _sin(x: float, f0: float):
+    c = math.cos(x)
+    return c, -f0, -c
+
+
+def _cos(x: float, f0: float):
+    s = math.sin(x)
+    return -s, -f0, s
+
+
+def _tanh(x: float, f0: float):
+    sech2 = 1.0 - f0 * f0
+    return sech2, -2.0 * f0 * sech2, sech2 * (6.0 * f0 * f0 - 2.0)
+
+
+def _sqrt(x: float, f0: float):
+    return 0.5 / f0, -0.25 / (x * f0), 0.375 / (x * x * f0)
+
+
+# name -> (F, its derivative rule, whether F needs a positive argument)
+FUNCTIONS = {
+    "exp": (math.exp, _exp, False),
+    "ln": (math.log, _ln, True),
+    "sin": (math.sin, _sin, False),
+    "cos": (math.cos, _cos, False),
+    "tanh": (math.tanh, _tanh, False),
+    "sqrt": (math.sqrt, _sqrt, True),
+}
+
+
+def _call(fn: str):
+    """The jet rule of the function named fn."""
+    value, derivatives, positive = FUNCTIONS[fn]
+
+    def rule(u: _TC) -> _TC:
+        x = u[0]
+        if positive and x <= 0.0:
+            raise _Undefined(f"{fn} of non-positive value")
+        f0 = value(x)
+        if u[1] == u[2] == u[3] == 0.0:
+            # a constant: F(u) has no derivative terms, and F's own may overflow where f0 does not
+            return (f0, 0.0, 0.0, 0.0)
+        f1, f2, f3 = derivatives(x, f0)
+        return _compose(f0, f1, f2, f3, u)
+
+    return rule
+
+
+def _failure(exc: Exception, node: Node, variable: str) -> DomainError:
+    reason = "overflow" if isinstance(exc, ArithmeticError) else str(exc)
+    return DomainError(f"{reason} in '{_to_text(node, variable)}'")
+
+
+def _compile(node: Node, variable: str):
+    """(f, c): f maps the variable's Taylor coefficients to node's through one
+    closure per node, and c is node's coefficients if node has no variable
+    and evaluates, else None.  Such a node is folded: its f returns c.
+
+    A node that fails raises DomainError naming itself, and a child's
+    DomainError passes through its parents.  A variable-free node that fails
+    stays unfolded, so it fails at each evaluation.
+    """
     if isinstance(node, Const):
-        return (node.value, 0.0, 0.0, 0.0)
+        c = (node.value, 0.0, 0.0, 0.0)
+        return (lambda at: c), c
     if isinstance(node, Var):
-        return at
-    if isinstance(node, Neg):
-        a = _eval(node.arg, at, variable)
-        return (-a[0], -a[1], -a[2], -a[3])
-    # A child that fails raises DomainError itself, which passes through here.
+        return (lambda at: at), None
+    if isinstance(node, Binary):
+        left, lc = _compile(node.left, variable)
+        right, rc = _compile(node.right, variable)
+        f = _binary(node, variable, left, lc, right, rc)
+        constant = lc is not None and rc is not None
+    else:
+        arg, c = _compile(node.arg if isinstance(node, (Neg, Call)) else node.base, variable)
+        constant = c is not None
+        if isinstance(node, Neg):
+
+            def f(at):
+                a0, a1, a2, a3 = arg(at)
+                return (-a0, -a1, -a2, -a3)
+
+        else:
+            rule = _power(node.exponent) if isinstance(node, Pow) else _call(node.fn)
+
+            def f(at):
+                try:
+                    return rule(arg(at))
+                except _FAILURES as exc:
+                    raise _failure(exc, node, variable) from None
+
+    if not constant:
+        return f, None
     try:
-        if isinstance(node, Binary):
-            rule = _BINARY[node.op][1]
-            return rule(_eval(node.left, at, variable), _eval(node.right, at, variable))
-        if isinstance(node, Pow):
-            return _pow(_eval(node.base, at, variable), node.exponent)
-        return _call(node.fn, _eval(node.arg, at, variable))
-    except (_Undefined, ValueError) as exc:  # ValueError: math.sin(inf), round(nan), ...
-        reason = str(exc)
-    except ArithmeticError:  # float overflow, or a derivative's 1/x^k overflowing
-        reason = "overflow"
-    raise DomainError(f"{reason} in '{_to_text(node, variable)}'") from None
+        c = f(_ONE)  # nothing below reads the point
+    except DomainError:
+        return f, None
+    return (lambda at: c), c
+
+
+def _binary(node: Binary, variable: str, left, lc, right, rc):
+    """The closure of a binary node; an operand folded to lc or rc is passed
+    as it is."""
+    rule = _BINARY[node.op][1]
+    if lc is None and rc is not None:
+
+        def f(at):
+            try:
+                return rule(left(at), rc)
+            except _FAILURES as exc:
+                raise _failure(exc, node, variable) from None
+
+    elif lc is not None and rc is None:
+
+        def f(at):
+            try:
+                return rule(lc, right(at))
+            except _FAILURES as exc:
+                raise _failure(exc, node, variable) from None
+
+    else:
+
+        def f(at):
+            try:
+                return rule(left(at), right(at))
+            except _FAILURES as exc:
+                raise _failure(exc, node, variable) from None
+
+    return f
 
 
 def eval_jet3(expression: Expression, v: float) -> Jet3:
     """Evaluate the expression and its first three derivatives at v."""
-    c = _eval(expression.root, (v, 1.0, 0.0, 0.0), expression.variable)
-    return Jet3(c[0], c[1], 2.0 * c[2], 6.0 * c[3])
+    c0, c1, c2, c3 = expression.taylor((v, 1.0, 0.0, 0.0))
+    return _make_jet(Jet3, (c0, c1, 2.0 * c2, 6.0 * c3))
+
+
+_make_jet = tuple.__new__  # Jet3's own __new__, without its argument handling

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -277,3 +279,95 @@ def random_expression(draw):
 def test_round_trip_random(text):
     e = parse(text, "v")
     assert parse(str(e), "v") == e
+
+
+# (text, variable, point) -> repr of (f, d1, d2, d3), recorded from the
+# tree-walking evaluator that the compiled closures replaced: the cases above,
+# the benchmark's maps (bench/refs.py MAPS) and Gaussian weights (widths 0.5,
+# 1.7 and 4.0), and the README's expressions.  repr tells -0.0 from 0.0.
+PINNED_JETS = {
+    ('v', 'v', -0.7): (-0.7, 1.0, 0.0, 0.0),
+    ('v', 'v', 0.4): (0.4, 1.0, 0.0, 0.0),
+    ('v', 'v', 1.3): (1.3, 1.0, 0.0, 0.0),
+    ('-v^2', 'v', -0.7): (-0.48999999999999994, 1.4, -2.0, -0.0),
+    ('-v^2', 'v', 0.4): (-0.16000000000000003, -0.8, -2.0, -0.0),
+    ('-v^2', 'v', 1.3): (-1.6900000000000002, -2.6, -2.0, -0.0),
+    ('(-v)^2', 'v', -0.7): (0.48999999999999994, -1.4, 2.0, 0.0),
+    ('(-v)^2', 'v', 0.4): (0.16000000000000003, 0.8, 2.0, 0.0),
+    ('(-v)^2', 'v', 1.3): (1.6900000000000002, 2.6, 2.0, 0.0),
+    ('(v^2.0)^3.0', 'v', -0.7): (0.11764899999999995, -1.0084199999999996, 7.202999999999998, -41.15999999999999),
+    ('(v^2.0)^3.0', 'v', 0.4): (0.004096000000000002, 0.06144000000000003, 0.7680000000000002, 7.6800000000000015),
+    ('(v^2.0)^3.0', 'v', 1.3): (4.826809000000002, 22.277580000000007, 85.68300000000002, 263.64000000000004),
+    ('1 + 2*v - 3/(v + 4)', 'v', -0.7): (-1.309090909090909, 2.275482093663912, -0.1669588446447951, 0.15178076785890465),
+    ('1 + 2*v - 3/(v + 4)', 'v', 0.4): (1.1181818181818182, 2.1549586776859506, -0.0704357625845229, 0.048024383580356524),
+    ('1 + 2*v - 3/(v + 4)', 'v', 1.3): (3.0339622641509436, 2.106799572801709, -0.04030172558555049, 0.02281229750125499),
+    ('exp(2*v)', 'v', -0.7): (0.2465969639416065, 0.493193927883213, 0.986387855766426, 1.9727757115328521),
+    ('exp(2*v)', 'v', 0.4): (2.225540928492468, 4.451081856984936, 8.902163713969871, 17.804327427939743),
+    ('exp(2*v)', 'v', 1.3): (13.463738035001692, 26.927476070003383, 53.854952140006766, 107.70990428001353),
+    ('sin(cos(tanh(v)))', 'v', -0.7): (0.7330950216614256, 0.24531178332327638, -0.02433400115800753, -0.9842447376937862),
+    ('sin(cos(tanh(v)))', 'v', 0.4): (0.8008322371149916, -0.19004739251341748, -0.34341544375014876, 0.967509644337198),
+    ('sin(cos(tanh(v)))', 'v', 1.3): (0.6060860843833463, -0.1554074251283258, 0.21037655329761276, -0.08359903598179043),
+    ('exp(-(v/2)^2)/(2*sqrt(pi))', 'v', -0.7): (0.24957092803615244, 0.08734982481265335, -0.09421302533364756, -0.12032438367943002),
+    ('exp(-(v/2)^2)/(2*sqrt(pi))', 'v', 0.4): (0.2710336967762158, -0.05420673935524316, -0.12467550051705927, 0.07914183945865501),
+    ('exp(-(v/2)^2)/(2*sqrt(pi))', 'v', 1.3): (0.1848866908416275, -0.12017634904705789, -0.014328718540226116, 0.12949001609820487),
+    ('v + 0.1*sin(v)', 'v', -0.7): (-0.7644217687237691, 1.076484218728449, 0.0644217687237691, -0.07648421872844885),
+    ('v + 0.1*sin(v)', 'v', 0.4): (0.4389418342308651, 1.0921060994002885, -0.03894183423086506, -0.09210609940028851),
+    ('v + 0.1*sin(v)', 'v', 1.3): (1.3963558185417193, 1.0267498828624588, -0.0963558185417193, -0.026749882862458732),
+    ('2^3^2 + v', 'v', -0.7): (511.3, 1.0, 0.0, 0.0),
+    ('2^3^2 + v', 'v', 0.4): (512.4, 1.0, 0.0, 0.0),
+    ('2^3^2 + v', 'v', 1.3): (513.3, 1.0, 0.0, 0.0),
+    ('1e-05*v + 2.5E3', 'v', -0.7): (2499.999993, 1e-05, 0.0, 0.0),
+    ('1e-05*v + 2.5E3', 'v', 0.4): (2500.000004, 1e-05, 0.0, 0.0),
+    ('1e-05*v + 2.5E3', 'v', 1.3): (2500.000013, 1e-05, 0.0, 0.0),
+    ('2*v + tanh(v)', 'v', -0.7): (-2.0043677771171637, 2.634739589982458, 0.7672323100919164, 0.12159227738323694),
+    ('2*v + tanh(v)', 'v', 0.4): (1.1799489622552248, 2.855638786081178, -0.6501981376737277, -0.9701512491541173),
+    ('2*v + tanh(v)', 'v', 1.3): (3.4617231593133067, 2.257433196703094, -0.4436722951502281, 0.6321016822237328),
+    ('exp(v)', 'v', -0.7): (0.4965853037914095, 0.4965853037914095, 0.4965853037914095, 0.4965853037914095),
+    ('exp(v)', 'v', 0.4): (1.4918246976412703, 1.4918246976412703, 1.4918246976412703, 1.4918246976412703),
+    ('exp(v)', 'v', 1.3): (3.6692966676192444, 3.6692966676192444, 3.6692966676192444, 3.6692966676192444),
+    ('v + 0.5*sin(v)', 'v', -0.7): (-1.0221088436188455, 1.3824210936422443, 0.3221088436188455, -0.38242109364224425),
+    ('v + 0.5*sin(v)', 'v', 0.4): (0.5947091711543253, 1.4605304970014426, -0.19470917115432526, -0.46053049700144255),
+    ('v + 0.5*sin(v)', 'v', 1.3): (1.7817790927085966, 1.1337494143122937, -0.4817790927085965, -0.13374941431229367),
+    ('v + sqrt(1 + v^2)', 'v', -0.7): (0.5206555615733703, 0.4265376556366717, 0.549820080885262, 0.7749142079590945),
+    ('v + sqrt(1 + v^2)', 'v', 0.4): (1.477032961426901, 1.3713906763541037, 0.8004109404183268, -0.8280113176741313),
+    ('v + sqrt(1 + v^2)', 'v', 1.3): (2.9401219466856725, 1.7926239891046, 0.22665827540880762, -0.3286123695518026),
+    ('exp(-(x/0.5)^2)/(0.5*sqrt(pi))', 'x', -0.7): (0.15894170767727792, 0.8900735629927563, 3.7128782913412115, 6.550941423626679),
+    ('exp(-(x/0.5)^2)/(0.5*sqrt(pi))', 'x', 0.4): (0.594985786257469, -1.9039545160239009, 1.3327681612167315, 26.19841414048887),
+    ('exp(-(x/0.5)^2)/(0.5*sqrt(pi))', 'x', 1.3): (0.0013080500497232809, -0.01360372051712212, 0.1310142929802838, -1.1448891187209982),
+    ('exp(-(x/1.7)^2)/(1.7*sqrt(pi))', 'x', -0.7): (0.28011827144015633, 0.1356974325315636, -0.1281176945799736, -0.2498804507052656),
+    ('exp(-(x/1.7)^2)/(1.7*sqrt(pi))', 'x', 0.4): (0.3140018140735797, -0.0869209173906103, -0.19324113987358862, 0.17379812507311837),
+    ('exp(-(x/1.7)^2)/(1.7*sqrt(pi))', 'x', 1.3): (0.18493177966268448, -0.16637461146123866, 0.021699110890606076, 0.21075458738040792),
+    ('exp(-(x/4.0)^2)/(4.0*sqrt(pi))', 'x', -0.7): (0.13679329282610492, 0.011969413122284181, -0.01605183795506325, -0.004396889101639079),
+    ('exp(-(x/4.0)^2)/(4.0*sqrt(pi))', 'x', 0.4): (0.13964395084861714, -0.006982197542430857, -0.0171063839789556, 0.0026008685845554944),
+    ('exp(-(x/4.0)^2)/(4.0*sqrt(pi))', 'x', 1.3): (0.1269090863928532, -0.020622726538838645, -0.01251244273654537, 0.007188953579398284),
+    ('exp(-(x/2)^2)/(2*sqrt(pi))', 'x', -0.7): (0.24957092803615244, 0.08734982481265335, -0.09421302533364756, -0.12032438367943002),
+    ('exp(-(x/2)^2)/(2*sqrt(pi))', 'x', 0.4): (0.2710336967762158, -0.05420673935524316, -0.12467550051705927, 0.07914183945865501),
+    ('exp(-(x/2)^2)/(2*sqrt(pi))', 'x', 1.3): (0.1848866908416275, -0.12017634904705789, -0.014328718540226116, 0.12949001609820487),
+}
+
+
+@pytest.mark.parametrize("text,variable,point", list(PINNED_JETS))
+def test_jets_keep_their_bits(text, variable, point):
+    jet = eval_jet3(parse(text, variable), point)
+    assert repr(tuple(jet)) == repr(PINNED_JETS[text, variable, point])
+
+
+def test_expression_and_its_closures_are_freed_together():
+    # no cache outlives an Expression: reference counting alone frees its
+    # closures, every one of them, with it
+    def closures(f):
+        found = [f]
+        for cell in f.__closure__:
+            if getattr(cell.cell_contents, "__closure__", None) is not None:
+                found += closures(cell.cell_contents)
+        return found
+
+    gc.disable()
+    try:
+        e = parse("exp(-(x/1.7)^2)/(1.7*sqrt(pi)) + ln(x^2 + 1)*x^-0.5", "x")
+        refs = [weakref.ref(e)] + [weakref.ref(f) for f in closures(e.taylor)]
+        assert len(refs) > 10
+        del e
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
