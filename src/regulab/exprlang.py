@@ -383,7 +383,9 @@ def _cos(x: float, f0: float):
 
 
 def _tanh(x: float, f0: float):
-    sech2 = 1.0 - f0 * f0
+    # sech^2 from e^(-2|x|), not as 1 - tanh^2, which is 0 once tanh rounds to 1
+    e = math.exp(-2.0 * abs(x))
+    sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
     return sech2, -2.0 * f0 * sech2, sech2 * (6.0 * f0 * f0 - 2.0)
 
 

@@ -471,6 +471,18 @@ class TestOutputs:
         assert abs(taylor - (-1.0 / (48.0 * math.pi))) < 1e-12
         assert tau_first == 0.0
 
+    def test_flanagan_tanh_far_from_the_origin(self, capsys):
+        # tanh's Schwarzian is -2 everywhere, so delta = -2/(24 pi); V'(20) = 1.7e-17
+        code, out, err = run_cli(
+            ["flanagan", "--V", "tanh(v)", "--grid", "18:22:3", "--mode", "taylor"], capsys
+        )
+        assert code == 0, err
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert [float(r.split(",")[0]) for r in rows] == [18.0, 20.0, 22.0]
+        expect = -1.0 / (12.0 * math.pi)
+        for r in rows:
+            assert abs(float(r.split(",")[1]) - expect) <= 1e-12 * abs(expect)
+
     def test_qi_bound_constant_weight(self, capsys):
         code, out, err = run_cli(
             ["qi-bound", "--rho", "3 + 0*x", "--support", "-1,1"], capsys
