@@ -90,6 +90,15 @@ def _named(flags: str, build, *args, **kwargs):
         raise ValidationFailure(f"{flags}: {exc}") from exc
 
 
+def _parsed(flag: str, from_text, text: str, *args):
+    """from_text(text, *args), with an error in the expression text (all of
+    them RegulabErrors) reported as bad input in flag."""
+    try:
+        return from_text(text, *args)
+    except RegulabError as exc:
+        raise ValidationFailure(f"{flag}: {type(exc).__name__}: {exc}") from exc
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -299,7 +308,7 @@ _EXPRESSIONS = {
     "ratio239": lambda args: AmbiguityExpr.ratio239(),
     "rstatic317": lambda args: _named("--lambda/--a", AmbiguityExpr.r_static317, args.lam, args.a),
     "dterm616": lambda args: AmbiguityExpr.d_term616(args.lam),
-    "flanagan-delta": lambda args: AmbiguityExpr.flanagan_delta(ConformalMap.from_text(args.V), args.v0),
+    "flanagan-delta": lambda args: AmbiguityExpr.flanagan_delta(_parsed("--V", ConformalMap.from_text, args.V), args.v0),
 }
 
 
@@ -325,7 +334,7 @@ def cmd_limit_scan(args, resolved: dict) -> int:
 
 
 def cmd_flanagan(args, resolved: dict) -> int:
-    V = ConformalMap.from_text(args.V)
+    V = _parsed("--V", ConformalMap.from_text, args.V)
     vs = _parse_grid(args.grid, "--grid")
     mode = args.mode
     records = []
@@ -360,7 +369,7 @@ def cmd_qi_bound(args, resolved: dict) -> int:
     support = _parse_floats(args.support, "--support", 2)
     if len(support) != 2:
         raise ValidationFailure("--support: expected lo,hi")
-    rho = _named("--support", WeightFunction.from_text, args.rho, (support[0], support[1]))
+    rho = _named("--support", _parsed, "--rho", WeightFunction.from_text, args.rho, (support[0], support[1]))
     spec = _spec_from(resolved)
     res = qi_bound_rhs(rho, spec)
     _emit(

@@ -335,7 +335,8 @@ def _power(p: float):
     if not math.isfinite(p):
 
         def undefined(b: _TC) -> _TC:
-            return round(p)  # always raises, as the integer test would: ValueError for nan, OverflowError for +-inf
+            # as the integer test does: ValueError for nan, OverflowError for +-inf
+            return round(p)
 
         return undefined
     if p == round(p) and abs(p) <= 64:
@@ -428,27 +429,33 @@ def _failure(exc: Exception, node: Node, variable: str) -> DomainError:
 
 
 def _compile(node: Node, variable: str):
-    """(f, c): f maps the variable's Taylor coefficients to node's through one
-    closure per node, and c is node's coefficients if node has no variable
-    and evaluates, else None.  Such a node is folded: its f returns c.
+    """(f, folded): f maps the variable's Taylor coefficients to node's
+    through one closure per node.  A node without the variable that evaluates
+    is folded: its f returns the coefficients computed here.
 
     A node that fails raises DomainError naming itself, and a child's
-    DomainError passes through its parents.  A variable-free node that fails
-    stays unfolded, so it fails at each evaluation.
+    DomainError passes through its parents.  A node without the variable
+    that fails stays unfolded, so it fails at each evaluation.
     """
     if isinstance(node, Const):
         c = (node.value, 0.0, 0.0, 0.0)
-        return (lambda at: c), c
+        return (lambda at: c), True
     if isinstance(node, Var):
-        return (lambda at: at), None
+        return (lambda at: at), False
     if isinstance(node, Binary):
-        left, lc = _compile(node.left, variable)
-        right, rc = _compile(node.right, variable)
-        f = _binary(node, variable, left, lc, right, rc)
-        constant = lc is not None and rc is not None
+        left, left_folded = _compile(node.left, variable)
+        right, right_folded = _compile(node.right, variable)
+        folded = left_folded and right_folded
+        rule = _BINARY[node.op][1]
+
+        def f(at):
+            try:
+                return rule(left(at), right(at))
+            except _FAILURES as exc:
+                raise _failure(exc, node, variable) from None
+
     else:
-        arg, c = _compile(node.arg if isinstance(node, (Neg, Call)) else node.base, variable)
-        constant = c is not None
+        arg, folded = _compile(node.base if isinstance(node, Pow) else node.arg, variable)
         if isinstance(node, Neg):
 
             def f(at):
@@ -464,44 +471,13 @@ def _compile(node: Node, variable: str):
                 except _FAILURES as exc:
                     raise _failure(exc, node, variable) from None
 
-    if not constant:
-        return f, None
+    if not folded:
+        return f, False
     try:
         c = f(_ONE)  # nothing below reads the point
     except DomainError:
-        return f, None
-    return (lambda at: c), c
-
-
-def _binary(node: Binary, variable: str, left, lc, right, rc):
-    """The closure of a binary node; an operand folded to lc or rc is passed
-    as it is."""
-    rule = _BINARY[node.op][1]
-    if lc is None and rc is not None:
-
-        def f(at):
-            try:
-                return rule(left(at), rc)
-            except _FAILURES as exc:
-                raise _failure(exc, node, variable) from None
-
-    elif lc is not None and rc is None:
-
-        def f(at):
-            try:
-                return rule(lc, right(at))
-            except _FAILURES as exc:
-                raise _failure(exc, node, variable) from None
-
-    else:
-
-        def f(at):
-            try:
-                return rule(left(at), right(at))
-            except _FAILURES as exc:
-                raise _failure(exc, node, variable) from None
-
-    return f
+        return f, False
+    return (lambda at: c), True
 
 
 def eval_jet3(expression: Expression, v: float) -> Jet3:

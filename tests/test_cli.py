@@ -108,6 +108,23 @@ class TestValidation:
         assert code == 2
         assert "position 4" in err
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["qi-bound", "--rho", "exp(", "--support", "-1,1"],
+             "error: --rho: ExpressionSyntaxError: unexpected end of input (position 4)"),
+            (["limit-scan", "--expr", "flanagan-delta", "--V", "q", "--path", "2,1,2",
+              "--s-schedule", "0.2,0.1,0.05,0.025"],
+             "error: --V: UnknownIdentifier: unknown identifier 'q' (position 0)"),
+            (["flanagan", "--V", "v^(1/0)", "--grid", "1:2:2"],
+             "error: --V: DomainError: division by zero in '1.0/0.0'"),
+        ],
+    )
+    def test_expression_error_names_its_flag(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.strip() == message
+
     def test_bad_grid(self, capsys):
         code, out, err = run_cli(
             ["flanagan", "--V", "v", "--grid", "1:2", "--mode", "taylor"], capsys
