@@ -424,6 +424,7 @@ def _call(fn: str):
 
 
 def _failure(exc: Exception, node: Node, variable: str) -> DomainError:
+    """The DomainError for one of _FAILURES raised while evaluating node."""
     reason = "overflow" if isinstance(exc, ArithmeticError) else str(exc)
     return DomainError(f"{reason} in '{_to_text(node, variable)}'")
 
@@ -480,10 +481,11 @@ def _compile(node: Node, variable: str):
     return (lambda at: c), True
 
 
+# builds a Jet3 from a tuple without the Python-level __new__ of a NamedTuple
+_make_jet = tuple.__new__
+
+
 def eval_jet3(expression: Expression, v: float) -> Jet3:
     """Evaluate the expression and its first three derivatives at v."""
     c0, c1, c2, c3 = expression.taylor((v, 1.0, 0.0, 0.0))
     return _make_jet(Jet3, (c0, c1, 2.0 * c2, 6.0 * c3))
-
-
-_make_jet = tuple.__new__  # Jet3's own __new__, without its argument handling

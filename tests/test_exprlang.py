@@ -187,6 +187,19 @@ class TestDomainErrors:
         assert str(err.value) == f"overflow in '{node}'"
 
     @pytest.mark.parametrize(
+        "text,node",
+        [("2^2000", "2.0^2000.0"), ("v*(1/0)", "1.0/0.0"), ("v + ln(-1)", "ln(-1.0)")],
+    )
+    def test_failing_constant_parses_and_fails_at_each_evaluation(self, text, node):
+        # only exponents are evaluated when parsing; any other constant that
+        # fails is left unfolded, to fail naming itself at evaluation
+        e = parse(text, "v")
+        for v0 in (0.5, 1.0):
+            with pytest.raises(DomainError) as err:
+                eval_jet3(e, v0)
+            assert f"in '{node}'" in str(err.value)
+
+    @pytest.mark.parametrize(
         "text,node,reason",
         [
             ("v + sin(1e200*1e200)", "sin(1e+200*1e+200)", "math domain error"),
