@@ -91,8 +91,8 @@ def _named(flags: str, build, *args, **kwargs):
 
 
 def _parsed(flag: str, from_text, text: str, *args):
-    """from_text(text, *args), with an error in the expression text (all of
-    them RegulabErrors) reported as bad input in flag."""
+    """from_text(text, *args), with an error in the expression text, which
+    parsing raises as a RegulabError, reported as bad input in flag."""
     try:
         return from_text(text, *args)
     except RegulabError as exc:
@@ -369,6 +369,7 @@ def cmd_qi_bound(args, resolved: dict) -> int:
     support = _parse_floats(args.support, "--support", 2)
     if len(support) != 2:
         raise ValidationFailure("--support: expected lo,hi")
+    # an error in the text names --rho, and a bad support names --support
     rho = _named("--support", _parsed, "--rho", WeightFunction.from_text, args.rho, (support[0], support[1]))
     spec = _spec_from(resolved)
     res = qi_bound_rhs(rho, spec)

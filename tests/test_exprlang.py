@@ -134,7 +134,6 @@ class TestJets:
         got = eval_jet3(parse(text, "v"), v0).d3
         assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
 
-
     @pytest.mark.parametrize("v0", [-30.0, -20.0, -0.7, 0.0, 1e-9, 3.0, 19.1, 20.0, 300.0])
     def test_tanh_derivative_does_not_cancel(self, v0):
         # 1 - tanh^2 would be exactly 0 from |v| ~ 19.1 on
