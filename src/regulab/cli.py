@@ -251,7 +251,9 @@ def cmd_well_energy(args, resolved: dict) -> int:
                     f"--grid: x outside |x|<a (x = {_fmt(x)}, eps1 = {_fmt(reg.eps1)}, a = {_fmt(cfg.a)})"
                 )
             if not (reg.tau > 0.0):
-                raise ValidationFailure("--tau: need tau > 0 for the cutoff integral")
+                # a path sets tau itself, and --path refuses --tau
+                flag = "--tau" if args.path is None else "--path"
+                raise ValidationFailure(f"{flag}: need tau > 0 for the cutoff integral")
     records = []
     for x in xs:
         for reg in regulators:

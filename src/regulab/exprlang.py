@@ -114,34 +114,25 @@ class Expression:
 
 # --- tokenizer / parser -------------------------------------------------
 
+# whitespace matches no group, so finditer skips it; any other character a
+# token does not start with is "bad"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            bad = len(text) - len(text[pos:].lstrip())
-            raise ExpressionSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        if m.lastgroup == "num":
-            if not math.isfinite(float(m.group("num"))):
-                raise ExpressionSyntaxError(
-                    f"numeric literal {m.group('num')!r} is not finite", m.start("num")
-                )
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, token, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {token!r}", pos)
+        if kind == "num" and not math.isfinite(float(token)):
+            raise ExpressionSyntaxError(f"numeric literal {token!r} is not finite", pos)
+        tokens.append((kind, token, pos))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -310,24 +301,35 @@ _BINARY = {"+": (1, _add), "-": (1, _sub), "*": (2, _mul), "/": (2, _div)}
 
 
 def _compose(f0: float, f1: float, f2: float, f3: float, u: _TC) -> _TC:
-    """Taylor coefficients of F(u) from derivatives of F at u's value.
+    """Taylor coefficients of F(u) from F and its derivatives at u's value.
 
-    These are the sums f1*p + f2/2*q + f3/6*r over p = u - u[0], q = _mul(p, p)
-    and r = _mul(q, p), with q and r written out and reduced to the same bits
-    (z = 0.0*x is a zero with x's sign, or nan if x is not finite).
+    The truncated series f0 + f1*p + f2/2*p^2 + f3/6*p^3 in p = u - u[0],
+    with p^2 and p^3 written out.  Each coefficient sums only the terms that
+    reach it, so F(u)' reads only f1 and F(u)'' only f1 and f2: an F''' that
+    overflows leaves them finite.
     """
     _, u1, u2, u3 = u
-    z1, z3, m = 0.0 * u1, 0.0 * u3, u1 * u2
-    q2 = u1 * u1 + 0.0 * u2
-    q3 = m + m + z3
-    r3 = z3 + z1 * u2 + q2 * u1 + q3 * 0.0
     h2, h3 = f2 / 2.0, f3 / 6.0
-    return (
-        f0,  # p's value is 0, so no derivative term reaches the value
-        f1 * u1 + h2 * z1 + h3 * z1,  # q1 = r1 = z1
-        f1 * u2 + h2 * q2 + h3 * (q2 * 0.0),  # r2 = +0 or nan, as 0.0*q2 with q2 >= 0
-        f1 * u3 + h2 * q3 + h3 * r3,
-    )
+    m = u1 * u2
+    return (f0, f1 * u1, f1 * u2 + h2 * (u1 * u1), f1 * u3 + h2 * (m + m) + h3 * (u1 * u1 * u1))
+
+
+def _rule(value, derivatives, undefined: str | None):
+    """The jet rule of F(u) from F, its derivative rule and, for an F defined
+    only at positive values, the message for the others."""
+
+    def rule(u: _TC) -> _TC:
+        x = u[0]
+        if undefined and x <= 0.0:
+            raise _Undefined(undefined)
+        f0 = value(x)
+        if u[1] == u[2] == u[3] == 0.0:
+            # a constant: F(u) has no derivative terms, and F's own may overflow where f0 does not
+            return (f0, 0.0, 0.0, 0.0)
+        f1, f2, f3 = derivatives(x, f0)
+        return _compose(f0, f1, f2, f3, u)
+
+    return rule
 
 
 def _power(p: float):
@@ -353,15 +355,10 @@ def _power(p: float):
     p1 = p * (p - 1.0)
     p2 = p1 * (p - 2.0)
 
-    def real(b: _TC) -> _TC:
-        x = b[0]
-        if x <= 0.0:
-            raise _Undefined("non-integer power of non-positive base")
-        if b[1] == b[2] == b[3] == 0.0:  # a constant, as in _call
-            return (x**p, 0.0, 0.0, 0.0)
-        return _compose(x**p, p * x ** (p - 1.0), p1 * x ** (p - 2.0), p2 * x ** (p - 3.0), b)
+    def derivatives(x: float, f0: float):
+        return p * x ** (p - 1.0), p1 * x ** (p - 2.0), p2 * x ** (p - 3.0)
 
-    return real
+    return _rule(lambda x: x**p, derivatives, "non-integer power of non-positive base")
 
 
 # derivative rules: F'(x), F''(x), F'''(x) from x and F(x)
@@ -394,33 +391,16 @@ def _sqrt(x: float, f0: float):
     return 0.5 / f0, -0.25 / (x * f0), 0.375 / (x * x * f0)
 
 
-# name -> (F, its derivative rule, whether F needs a positive argument)
+# name -> _rule's arguments: F, its derivative rule, and the message for a
+# value outside F's domain (None where F takes every real)
 FUNCTIONS = {
-    "exp": (math.exp, _exp, False),
-    "ln": (math.log, _ln, True),
-    "sin": (math.sin, _sin, False),
-    "cos": (math.cos, _cos, False),
-    "tanh": (math.tanh, _tanh, False),
-    "sqrt": (math.sqrt, _sqrt, True),
+    "exp": (math.exp, _exp, None),
+    "ln": (math.log, _ln, "ln of non-positive value"),
+    "sin": (math.sin, _sin, None),
+    "cos": (math.cos, _cos, None),
+    "tanh": (math.tanh, _tanh, None),
+    "sqrt": (math.sqrt, _sqrt, "sqrt of non-positive value"),
 }
-
-
-def _call(fn: str):
-    """The jet rule of the function named fn."""
-    value, derivatives, positive = FUNCTIONS[fn]
-
-    def rule(u: _TC) -> _TC:
-        x = u[0]
-        if positive and x <= 0.0:
-            raise _Undefined(f"{fn} of non-positive value")
-        f0 = value(x)
-        if u[1] == u[2] == u[3] == 0.0:
-            # a constant: F(u) has no derivative terms, and F's own may overflow where f0 does not
-            return (f0, 0.0, 0.0, 0.0)
-        f1, f2, f3 = derivatives(x, f0)
-        return _compose(f0, f1, f2, f3, u)
-
-    return rule
 
 
 def _failure(exc: Exception, node: Node, variable: str) -> DomainError:
@@ -464,7 +444,7 @@ def _compile(node: Node, variable: str):
                 return (-a0, -a1, -a2, -a3)
 
         else:
-            rule = _power(node.exponent) if isinstance(node, Pow) else _call(node.fn)
+            rule = _power(node.exponent) if isinstance(node, Pow) else _rule(*FUNCTIONS[node.fn])
 
             def f(at):
                 try:

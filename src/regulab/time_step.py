@@ -208,16 +208,15 @@ def _folded_remainder(cfg: StepConfig, reg: Regulator, massless: bool) -> Callab
 
 def _constant_part_integral(cfg: StepConfig) -> float:
     """Closed form of the non-oscillatory integral over all k of
-    1/(omega * E^2): elementary after k = m*sinh(u)."""
+    1/(omega * E^2): elementary after k = m*sinh(u).  Needs lam != 0:
+    mode_reg_density returns 0 before calling it at lam = 0."""
     lam, m = cfg.lam, cfg.m
     b = math.sqrt(m * m + lam)
     if lam > 0.0:
         rl = math.sqrt(lam)
         return 2.0 * math.atanh(rl / b) / (rl * b)
-    if lam < 0.0:
-        rl = math.sqrt(-lam)
-        return 2.0 * math.atan(rl / b) / (rl * b)
-    return 2.0 / (m * m)
+    rl = math.sqrt(-lam)
+    return 2.0 * math.atan(rl / b) / (rl * b)
 
 
 def mode_reg_density(

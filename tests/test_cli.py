@@ -284,6 +284,21 @@ class TestValidation:
         if code:
             assert (out, err) == ("", "error: --tau: need tau >= 0 for pointsplit mode\n")
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # ctau = 0 gives the path's regulators tau = 0; --path refuses --tau, so it is --path's fault
+            (["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0:1", "--path", "2,2,1,1,1,0",
+              "--s-schedule", "0.2,0.1"], "--path: need tau > 0 for the cutoff integral"),
+            (["flanagan", "--V", "exp(v)", "--grid", "0:0:1", "--mode", "tau_first"],
+             "--tau: need tau > 0 for tau_first mode"),
+        ],
+        ids=["well-energy-path", "flanagan-tau-first-default"],
+    )
+    def test_cutoff_needs_positive_tau(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_compare_validates_before_computing(self, capsys, monkeypatch):
         def no_density(*args):
             raise AssertionError("computed a density before validating")
@@ -350,6 +365,15 @@ class TestValidation:
         # on 1:2:2, v^ln(1e300) itself overflows at v = 2 (see the test below)
         code, out, err = run_cli(["flanagan", "--V", V, "--grid", "0.9:1.1:3"], capsys)
         assert code == 0, err
+
+    def test_overflowing_third_derivative_leaves_delta_tau_finite(self, capsys):
+        # ln's third derivative 2/v^3 overflows at v = 1e-103; delta_tau reads only V' = 1e103
+        code, out, err = run_cli(
+            ["flanagan", "--V", "ln(v)", "--grid", "1e-103:1e-103:1", "--mode", "tau_first", "--tau", "1"],
+            capsys,
+        )
+        assert code == 0, err
+        assert "9.9999999999999996e-104,-7.9577471545947669e+204,tau_first\n" in out
 
     @pytest.mark.parametrize(
         "V,message",

@@ -61,6 +61,21 @@ class TestParse:
         with pytest.raises(ExpressionSyntaxError):
             parse("v @ 2", "v")
 
+    @pytest.mark.parametrize(
+        "text,same_as", [("v  ", "v"), ("v\t+\n1", "v+1"), (" sin( v )\n", "sin(v)"), ("+v", "v"), ("-+v", "-v")]
+    )
+    def test_whitespace_and_unary_plus(self, text, same_as):
+        assert parse(text, "v") == parse(same_as, "v")
+
+    @pytest.mark.parametrize(
+        "text,message,position", [("v + @", "unexpected character '@'", 4), ("sin(v", "expected ')'", 5)]
+    )
+    def test_syntax_error_message_and_position(self, text, message, position):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(text, "v")
+        assert message in str(err.value)
+        assert err.value.position == position
+
     @pytest.mark.parametrize("text,literal,position", [("v*1e400", "1e400", 2), ("2.5E+309 - v", "2.5E+309", 0)])
     def test_literal_that_is_not_finite_rejected(self, text, literal, position):
         with pytest.raises(ExpressionSyntaxError) as err:
@@ -140,6 +155,18 @@ class TestJets:
         expect = 1.0 / math.cosh(v0) ** 2
         d1 = eval_jet3(parse("tanh(v)", "v"), v0).d1
         assert abs(d1 - expect) <= 1e-14 * expect
+
+    @pytest.mark.parametrize("text,v0,d1,d2", [("ln(v)", 1e-103, 1e103, -1e206), ("sqrt(v)", 1e-124, 5e61, -2.5e185)])
+    def test_overflowing_third_derivative_leaves_lower_ones_finite(self, text, v0, d1, d2):
+        # F(u)' reads only F' and F(u)'' only F' and F''
+        jet = eval_jet3(parse(text, "v"), v0)
+        assert jet.d1 == pytest.approx(d1, rel=1e-15)
+        assert jet.d2 == pytest.approx(d2, rel=1e-15)
+        assert jet.d3 == math.inf
+
+    def test_first_derivative_keeps_the_sign_of_its_rule(self):
+        # cos'(0) = -sin(0) = -0.0
+        assert repr(eval_jet3(parse("cos(v)", "v"), 0.0).d1) == "-0.0"
 
 
 class TestDomainErrors:

@@ -353,6 +353,16 @@ class TestClassifyLimit:
         with pytest.raises(ValueError):
             classify_limit([(0.1, 1.0), (0.2, 1.0), (0.05, 1.0), (0.025, 1.0)])
 
+    def test_schedule_whose_logs_coincide_fits_no_power_law(self):
+        # four adjacent floats below 1e-3 decrease strictly, but their logs are one
+        # float, so the fit's spread in log s is 0 (limit-scan accepts this schedule)
+        s = [0.0009999999999999996]
+        for _ in range(3):
+            s.append(math.nextafter(s[-1], 0.0))
+        assert len({math.log(x) for x in s}) == 1
+        out = classify_limit([(x, 1.0 / x) for x in s])
+        assert out.kind is not LimitKind.DIVERGENT
+
     @given(st.integers(min_value=-8, max_value=8))
     @settings(max_examples=20, deadline=None)
     def test_scale_consistency_exact_for_binary_powers(self, exponent):
