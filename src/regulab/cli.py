@@ -70,7 +70,7 @@ _MODES = {
                  {"taylor": {}, "tau_first": {"--tau": 0.0},
                   "pointsplit": {"--tau": 0.0, "--vbar-offset": 0.01}}),
     "limit-scan": (lambda args: args.expr, "not read by --expr {}",
-                   {"ratio239": {}, "rstatic317": {"--lambda": 1.0, "--a": 1.0},
+                   {"ratio239": {}, "rstatic317": {"--lambda": 1.0},
                     "dterm616": {"--lambda": 1.0}, "flanagan-delta": {"--V": "exp(v)", "--v0": 0.0}}),
 }
 
@@ -308,7 +308,7 @@ def cmd_step_energy(args, resolved: dict) -> int:
 # limit-scan's --expr: expression id -> its constructor from the parsed flags
 _EXPRESSIONS = {
     "ratio239": lambda args: AmbiguityExpr.ratio239(),
-    "rstatic317": lambda args: _named("--lambda/--a", AmbiguityExpr.r_static317, args.lam, args.a),
+    "rstatic317": lambda args: _named("--lambda", AmbiguityExpr.r_static317, args.lam),
     "dterm616": lambda args: AmbiguityExpr.d_term616(args.lam),
     "flanagan-delta": lambda args: AmbiguityExpr.flanagan_delta(_parsed("--V", ConformalMap.from_text, args.V), args.v0),
 }
@@ -444,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True, help="limit path p0,p1,ptau[,c0,c1,ctau]")
     p.add_argument("--s-schedule", dest="s_schedule", required=True, help="decreasing s values (>= 4)")
     p.add_argument("--lambda", dest="lam", type=float, help="strength for rstatic317/dterm616")
-    p.add_argument("--a", type=float, help="half-width for rstatic317")
     p.add_argument("--V", help="map for flanagan-delta")
     p.add_argument("--v0", type=float, help="evaluation point for flanagan-delta")
     _add_settings(p)

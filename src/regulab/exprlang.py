@@ -6,16 +6,17 @@ free variable fixed at parse time.  A numeric literal must be finite (1e400
 is a syntax error at its position).  Exponents of ^ must be constant.
 
 Evaluation propagates truncated Taylor jets, so first through third
-derivatives come out exact to rounding -- no finite differencing.  Each
-Expression is compiled once, when it is built, into one closure per node,
-each holding its jet rule; a subtree without the variable is evaluated then
-and folded to its value.  Those closures are the only evaluator: the parser
-evaluates each constant exponent with them, and eval_jet3 calls them.  A
-function of a jet with no derivative terms (a constant) takes only its
-value, so derivative terms it never uses cannot overflow.  A node that leaves
-its domain, overflows or makes a math function raise ValueError raises
-DomainError naming that node; its text is formatted only then.  A constant
-subtree that fails so is not folded, and fails at each evaluation.
+derivatives come out exact to rounding -- no finite differencing.  There is
+no syntax tree: each production of the parser builds its node's jet closure
+and canonical text at once, and a subtree without the variable is evaluated
+then and folded to its value.  The text is what str() returns and what a
+DomainError quotes, and Expressions compare by it.  The closures are the
+only evaluator: the parser evaluates each constant exponent with them, and
+eval_jet3 calls them.  A function of a jet with no derivative terms (a
+constant) takes only its value, so derivative terms it never uses cannot
+overflow.  A node that leaves its domain, overflows or makes a math function
+raise ValueError raises DomainError naming that node.  A constant subtree
+that fails so is not folded, and fails at each evaluation.
 """
 
 from __future__ import annotations
@@ -23,93 +24,25 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, ExpressionSyntaxError, UnknownIdentifier
 
 __all__ = ["Expression", "Jet3", "parse", "eval_jet3"]
 
-# --- AST ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # a key of _BINARY
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: float
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Node"
-
-
-Node = Union[Const, Var, Neg, Binary, Pow, Call]
-
-# Binary operators take their precedence from _BINARY.
-_PREC = {Neg: 3, Pow: 4, Const: 5, Var: 5, Call: 5}
-
-
-def _prec(node: Node) -> int:
-    return _BINARY[node.op][0] if isinstance(node, Binary) else _PREC[type(node)]
-
-
-def _to_text(node: Node, variable: str) -> str:
-    def wrap(child: Node, min_prec: int) -> str:
-        text = _to_text(child, variable)
-        return f"({text})" if _prec(child) < min_prec else text
-
-    if isinstance(node, Binary):
-        prec = _BINARY[node.op][0]
-        op = f" {node.op} " if prec == 1 else node.op
-        return f"{wrap(node.left, prec)}{op}{wrap(node.right, prec + 1)}"
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return variable
-    if isinstance(node, Neg):
-        return "-" + wrap(node.arg, 3)
-    if isinstance(node, Pow):
-        return f"{wrap(node.base, 5)}^{repr(node.exponent)}"
-    return f"{node.fn}({_to_text(node.arg, variable)})"
-
 
 @dataclass(frozen=True)
 class Expression:
-    """Parsed expression in a single named variable."""
+    """Parsed expression in a single named variable: its canonical text and
+    its compiled form."""
 
-    root: Node
+    text: str
     variable: str
     # the compiled form: the variable's Taylor coefficients -> the expression's
-    taylor: Callable[[tuple], tuple] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "taylor", _compile(self.root, self.variable)[0])
+    taylor: Callable[[tuple], tuple] = field(repr=False, compare=False)
 
     def __str__(self) -> str:
-        return _to_text(self.root, self.variable)
+        return self.text
 
 
 # --- tokenizer / parser -------------------------------------------------
@@ -158,14 +91,14 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected '{op}'", pos)
         return self.next()
 
-    def parse(self) -> Node:
+    def parse(self) -> _Node:
         node = self.binary()
         kind, text, pos = self.peek()
         if kind != "eof":
             raise ExpressionSyntaxError(f"unexpected trailing input {text!r}", pos)
         return node
 
-    def binary(self, min_prec: int = 1) -> Node:
+    def binary(self, min_prec: int = 1) -> _Node:
         """Precedence climbing over _BINARY; every binary operator is
         left-associative."""
         node = self.factor()
@@ -175,19 +108,19 @@ class _Parser:
             if prec < min_prec:
                 return node
             self.next()
-            node = Binary(text, node, self.binary(prec + 1))
+            node = _binary(text, node, self.binary(prec + 1))
 
-    def factor(self) -> Node:
+    def factor(self) -> _Node:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.next()
-            return Neg(self.factor())
+            return _neg(self.factor())
         if kind == "op" and text == "+":
             self.next()
             return self.factor()
         return self.power()
 
-    def power(self) -> Node:
+    def power(self) -> _Node:
         base = self.atom()
         kind, text, pos = self.peek()
         if kind != "op" or text != "^":
@@ -198,12 +131,12 @@ class _Parser:
         if self.variable_count != seen:
             raise ExpressionSyntaxError("exponent must be a constant", pos)
         # the exponent has no variable, so the point it is evaluated at is moot
-        return Pow(base, _compile(exponent, self.variable)[0](_ONE)[0])
+        return _pow(base, exponent.taylor(_ONE)[0])
 
-    def atom(self) -> Node:
+    def atom(self) -> _Node:
         kind, text, pos = self.next()
         if kind == "num":
-            return Const(float(text))
+            return _const(float(text))
         if kind == "op" and text == "(":
             node = self.binary()
             self.expect_op(")")
@@ -211,14 +144,14 @@ class _Parser:
         if kind == "ident":
             if text == self.variable:
                 self.variable_count += 1
-                return Var()
+                return _Node(_identity, text, 5, False)
             if text == "pi":
-                return Const(math.pi)
+                return _const(math.pi)
             if text in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.binary()
                 self.expect_op(")")
-                return Call(text, arg)
+                return _call(text, arg)
             raise UnknownIdentifier(text, pos)
         raise ExpressionSyntaxError(
             "unexpected end of input" if kind == "eof" else f"unexpected {text!r}", pos
@@ -229,7 +162,8 @@ def parse(text: str, variable: str) -> Expression:
     """Parse `text` as an expression in the single variable `variable`."""
     if not text.strip():
         raise ExpressionSyntaxError("empty expression", 0)
-    return Expression(_Parser(text, variable).parse(), variable)
+    node = _Parser(text, variable).parse()
+    return Expression(node.text, variable, node.taylor)
 
 
 # --- jets ---------------------------------------------------------------
@@ -295,8 +229,8 @@ def _div(a: _TC, b: _TC) -> _TC:
     return (d0, d1, d2, d3)
 
 
-# symbol -> (precedence, jet rule); the parser, the printer and the compiler
-# all read their binary operators from here.
+# symbol -> (precedence, jet rule); the parser and _binary read their binary
+# operators from here.
 _BINARY = {"+": (1, _add), "-": (1, _sub), "*": (2, _mul), "/": (2, _div)}
 
 
@@ -403,62 +337,96 @@ FUNCTIONS = {
 }
 
 
-def _failure(exc: Exception, node: Node, variable: str) -> DomainError:
-    """The DomainError for one of _FAILURES raised while evaluating node."""
-    reason = "overflow" if isinstance(exc, ArithmeticError) else str(exc)
-    return DomainError(f"{reason} in '{_to_text(node, variable)}'")
+# --- nodes ---------------------------------------------------------------
 
 
-def _compile(node: Node, variable: str):
-    """(f, folded): f maps the variable's Taylor coefficients to node's
-    through one closure per node.  A node without the variable that evaluates
-    is folded: its f returns the coefficients computed here.
+class _Node(NamedTuple):
+    """One parser production: its jet function, its canonical text, its
+    precedence (a binary operator's from _BINARY, unary minus 3, ^ 4, a
+    number, the variable or a call 5), and whether it was folded."""
 
-    A node that fails raises DomainError naming itself, and a child's
-    DomainError passes through its parents.  A node without the variable
-    that fails stays unfolded, so it fails at each evaluation.
-    """
-    if isinstance(node, Const):
-        c = (node.value, 0.0, 0.0, 0.0)
-        return (lambda at: c), True
-    if isinstance(node, Var):
-        return (lambda at: at), False
-    if isinstance(node, Binary):
-        left, left_folded = _compile(node.left, variable)
-        right, right_folded = _compile(node.right, variable)
-        folded = left_folded and right_folded
-        rule = _BINARY[node.op][1]
+    taylor: Callable[[_TC], _TC]
+    text: str
+    prec: int
+    folded: bool
 
-        def f(at):
-            try:
-                return rule(left(at), right(at))
-            except _FAILURES as exc:
-                raise _failure(exc, node, variable) from None
 
-    else:
-        arg, folded = _compile(node.base if isinstance(node, Pow) else node.arg, variable)
-        if isinstance(node, Neg):
+def _identity(at: _TC) -> _TC:
+    return at
 
-            def f(at):
-                a0, a1, a2, a3 = arg(at)
-                return (-a0, -a1, -a2, -a3)
 
+def _wrap(node: _Node, min_prec: int) -> str:
+    return f"({node.text})" if node.prec < min_prec else node.text
+
+
+def _node(f, text: str, prec: int, folded: bool) -> _Node:
+    """The node of f, whose children are all folded if `folded`.  Such a node
+    that evaluates is folded: its function returns the coefficients computed
+    here.  One that fails stays unfolded, so it fails at each evaluation."""
+    if folded:
+        try:
+            c = f(_ONE)  # nothing below reads the point
+        except DomainError:
+            folded = False
         else:
-            rule = _power(node.exponent) if isinstance(node, Pow) else _rule(*FUNCTIONS[node.fn])
+            f = lambda at: c
+    return _Node(f, text, prec, folded)
 
-            def f(at):
-                try:
-                    return rule(arg(at))
-                except _FAILURES as exc:
-                    raise _failure(exc, node, variable) from None
 
-    if not folded:
-        return f, False
-    try:
-        c = f(_ONE)  # nothing below reads the point
-    except DomainError:
-        return f, False
-    return (lambda at: c), True
+def _const(value: float) -> _Node:
+    c = (value, 0.0, 0.0, 0.0)
+    return _Node(lambda at: c, repr(value), 5, True)
+
+
+def _failure(exc: Exception, text: str) -> DomainError:
+    """The DomainError for one of _FAILURES raised while evaluating the node
+    whose text is `text`; a child's DomainError passes through its parents."""
+    reason = "overflow" if isinstance(exc, ArithmeticError) else str(exc)
+    return DomainError(f"{reason} in '{text}'")
+
+
+def _binary(op: str, left: _Node, right: _Node) -> _Node:
+    prec, rule = _BINARY[op]
+    text = _wrap(left, prec) + (f" {op} " if prec == 1 else op) + _wrap(right, prec + 1)
+    lf, rf = left.taylor, right.taylor
+
+    def f(at):
+        try:
+            return rule(lf(at), rf(at))
+        except _FAILURES as exc:
+            raise _failure(exc, text) from None
+
+    return _node(f, text, prec, left.folded and right.folded)
+
+
+def _neg(arg: _Node) -> _Node:
+    g = arg.taylor
+
+    def f(at):
+        a0, a1, a2, a3 = g(at)
+        return (-a0, -a1, -a2, -a3)
+
+    return _node(f, "-" + _wrap(arg, 3), 3, arg.folded)
+
+
+def _unary(rule, arg: _Node, text: str, prec: int) -> _Node:
+    g = arg.taylor
+
+    def f(at):
+        try:
+            return rule(g(at))
+        except _FAILURES as exc:
+            raise _failure(exc, text) from None
+
+    return _node(f, text, prec, arg.folded)
+
+
+def _pow(base: _Node, exponent: float) -> _Node:
+    return _unary(_power(exponent), base, f"{_wrap(base, 5)}^{exponent!r}", 4)
+
+
+def _call(fn: str, arg: _Node) -> _Node:
+    return _unary(_rule(*FUNCTIONS[fn]), arg, f"{fn}({arg.text})", 5)
 
 
 # builds a Jet3 from a tuple without the Python-level __new__ of a NamedTuple

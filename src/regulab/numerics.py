@@ -378,8 +378,6 @@ def _power_law_fit(s: Sequence[float], v: Sequence[complex]) -> tuple[float, flo
     mx = sum(xs) / n
     my = sum(ys) / n
     sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0.0:
-        return None
     slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
     resid = math.sqrt(
         sum((y - (my + slope * (x - mx))) ** 2 for x, y in zip(xs, ys)) / n
@@ -390,11 +388,12 @@ def _power_law_fit(s: Sequence[float], v: Sequence[complex]) -> tuple[float, flo
 def classify_limit(samples: Sequence[tuple[float, complex]]) -> LimitOutcome:
     """Classify the s -> 0 limit of a sampled sequence.
 
-    `samples` must be ordered with s strictly decreasing toward 0.  Divergence
-    is detected first, as power-law growth of |value| over the last four
-    samples (slope of log|v| vs log s below -0.5 with RMS residual < 0.1);
-    otherwise Richardson-style polynomial extrapolation to s = 0 is applied
-    and the outcome is finite if the table diagonal contracts.
+    `samples` must be ordered with s strictly decreasing toward 0, and no two
+    adjacent s may have the same logarithm.  Divergence is detected first, as
+    power-law growth of |value| over the last four samples (slope of log|v|
+    vs log s below -0.5 with RMS residual < 0.1); otherwise Richardson-style
+    polynomial extrapolation to s = 0 is applied and the outcome is finite if
+    the table diagonal contracts.
     """
     if len(samples) < 4:
         raise TooFewSamples(f"need at least 4 samples, got {len(samples)}")
@@ -403,6 +402,9 @@ def classify_limit(samples: Sequence[tuple[float, complex]]) -> LimitOutcome:
     for x, y in zip(s[:-1], s[1:]):
         if not (x > y > 0.0):
             raise ValueError("samples must have strictly decreasing s > 0")
+    for x, y in zip(s[:-1], s[1:]):
+        if math.log(x) == math.log(y):  # the power-law fit needs a spread in log s
+            raise ValueError(f"s = {x} and {y} have the same logarithm")
 
     scale = max(abs(z) for z in v)
     if scale == 0.0:

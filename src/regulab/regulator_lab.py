@@ -60,10 +60,14 @@ class LimitPath:
 
 def check_schedule(s_values: Sequence[float]) -> None:
     """Raise ValueError unless the s values decrease strictly within (0, 1],
-    as a schedule along a LimitPath must."""
+    as a schedule along a LimitPath must, and no two adjacent ones have the
+    same logarithm, which classify_limit fits against."""
     in_range = all(0.0 < s <= 1.0 for s in s_values)
     if not in_range or any(s <= later for s, later in zip(s_values, s_values[1:])):
         raise ValueError("need s strictly decreasing in (0, 1]")
+    for s, later in zip(s_values, s_values[1:]):
+        if math.log(s) == math.log(later):
+            raise ValueError(f"s = {s} and {later} have the same logarithm")
 
 
 def sigma1(reg: Regulator) -> complex:
@@ -95,8 +99,8 @@ class AmbiguityExpr:
         return cls(ratio_239)
 
     @classmethod
-    def r_static317(cls, lam: float = 1.0, a: float = 1.0) -> "AmbiguityExpr":
-        cfg = WellConfig(lam, a)
+    def r_static317(cls, lam: float = 1.0) -> "AmbiguityExpr":
+        cfg = WellConfig(lam, 1.0)  # the closed form does not read the half-width
         return cls(lambda reg: r_integral_closed(cfg, reg))
 
     @classmethod

@@ -117,14 +117,18 @@ def _interior_factors(cfg: WellConfig, omega: float) -> tuple[float, float, floa
     return z, sa, shared, cfg.lam + z * (2.0 - shared)
 
 
+def _check_frequency(omega: float):
+    if not (omega > 0.0) or not math.isfinite(omega):
+        raise InvalidFrequency(f"omega must be finite and > 0, got {omega}")
+
+
 def mode_solution(cfg: WellConfig, j: ModeParity | int, omega: float) -> ModeSolution:
     """Closed-form amplitude and phase of the j-th family at frequency omega.
 
     The phase is the exterior phase shift, chosen in its 2*pi class nearest 0
     so that the interior and exterior pieces match with consistent sign.
     """
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise InvalidFrequency(f"omega must be > 0, got {omega}")
+    _check_frequency(omega)
     j = ModeParity(j)
     z, sa, shared, n1 = _interior_factors(cfg, omega)
     ca = _cos_sqrt(z, cfg.a)
@@ -150,8 +154,7 @@ def mode_solution(cfg: WellConfig, j: ModeParity | int, omega: float) -> ModeSol
 
 def chi_inside(cfg: WellConfig, j: ModeParity | int, omega: float, x: float) -> tuple[float, float]:
     """(value, derivative) of the interior mode function at x, |x| < a."""
-    if not (omega > 0.0):
-        raise InvalidFrequency(f"omega must be > 0, got {omega}")
+    _check_frequency(omega)
     j = ModeParity(j)
     z, _, shared, n1 = _interior_factors(cfg, omega)
     cx = _cos_sqrt(z, x)
@@ -237,8 +240,7 @@ def xi_lambda(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> float:
     The time dependence drops out of the vacuum bilinear (the split enters
     only through cos(omega*eps0)).
     """
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise InvalidFrequency(f"omega must be > 0, got {omega}")
+    _check_frequency(omega)
     _check_region(cfg, reg, x)
     pref = omega * math.cos(omega * reg.eps0) / _FOUR_PI
     return pref * _interior_ratios(cfg, reg, x)(omega)
@@ -246,16 +248,14 @@ def xi_lambda(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> float:
 
 def xi_free(omega: float, reg: Regulator) -> float:
     """Free-field counterpart of xi_lambda (lam = 0), independent of x."""
-    if not (omega > 0.0):
-        raise InvalidFrequency(f"omega must be > 0, got {omega}")
+    _check_frequency(omega)
     return omega * math.cos(omega * reg.eps0) * math.cos(omega * reg.eps1) / _TWO_PI
 
 
 def r_omega(cfg: WellConfig, omega: float, reg: Regulator) -> float:
     """Slowly-decaying remainder isolated from xi_lambda - xi_free; its cutoff
     integral is r_integral_closed."""
-    if not (omega > 0.0):
-        raise InvalidFrequency(f"omega must be > 0, got {omega}")
+    _check_frequency(omega)
     return (
         cfg.lam
         / _FOUR_PI
@@ -267,8 +267,7 @@ def r_omega(cfg: WellConfig, omega: float, reg: Regulator) -> float:
 
 def s_omega(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> float:
     """Integrable part of the subtracted density: (xi_lambda - xi_free) - r_omega."""
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise InvalidFrequency(f"omega must be > 0, got {omega}")
+    _check_frequency(omega)
     _check_region(cfg, reg, x)
     return _subtracted_integrand(cfg, reg, x)(omega)
 

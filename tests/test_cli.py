@@ -49,10 +49,10 @@ UNREAD = {
             flags,
         )
         for expr, flags in [
-            ("ratio239", ["--lambda", "--a", "--V", "--v0"]),
+            ("ratio239", ["--lambda", "--V", "--v0"]),
             ("rstatic317", ["--V", "--v0"]),
-            ("dterm616", ["--a", "--V", "--v0"]),
-            ("flanagan-delta", ["--lambda", "--a"]),
+            ("dterm616", ["--V", "--v0"]),
+            ("flanagan-delta", ["--lambda"]),
         ]
     },
 }
@@ -238,9 +238,12 @@ class TestValidation:
             WELL + ["--tail-multiple", "60"],
             ["step-energy", "--lambda", "1", "--mass", "1", "--grid", "1:1:1", "--compare", "--tau", "0.5",
              "--tail-multiple", "60"],
+            # the closed form behind rstatic317 does not read the well's half-width
+            ["limit-scan", "--expr", "rstatic317", "--path", "2,1,2", "--s-schedule", "0.2,0.1,0.05,0.025",
+             "--a", "1"],
         ],
         ids=["flanagan-rel-tol", "qi-bound-tail-multiple", "selftest-out", "well-energy-tail-multiple",
-             "step-energy-compare-tail-multiple"],
+             "step-energy-compare-tail-multiple", "limit-scan-a"],
     )
     def test_setting_the_command_does_not_read_exits_2(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
@@ -264,13 +267,33 @@ class TestValidation:
              SCHEDULE_RULE),
             (["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0:1", "--path", "2,2,1",
               "--s-schedule", "0.1,0.2"], SCHEDULE_RULE),
+            # four adjacent floats whose logarithms are one float
+            (["limit-scan", "--expr", "dterm616", "--path", "2,2,1", "--s-schedule",
+              "0.0009999999999999996,0.0009999999999999994,0.0009999999999999992,0.000999999999999999"],
+             "--s-schedule: s = 0.0009999999999999996 and 0.0009999999999999994 have the same logarithm"),
             (["step-energy", "--lambda", "1", "--mass", "0", "--grid", "1:1:1"],
              "--mass: need m > 0 for the step densities"),
         ],
         ids=["limit-scan-s-above-1", "well-energy-s-0", "limit-scan-s-rising", "limit-scan-singular-path",
-             "well-energy-s-rising", "step-energy-mass-0"],
+             "well-energy-s-rising", "limit-scan-logs-coincide", "step-energy-mass-0"],
     )
     def test_bad_schedule_or_mass_exits_2_naming_the_flag(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["qi-bound", "--rho", "3 + 0*x", "--support=-1,0,1"], "--support: expected lo,hi"),
+            (["flanagan", "--V", "v", "--grid", "0:1:0"], "--grid: count must be >= 1"),
+            (["limit-scan", "--expr", "ratio239", "--path", "2,1,2", "--s-schedule", "0.2,0.1,0.05"],
+             "--s-schedule: need at least 4 values"),
+            (["limit-scan", "--expr", "ratio239", "--path", "1,2,3,4", "--s-schedule", "0.2,0.1,0.05,0.025"],
+             "--path: expected p0,p1,ptau or p0,p1,ptau,c0,c1,ctau"),
+        ],
+        ids=["support-three-values", "grid-count-0", "schedule-three-values", "path-four-values"],
+    )
+    def test_list_of_the_wrong_length_exits_2_naming_the_flag(self, capsys, args, message):
         code, out, err = run_cli(args, capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -441,6 +464,28 @@ class TestOutputs:
         assert doc["summary"]["kind"] == "finite"
         assert abs(doc["summary"]["value_re"] - 1.0) < 1e-6
         assert len(doc["records"]) == 6
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_limit_scan_summary_names_the_singular_s(self, capsys, fmt):
+        # ratio239 is singular at every s of this path, so the scan stops at the first
+        code, out, err = run_cli(
+            ["limit-scan", "--expr", "ratio239", "--path", "1,1,1,1,1,0",
+             "--s-schedule", "0.2,0.1,0.05,0.025", "--format", fmt],
+            capsys,
+        )
+        assert code == 0, err
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["records"] == []
+            assert doc["summary"] == {
+                "kind": "divergent", "value_re": 0.0, "value_im": 0.0, "confidence": 0.0, "singular_s": 0.2,
+            }
+        else:
+            assert out.splitlines()[-2:] == [
+                "s,value_re,value_im",
+                "# summary: kind = divergent, value_re = 0, value_im = 0, confidence = 0, "
+                "singular_s = 0.20000000000000001",
+            ]
 
     def test_pointsplit_mode_columns(self, capsys):
         code, out, err = run_cli(
@@ -649,6 +694,23 @@ class TestConfig:
             assert "unknown key" in err
 
     @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("quadrature.rel_tol 1e-9\n", "{path}:1: expected 'key = value', got 'quadrature.rel_tol 1e-9'"),
+            (None, "--config: cannot read {path}: "),
+            ("output.format = xml\n", "--format must be csv or json, got 'xml'"),
+        ],
+        ids=["line-without-equals", "missing-file", "format-xml"],
+    )
+    def test_bad_config_file_exits_2(self, capsys, tmp_path, content, message):
+        cfg = tmp_path / "lab.conf"
+        if content is not None:
+            cfg.write_text(content)
+        code, out, err = run_cli(["flanagan", "--V", "v", "--grid", "0:0:1", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message.format(path=cfg)}")
+
+    @pytest.mark.parametrize(
         "args,expected",
         [
             (WELL, OUTPUT | QUADRATURE),
@@ -676,7 +738,7 @@ class TestExpressions:
         "expr_id,extra,expr",
         [
             ("ratio239", [], lambda: AmbiguityExpr.ratio239()),
-            ("rstatic317", ["--lambda", "1.7", "--a", "0.8"], lambda: AmbiguityExpr.r_static317(1.7, 0.8)),
+            ("rstatic317", ["--lambda", "1.7"], lambda: AmbiguityExpr.r_static317(1.7)),
             ("dterm616", ["--lambda", "1.7"], lambda: AmbiguityExpr.d_term616(1.7)),
             (
                 "flanagan-delta",
@@ -684,7 +746,7 @@ class TestExpressions:
                 lambda: AmbiguityExpr.flanagan_delta(ConformalMap.from_text("v + 0.5*sin(v)"), 0.3),
             ),
             # each mode's defaults
-            ("rstatic317", [], lambda: AmbiguityExpr.r_static317(1.0, 1.0)),
+            ("rstatic317", [], lambda: AmbiguityExpr.r_static317(1.0)),
             ("dterm616", [], lambda: AmbiguityExpr.d_term616(1.0)),
             (
                 "flanagan-delta",

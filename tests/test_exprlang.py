@@ -256,13 +256,14 @@ class TestDomainErrors:
 
 
 def test_evaluation_formats_no_text(monkeypatch):
+    # each node's text is formatted once, while parsing
     e = parse("exp(-(x/2)^2)/(2*sqrt(pi))", "x")
     expect = eval_jet3(e, 0.5)
 
-    def refuse(node, variable):
+    def refuse(node, min_prec):
         raise AssertionError("evaluation formatted a node")
 
-    monkeypatch.setattr(exprlang, "_to_text", refuse)
+    monkeypatch.setattr(exprlang, "_wrap", refuse)
     assert eval_jet3(e, 0.5) == expect
 
 

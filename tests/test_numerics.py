@@ -355,13 +355,13 @@ class TestClassifyLimit:
 
     def test_schedule_whose_logs_coincide_fits_no_power_law(self):
         # four adjacent floats below 1e-3 decrease strictly, but their logs are one
-        # float, so the fit's spread in log s is 0 (limit-scan accepts this schedule)
+        # float, so the fit would have no spread in log s: refused
         s = [0.0009999999999999996]
         for _ in range(3):
             s.append(math.nextafter(s[-1], 0.0))
         assert len({math.log(x) for x in s}) == 1
-        out = classify_limit([(x, 1.0 / x) for x in s])
-        assert out.kind is not LimitKind.DIVERGENT
+        with pytest.raises(ValueError, match=re.escape(f"s = {s[0]} and {s[1]} have the same logarithm")):
+            classify_limit([(x, 1.0 / x) for x in s])
 
     @given(st.integers(min_value=-8, max_value=8))
     @settings(max_examples=20, deadline=None)

@@ -110,7 +110,7 @@ class TestScan:
 
     def test_static_remainder_null_direction(self):
         res = scan_path(
-            AmbiguityExpr.r_static317(1.0, 1.0), LimitPath(1, 1, 1, ctau=0.0), SCHED
+            AmbiguityExpr.r_static317(1.0), LimitPath(1, 1, 1, ctau=0.0), SCHED
         )
         assert res.outcome.kind is LimitKind.DIVERGENT
         assert res.outcome.confidence == 0.0

@@ -310,3 +310,19 @@ class TestConfigValidation:
     def test_rejects_negative_regulator(self):
         with pytest.raises(ValueError):
             Regulator(-0.1, 0.0, 0.0)
+
+    # every per-omega function of the module, each at a valid regulator and x
+    FREQUENCY_CALLS = {
+        "mode_solution": lambda w: mode_solution(CFG, 1, w),
+        "chi_inside": lambda w: chi_inside(CFG, 2, w, 0.3),
+        "xi_lambda": lambda w: xi_lambda(CFG, w, Regulator(0.01, 0.02, 0.1), 0.3),
+        "xi_free": lambda w: xi_free(w, Regulator(0.01, 0.02, 0.1)),
+        "r_omega": lambda w: r_omega(CFG, w, Regulator(0.01, 0.02, 0.1)),
+        "s_omega": lambda w: s_omega(CFG, w, Regulator(0.01, 0.02, 0.1), 0.3),
+    }
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("name", list(FREQUENCY_CALLS))
+    def test_rejects_frequency_not_finite_and_positive(self, name, omega):
+        with pytest.raises(InvalidFrequency, match="omega must be finite and > 0"):
+            self.FREQUENCY_CALLS[name](omega)
