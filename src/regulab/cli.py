@@ -14,8 +14,10 @@ flags, never a setting.
 
 All output is deterministic: identical inputs produce byte-identical files.
 
-Exit codes: 0 success, 1 a selftest check failed, 2 validation error,
-3 numerical failure.
+Exit codes: 0 success, 1 a selftest check failed, 2 bad input, named by its
+flag, config-file line or setting, 3 a numerical failure: a tolerance not met,
+a panel that is not finite, or float overflow or a math domain error in a
+density.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ _DEFAULTS = {
     "output.format": "csv",
     "output.path": "-",
 }
+
+_FORMATS = ("csv", "json")  # output.format's values, from a flag or a config file
 
 # quadrature flag -> its config key, one per QuadratureSpec field, in --help order
 _QUADRATURE_FLAGS = {
@@ -90,11 +94,13 @@ def _named(flags: str, build, *args, **kwargs):
         raise ValidationFailure(f"{flags}: {exc}") from exc
 
 
-def _parsed(flag: str, from_text, text: str, *args):
-    """from_text(text, *args), with an error in the expression text, which
-    parsing raises as a RegulabError, reported as bad input in flag."""
+def _parsed(flag: str, fn, *args):
+    """fn(*args), with a RegulabError other than ToleranceNotMet, which the
+    expression text given in flag caused, reported as bad input in flag."""
     try:
-        return from_text(text, *args)
+        return fn(*args)
+    except ToleranceNotMet:
+        raise
     except RegulabError as exc:
         raise ValidationFailure(f"{flag}: {type(exc).__name__}: {exc}") from exc
 
@@ -123,6 +129,8 @@ def _parse_config_file(path: str) -> dict:
                 if key not in _DEFAULTS:
                     raise ValidationFailure(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = _named(f"{path}:{lineno}", type(_DEFAULTS[key]), val)
+                if key == "output.format" and val not in _FORMATS:
+                    raise ValidationFailure(f"{path}:{lineno}: output.format must be {' or '.join(_FORMATS)}, got {val!r}")
     except OSError as exc:
         raise ValidationFailure(f"--config: cannot read {path}: {exc}") from exc
     return values
@@ -161,10 +169,6 @@ def _resolve(args) -> dict:
         if path and flags:  # a command without settings reads no config file
             resolved.update((k, v) for k, v in _parse_config_file(path).items() if k in flags)
     resolved.update((k, v) for k, v in flags.items() if v is not None)
-    if resolved.get("output.format", "csv") not in ("csv", "json"):
-        raise ValidationFailure(
-            f"--format must be csv or json, got {resolved['output.format']!r}"
-        )
     return resolved
 
 
@@ -319,7 +323,8 @@ def cmd_limit_scan(args, resolved: dict) -> int:
     path = _parse_path(args.path)
     schedule = _parse_floats(args.s_schedule, "--s-schedule", n_min=4)
     _named("--s-schedule", check_schedule, schedule)  # scan_path's check, naming the flag
-    result = scan_path(expr, path, schedule)
+    # scan_path catches SingularRegulator, so only flanagan-delta's map raises a RegulabError
+    result = _parsed("--V", scan_path, expr, path, schedule)
     records = [
         {"s": s, "value_re": z.real, "value_im": z.imag} for s, z in result.samples
     ]
@@ -339,31 +344,22 @@ def cmd_flanagan(args, resolved: dict) -> int:
     V = _parsed("--V", ConformalMap.from_text, args.V)
     vs = _parse_grid(args.grid, "--grid")
     mode = args.mode
-    records = []
     if mode == "tau_first" and not (args.tau > 0.0):
         raise ValidationFailure("--tau: need tau > 0 for tau_first mode")
     if mode == "pointsplit" and args.tau < 0.0:
         raise ValidationFailure("--tau: need tau >= 0 for pointsplit mode")
-    if mode != "pointsplit":
-        for v in vs:
-            delta = delta_flanagan(V, v) if mode == "taylor" else delta_tau(V, v, args.tau)
+    if mode == "pointsplit" and args.tau == 0.0 and any(v - args.vbar_offset == v for v in vs):
+        raise ValidationFailure("--vbar-offset: need vbar != v at tau = 0")
+    records = []
+    for v in vs:
+        if mode == "pointsplit":
+            vbar = v - args.vbar_offset
+            z = _parsed("--V", delta_pointsplit, V, v, vbar, args.tau)
+            records.append({"v": v, "delta_re": z.real, "delta_im": z.imag, "mode": mode, "vbar": vbar, "tau": args.tau})
+        else:
+            delta = _parsed("--V", delta_flanagan, V, v) if mode == "taylor" else _parsed("--V", delta_tau, V, v, args.tau)
             records.append({"v": v, "delta": delta, "mode": mode})
-        columns = ["v", "delta", "mode"]
-    else:
-        for v in vs:
-            z = delta_pointsplit(V, v, v - args.vbar_offset, args.tau)
-            records.append(
-                {
-                    "v": v,
-                    "delta_re": z.real,
-                    "delta_im": z.imag,
-                    "mode": mode,
-                    "vbar": v - args.vbar_offset,
-                    "tau": args.tau,
-                }
-            )
-        columns = ["v", "delta_re", "delta_im", "mode", "vbar", "tau"]
-    _emit(resolved, columns, records, None)
+    _emit(resolved, list(records[0]), records, None)  # a grid has at least one v
     return EXIT_OK
 
 
@@ -374,7 +370,7 @@ def cmd_qi_bound(args, resolved: dict) -> int:
     # an error in the text names --rho, and a bad support names --support
     rho = _named("--support", _parsed, "--rho", WeightFunction.from_text, args.rho, (support[0], support[1]))
     spec = _spec_from(resolved)
-    res = qi_bound_rhs(rho, spec)
+    res = _parsed("--rho", qi_bound_rhs, rho, spec)
     _emit(
         resolved,
         ["bound", "error_estimate"],
@@ -396,7 +392,7 @@ def _add_settings(p: argparse.ArgumentParser, *quadrature_flags: str):
     def setting(flag, key, **kwargs):  # dest is the config key, type its default's
         p.add_argument(flag, dest=key, type=type(_DEFAULTS[key]), **kwargs)
 
-    setting("--format", "output.format", choices=("csv", "json"), help="output format")
+    setting("--format", "output.format", choices=_FORMATS, help="output format")
     setting("--out", "output.path", metavar="OUT", help="output path, '-' for stdout")
     p.add_argument("--config", help="config file (overrides REGULAB_CONFIG)")
     for flag in quadrature_flags:
@@ -506,16 +502,10 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ToleranceNotMet as exc:
+    except (ToleranceNotMet, ArithmeticError, ValueError) as exc:
+        # input is refused, or named by _named and _parsed, before it can fail here
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except RegulabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
-        # domain-object constructors validate with ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -162,7 +162,10 @@ def parse(text: str, variable: str) -> Expression:
     """Parse `text` as an expression in the single variable `variable`."""
     if not text.strip():
         raise ExpressionSyntaxError("empty expression", 0)
-    node = _Parser(text, variable).parse()
+    try:
+        node = _Parser(text, variable).parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply", 0) from None
     return Expression(node.text, variable, node.taylor)
 
 
@@ -435,5 +438,8 @@ _make_jet = tuple.__new__
 
 def eval_jet3(expression: Expression, v: float) -> Jet3:
     """Evaluate the expression and its first three derivatives at v."""
-    c0, c1, c2, c3 = expression.taylor((v, 1.0, 0.0, 0.0))
+    try:
+        c0, c1, c2, c3 = expression.taylor((v, 1.0, 0.0, 0.0))
+    except RecursionError:  # a node's closure calls its children's
+        raise DomainError("expression nested too deeply to evaluate") from None
     return _make_jet(Jet3, (c0, c1, 2.0 * c2, 6.0 * c3))

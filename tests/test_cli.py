@@ -355,6 +355,36 @@ class TestValidation:
         assert code == 3
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize(
+        "args,code,start",
+        [
+            (["well-energy", "--lambda", "1e6", "--a", "10", "--grid", "0:0:1",
+              "--eps0", "0.01", "--eps1", "0.01", "--tau", "0.1"], 3, "numerical failure: math range error"),
+            (["step-energy", "--lambda", "1e20", "--mass", "1", "--grid", "1:1:1"], 3,
+             "numerical failure: math domain error"),
+            (["flanagan", "--V", "v^2", "--grid", "0:0:1"], 2, "error: --V: DegenerateMap: V'(0.0) = 0"),
+            (["qi-bound", "--rho", "x", "--support", "-1,1"], 2, "error: --rho: NonpositiveWeight: "),
+            (["limit-scan", "--expr", "flanagan-delta", "--V", "ln(v)", "--v0", "-1", "--path", "0,1,3",
+              "--s-schedule", "0.2,0.1,0.05,0.025"], 2,
+             "error: --V: DomainError: ln of non-positive value in 'ln(v)'"),
+            (["flanagan", "--V", "exp(v)", "--grid", "0:0:1", "--mode", "pointsplit", "--vbar-offset", "0"], 2,
+             "error: --vbar-offset: need vbar != v at tau = 0"),
+            # V(1) = V(-1): the map, not the offset, makes the split vanish
+            (["flanagan", "--V", "v^2", "--grid", "1:1:1", "--mode", "pointsplit", "--vbar-offset", "2"], 2,
+             "error: --V: SingularRegulator: vanishing split denominator"),
+            (["flanagan", "--V", "(" * 300 + "v" + ")" * 300, "--grid", "0:0:1"], 2,
+             "error: --V: ExpressionSyntaxError: expression nested too deeply (position 0)"),
+            (["flanagan", "--V", "+".join(["v"] * 1500), "--grid", "0:0:1"], 2,
+             "error: --V: DomainError: expression nested too deeply to evaluate"),
+        ],
+        ids=["well-overflow", "step-math-domain", "degenerate-map", "nonpositive-weight", "scan-domain",
+             "zero-offset", "non-injective-map", "deep-parentheses", "long-sum"],
+    )
+    def test_exit_2_names_the_input_and_exit_3_is_numerical(self, capsys, args, code, start):
+        got, out, err = run_cli(args, capsys)
+        assert (got, out) == (code, "")
+        assert err.startswith(start)
+
     def test_non_finite_integrand_exits_3_at_once(self, capsys):
         # exp(450)^2 overflows to inf, so rho'^2/rho is nan near the ends
         code, out, err = run_cli(
@@ -698,7 +728,7 @@ class TestConfig:
         [
             ("quadrature.rel_tol 1e-9\n", "{path}:1: expected 'key = value', got 'quadrature.rel_tol 1e-9'"),
             (None, "--config: cannot read {path}: "),
-            ("output.format = xml\n", "--format must be csv or json, got 'xml'"),
+            ("output.format = xml\n", "{path}:1: output.format must be csv or json, got 'xml'"),
         ],
         ids=["line-without-equals", "missing-file", "format-xml"],
     )

@@ -76,6 +76,11 @@ class TestParse:
         assert message in str(err.value)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("text", ["(" * 300 + "v" + ")" * 300, "-" * 2000 + "v"], ids=["parentheses", "unary-minus"])
+    def test_nesting_deeper_than_the_recursion_limit_is_a_syntax_error(self, text):
+        with pytest.raises(ExpressionSyntaxError, match=r"expression nested too deeply \(position 0\)"):
+            parse(text, "v")
+
     @pytest.mark.parametrize("text,literal,position", [("v*1e400", "1e400", 2), ("2.5E+309 - v", "2.5E+309", 0)])
     def test_literal_that_is_not_finite_rejected(self, text, literal, position):
         with pytest.raises(ExpressionSyntaxError) as err:
@@ -184,6 +189,13 @@ class TestDomainErrors:
     def test_raises_domain_error(self, text, v0):
         with pytest.raises(DomainError):
             eval_jet3(parse(text, "v"), v0)
+
+    def test_sum_too_deep_to_evaluate_raises_domain_error(self):
+        # the parser loops over a sum's terms, but each node's closure calls
+        # its left child's, so evaluating 1,500 terms recurses 1,500 deep
+        e = parse("+".join(["v"] * 1500), "v")
+        with pytest.raises(DomainError, match="expression nested too deeply to evaluate"):
+            eval_jet3(e, 1.0)
 
     def test_error_names_offending_node(self):
         with pytest.raises(DomainError) as err:

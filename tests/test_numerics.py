@@ -12,6 +12,7 @@ from regulab.core import Regulator
 from regulab.errors import InvalidCutoff, ToleranceNotMet, TooFewSamples
 from regulab.numerics import (
     LimitKind,
+    QuadratureResult,
     QuadratureSpec,
     classify_limit,
     integrate_halfline,
@@ -287,6 +288,14 @@ class TestNonFinite:
         assert "[20.0, 22.0]" in str(err.value)
         assert err.value.evaluations == 15 * 11
 
+    def test_stops_on_a_half_that_is_not_finite(self):
+        # 0.25 is no node of [0, 1], so the panel is finite; it is the
+        # midpoint of its left half, which the guard bisection integrates
+        with pytest.raises(ToleranceNotMet) as err:
+            integrate_interval(lambda x: math.nan if x == 0.25 else 1.0, 0.0, 1.0, SPEC)
+        assert "[0.0, 1.0]" in str(err.value)
+        assert err.value.evaluations == 15 + 30
+
 
 class TestIntegrandType:
     """The value has the integrand's type, and a real integrand takes the same
@@ -349,6 +358,13 @@ class TestClassifyLimit:
         with pytest.raises(TooFewSamples):
             classify_limit([(0.1, 1.0), (0.05, 1.0), (0.025, 1.0)])
 
+    def test_a_zero_sample_skips_the_power_law_fit(self):
+        # the last sample is exactly 0, which has no logarithm; the
+        # extrapolation still finds the linear sequence's limit
+        out = classify_limit([(s, s - 1e-4) for s in self.S4])
+        assert out.kind is LimitKind.FINITE
+        assert abs(out.value + 1e-4) < 1e-15
+
     def test_nonmonotone_schedule_rejected(self):
         with pytest.raises(ValueError):
             classify_limit([(0.1, 1.0), (0.2, 1.0), (0.05, 1.0), (0.025, 1.0)])
@@ -409,3 +425,8 @@ class TestSpecValidation:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+
+def test_negative_error_estimate_rejected():
+    with pytest.raises(ValueError, match="error_estimate must be >= 0"):
+        QuadratureResult(1.0, -1e-16)

@@ -62,6 +62,12 @@ class TestLimitPath:
         path = LimitPath(1, 1, 1, ctau=0.0)
         assert path.regulator_at(0.37).tau == 0.0
 
+    @pytest.mark.parametrize("field,value", [("p0", math.nan), ("ptau", -1.0), ("c1", math.inf), ("ctau", -0.5)])
+    def test_field_not_finite_or_negative_rejected(self, field, value):
+        fields = {"p0": 1.0, "p1": 1.0, "ptau": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            LimitPath(**fields)
+
     def test_all_zero_coefficients_rejected(self):
         with pytest.raises(ValueError):
             LimitPath(1, 1, 1, c0=0.0, c1=0.0, ctau=0.0)

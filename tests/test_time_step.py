@@ -121,6 +121,24 @@ class TestTimeFactor:
         omega = math.hypot(1.0, 1.0)
         assert abs(s_k(CFG, 1.0, -2.0) - cmath.exp(2j * omega)) < 1e-14
 
+    def test_pre_switch_slope(self):
+        omega = math.hypot(1.0, 1.0)
+        assert abs(s_k_deriv(CFG, 1.0, -2.0) - (-1j * omega * cmath.exp(2j * omega))) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: StepConfig(math.nan, 1.0), "lam and m must be finite"),
+        (lambda: mode_reg_density(CFG, -1.0), "density is defined after the switch-on"),
+        (lambda: pointsplit_density(StepConfig(1.0, 0.0), 1.0, split(0.05)), "pointsplit_density requires m > 0"),
+    ],
+    ids=["step-not-finite", "mode-sum-before-switch", "pointsplit-massless"],
+)
+def test_input_outside_the_domain_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
 
 def bilinear_fd_oracle(cfg, k, t, reg, h=1e-5):
     """Finite differences of the two-point bilinear built directly from s_k;
