@@ -5,7 +5,8 @@ resolves as defaults <- config file (REGULAB_CONFIG or --config) <-
 command-line flags, later wins, over those settings, and the output's config
 block lists exactly them.  Config files are flat `key = value` lines with `#`
 comments and dotted section prefixes, e.g. `quadrature.rel_tol = 1e-12`; a
-file may set any known key, and a subcommand ignores those it does not read.
+file may set any known key to a valid value, and a subcommand ignores those
+it does not read.
 
 A flag is accepted only where its mode reads it: `_MODES` states which flags
 each mode reads.  One given in a mode that does not read it exits 2, naming
@@ -16,8 +17,8 @@ All output is deterministic: identical inputs produce byte-identical files.
 
 Exit codes: 0 success, 1 a selftest check failed, 2 bad input, named by its
 flag, config-file line or setting, 3 a numerical failure: a tolerance not met,
-a panel that is not finite, or float overflow or a math domain error in a
-density.
+a panel or a density difference that is not finite, or float overflow or a
+math domain error in a density.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import sys
 
 from . import selftest as selftest_mod
 from .core import Regulator
-from .errors import RegulabError, ToleranceNotMet
+from .errors import NonFiniteResult, RegulabError, ToleranceNotMet
 from .flanagan import ConformalMap, WeightFunction, delta_flanagan, delta_pointsplit, delta_tau, qi_bound_rhs
 from .numerics import QuadratureSpec
 from .regulator_lab import AmbiguityExpr, LimitPath, check_schedule, scan_path
@@ -59,6 +60,9 @@ _FORMATS = ("csv", "json")  # output.format's values, from a flag or a config fi
 _QUADRATURE_FLAGS = {
     "--" + f.name.replace("_", "-"): f"quadrature.{f.name}" for f in dataclasses.fields(QuadratureSpec)
 }
+
+# config key -> the flag that sets it
+_FLAG_OF = {**{key: flag for flag, key in _QUADRATURE_FLAGS.items()}, "output.format": "--format", "output.path": "--out"}
 
 _REGULATOR_FLAGS = {"--eps0": 0.0, "--eps1": 0.0, "--tau": 0.0}
 
@@ -94,12 +98,16 @@ def _named(flags: str, build, *args, **kwargs):
         raise ValidationFailure(f"{flags}: {exc}") from exc
 
 
+# the RegulabErrors that are numerical failures, not bad input
+_NUMERICAL = (ToleranceNotMet, NonFiniteResult)
+
+
 def _parsed(flag: str, fn, *args):
-    """fn(*args), with a RegulabError other than ToleranceNotMet, which the
-    expression text given in flag caused, reported as bad input in flag."""
+    """fn(*args), with a RegulabError other than a numerical failure, which
+    the expression text given in flag caused, reported as bad input in flag."""
     try:
         return fn(*args)
-    except ToleranceNotMet:
+    except _NUMERICAL:
         raise
     except RegulabError as exc:
         raise ValidationFailure(f"{flag}: {type(exc).__name__}: {exc}") from exc
@@ -111,7 +119,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _setting(source: str, key: str, value):
+    """value, refused as bad input in source (a flag or a config-file line)
+    unless the setting key takes it."""
+    if key.startswith("quadrature."):
+        _named(source, QuadratureSpec, **{key.removeprefix("quadrature."): value})
+    elif key == "output.format" and value not in _FORMATS:
+        raise ValidationFailure(f"{source}: output.format must be {' or '.join(_FORMATS)}, got {value!r}")
+    return value
+
+
 def _parse_config_file(path: str) -> dict:
+    """key -> (value, the file:line that set it)"""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -128,9 +147,8 @@ def _parse_config_file(path: str) -> dict:
                 val = val.strip()
                 if key not in _DEFAULTS:
                     raise ValidationFailure(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _named(f"{path}:{lineno}", type(_DEFAULTS[key]), val)
-                if key == "output.format" and val not in _FORMATS:
-                    raise ValidationFailure(f"{path}:{lineno}: output.format must be {' or '.join(_FORMATS)}, got {val!r}")
+                source = f"{path}:{lineno}"
+                values[key] = (_setting(source, key, _named(source, type(_DEFAULTS[key]), val)), source)
     except OSError as exc:
         raise ValidationFailure(f"--config: cannot read {path}: {exc}") from exc
     return values
@@ -159,22 +177,39 @@ def _apply_mode(args):
             raise ValidationFailure(f"{flag}: must be finite, got {_fmt(value)}")
 
 
+def _check_writable(path: str, source: str) -> None:
+    """Refuse an output path that cannot be opened for writing, naming its
+    source, and leave the file system as it was."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ValidationFailure(f"{source}: cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _resolve(args) -> dict:
     """defaults <- env config file <- --config file <- flags, over the
     settings the subcommand declares (its flags' dests); a file's other keys
-    are ignored."""
+    are checked, then ignored.  Each value is checked where it is read, and
+    an output path that cannot be written is refused, naming the flag or
+    line that set it, before anything is computed."""
     flags = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
-    resolved = {k: _DEFAULTS[k] for k in flags}
+    resolved = {k: (_DEFAULTS[k], None) for k in flags}
     for path in (os.environ.get("REGULAB_CONFIG"), getattr(args, "config", None)):
         if path and flags:  # a command without settings reads no config file
             resolved.update((k, v) for k, v in _parse_config_file(path).items() if k in flags)
-    resolved.update((k, v) for k, v in flags.items() if v is not None)
-    return resolved
+    resolved.update((k, (_setting(_FLAG_OF[k], k, v), _FLAG_OF[k])) for k, v in flags.items() if v is not None)
+    path, source = resolved.get("output.path", ("-", None))
+    if path != "-":
+        _check_writable(path, source)
+    return {k: value for k, (value, _) in resolved.items()}
 
 
 def _spec_from(resolved: dict) -> QuadratureSpec:
-    settings = {k.removeprefix("quadrature."): v for k, v in resolved.items() if k.startswith("quadrature.")}
-    return _named("quadrature settings", QuadratureSpec, **settings)
+    return QuadratureSpec(**{k.removeprefix("quadrature."): v for k, v in resolved.items() if k.startswith("quadrature.")})
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -502,7 +537,7 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ToleranceNotMet, ArithmeticError, ValueError) as exc:
+    except (*_NUMERICAL, ArithmeticError, ValueError) as exc:
         # input is refused, or named by _named and _parsed, before it can fail here
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

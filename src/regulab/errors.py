@@ -45,6 +45,11 @@ class DomainError(RegulabError):
     """Evaluation left the domain of a subexpression (ln <= 0, x/0, ...)."""
 
 
+class NonFiniteResult(DomainError):
+    """A density difference came out inf or nan because an intermediate
+    overflowed or underflowed: a numerical failure, not bad input."""
+
+
 class InvalidFrequency(RegulabError):
     """Mode frequency must be strictly positive."""
 

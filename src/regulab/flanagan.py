@@ -11,11 +11,14 @@ first:
 * delta_tau sets vbar = v first and keeps tau (a cutoff-scale term that
   vanishes iff V'(v)^2 = 1).
 
-delta_pointsplit, delta_flanagan and delta_tau raise DomainError naming v
-where their value is not finite.
+delta_pointsplit, delta_flanagan and delta_tau raise NonFiniteResult naming
+v where their value is not finite.  Each evaluates the map's jets to the
+order it reads: order 3 for delta_flanagan and for the compensated
+difference at v, order 1 everywhere else.
 
 qi_bound_rhs evaluates the weighted-average lower bound -(1/24 pi) *
-integral of rho'(x)^2 / rho(x) for a strictly positive weight rho.
+integral of rho'(x)^2 / rho(x) for a strictly positive weight rho, from
+order-1 jets of rho.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMap, DomainError, NonpositiveWeight, SingularRegulator
-from .exprlang import Expression, Jet3, eval_jet3, parse
+from .errors import DegenerateMap, NonFiniteResult, NonpositiveWeight, SingularRegulator
+from .exprlang import Expression, Jet3, eval_jet1, eval_jet3, parse
 from .numerics import QuadratureResult, QuadratureSpec, integrate_interval
 
 __all__ = [
@@ -76,9 +79,6 @@ class WeightFunction:
         if not (lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"support must be a finite interval, got {self.support}")
 
-    def jet(self, x: float) -> Jet3:
-        return eval_jet3(self.expr, x)
-
 
 def vacuum_tvv(v: float, vbar: float, tau: float) -> complex:
     """Point-split vacuum energy density of the right-moving sector:
@@ -100,7 +100,7 @@ def _map_difference(jet_v: Jet3, v: float, vbar: float, value_vbar: float) -> fl
 
 def _finite_in_v(fn):
     """Wrap fn(V, v, ...) so that a result that is not finite raises
-    DomainError naming v.  A division by an intermediate that underflowed to
+    NonFiniteResult naming v.  A division by an intermediate that underflowed to
     0 (V'(v)^2 of a tiny V', say) counts as not finite."""
 
     @functools.wraps(fn)
@@ -110,7 +110,7 @@ def _finite_in_v(fn):
         except ZeroDivisionError:
             value = math.nan
         if not cmath.isfinite(value):
-            raise DomainError(
+            raise NonFiniteResult(
                 f"{fn.__name__} at v = {v!r} is not finite ({value}): "
                 "an intermediate overflowed or underflowed"
             )
@@ -124,8 +124,8 @@ def delta_pointsplit(V: ConformalMap, v: float, vbar: float, tau: float = 0.0) -
     """Split-and-cutoff regulated density difference between the two
     quantizations; the object whose coincidence limit is order-dependent."""
     jet_v = V.jet(v)
-    jet_vbar = V.jet(vbar)
-    dv = _map_difference(jet_v, v, vbar, jet_vbar.f)
+    value_vbar, d1_vbar = eval_jet1(V.expr, vbar)
+    dv = _map_difference(jet_v, v, vbar, value_vbar)
     den_mapped = complex(dv, -tau)
     den_plain = complex(v - vbar, -tau)
     if den_mapped == 0 or den_plain == 0:
@@ -133,7 +133,7 @@ def delta_pointsplit(V: ConformalMap, v: float, vbar: float, tau: float = 0.0) -
             f"vanishing split denominator at v = {v}, vbar = {vbar}, tau = {tau}"
         )
     return (
-        jet_v.d1 * jet_vbar.d1 / (den_mapped * den_mapped)
+        jet_v.d1 * d1_vbar / (den_mapped * den_mapped)
         - 1.0 / (den_plain * den_plain)
     ) / _FOUR_PI
 
@@ -155,7 +155,7 @@ def delta_tau(V: ConformalMap, v: float, tau: float) -> float:
     """Coincidence limit taken before the cutoff: -(1/(4 pi tau^2)) (V'^2 - 1)."""
     if not (tau > 0.0):
         raise ValueError(f"tau must be > 0, got {tau}")
-    d1 = V.jet(v).d1
+    _, d1 = eval_jet1(V.expr, v)
     return -(d1 * d1 - 1.0) / (_FOUR_PI * tau * tau)
 
 
@@ -168,12 +168,13 @@ def qi_bound_rhs(rho: WeightFunction, spec: QuadratureSpec | None = None) -> Qua
     """
     spec = spec or QuadratureSpec()
     lo, hi = rho.support
+    expr = rho.expr
 
     def integrand(x: float) -> float:
-        jet = rho.jet(x)
-        if jet.f <= 0.0:
-            raise NonpositiveWeight(f"rho(x) = {jet.f} <= 0 at x = {x}", location=x)
-        return jet.d1 * jet.d1 / jet.f
+        f, d1 = eval_jet1(expr, x)
+        if f <= 0.0:
+            raise NonpositiveWeight(f"rho(x) = {f} <= 0 at x = {x}", location=x)
+        return d1 * d1 / f
 
     quad = integrate_interval(integrand, lo, hi, spec)
     tail = (hi - lo) * max(integrand(lo), integrand(hi))

@@ -53,7 +53,7 @@ class QuadratureSpec:
     integrand needs about one bisection per period it oscillates through
     where it is not negligible, so the default of 20000 is sized for the
     most oscillatory inputs of the density modules (see README).  Both
-    tolerances must be finite.
+    tolerances must be finite and > 0.
     """
 
     rel_tol: float = 1e-10
@@ -62,12 +62,11 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
 
 
 @dataclass(frozen=True)

@@ -248,7 +248,15 @@ def mode_reg_density(
     # since |u'/h'| = (1/k + k/omega^2 + k/E^2)/(4 t^2 k^2 omega) falls
     # monotonically; omega, E >= k bound it by 3/(4 t^2 K^4), so this K puts
     # the tail's share of the error at tol/2.
-    k_cut = (6.0 * pref / (t * t * tol)) ** 0.25
+    try:
+        k_cut = (6.0 * pref / (t * t * tol)) ** 0.25
+    except ZeroDivisionError:  # t^2 tol underflowed
+        k_cut = math.inf
+    if not 0.0 < k_cut < math.inf:  # t^2 overflowed, say, or lambda^2 underflowed
+        raise OverflowError(
+            f"mode_reg_density at t = {t!r}: the tail cut (6 pref/(t^2 tol))^(1/4) is {k_cut}, "
+            "since a factor of it overflowed or underflowed"
+        )
 
     def oscillating(k: float) -> float:
         omega = math.hypot(k, cfg.m)

@@ -376,9 +376,17 @@ class TestValidation:
              "error: --V: ExpressionSyntaxError: expression nested too deeply (position 0)"),
             (["flanagan", "--V", "+".join(["v"] * 1500), "--grid", "0:0:1"], 2,
              "error: --V: DomainError: expression nested too deeply to evaluate"),
+            # t^2 overflows, so the mode sum's tail cut is 0
+            (["step-energy", "--lambda", "0.5", "--mass", "1", "--grid", "1e200:1e200:1"], 3,
+             "numerical failure: mode_reg_density at t = 1e+200: the tail cut (6 pref/(t^2 tol))^(1/4) is 0.0"),
+            (["qi-bound", "--rho", "1 + 0*x", "--support", "-1,1", "--rel-tol", "-1"], 2,
+             "error: --rel-tol: rel_tol must be finite and > 0, got -1.0"),
+            (["qi-bound", "--rho", "1 + 0*x", "--support", "-1,1", "--max-subdivisions", "0"], 2,
+             "error: --max-subdivisions: max_subdivisions must be >= 1, got 0"),
         ],
         ids=["well-overflow", "step-math-domain", "degenerate-map", "nonpositive-weight", "scan-domain",
-             "zero-offset", "non-injective-map", "deep-parentheses", "long-sum"],
+             "zero-offset", "non-injective-map", "deep-parentheses", "long-sum", "step-tail-cut",
+             "negative-rel-tol", "zero-budget"],
     )
     def test_exit_2_names_the_input_and_exit_3_is_numerical(self, capsys, args, code, start):
         got, out, err = run_cli(args, capsys)
@@ -432,7 +440,6 @@ class TestValidation:
         "V,message",
         [
             ("v*1e400", "ExpressionSyntaxError: numeric literal '1e400' is not finite (position 2)"),
-            ("v^ln(1e300)", "DomainError: delta_flanagan at v = 2.0 is not finite (nan)"),
         ],
     )
     def test_not_finite_exits_2_naming_the_input(self, capsys, V, message):
@@ -440,6 +447,24 @@ class TestValidation:
         assert code == 2
         assert message in err
         assert "nan" not in out
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # V''^2 of v^690.8 overflows at v = 2
+            (["flanagan", "--V", "v^ln(1e300)", "--grid", "1:2:2"],
+             "numerical failure: delta_flanagan at v = 2.0 is not finite (nan)"),
+            # eps1 = s^2 and tau^2 = s^2 underflow to 0 on this schedule
+            (["limit-scan", "--expr", "flanagan-delta", "--V", "exp(v)", "--path", "2,2,1",
+              "--s-schedule", "1e-200,1e-250,1e-300,1e-305"],
+             "numerical failure: delta_pointsplit at v = 0.0 is not finite (nan)"),
+        ],
+        ids=["flanagan", "limit-scan"],
+    )
+    def test_not_finite_delta_exits_3(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(message)
 
     def test_exponent_that_underflows_to_zero(self, capsys):
         # 0.5^1e300 is 0.0, so V = v^0 = 1 is degenerate
@@ -702,6 +727,34 @@ class TestConfig:
         assert resolved(["--config", "lab.conf"]) == cfg_val
         assert resolved(["--config", "lab.conf", flag, flag_val]) == flag_val
 
+    @pytest.mark.parametrize("source", ["--out", "config"])
+    def test_unwritable_output_exits_2_before_computing(self, capsys, tmp_path, monkeypatch, source):
+        target = tmp_path / "missing" / "x.csv"
+        computed = []
+        monkeypatch.setattr(cli, "delta_flanagan", lambda *args: computed.append(args))
+        args = ["flanagan", "--V", "v", "--grid", "0:0:1"]
+        if source == "config":
+            cfg = tmp_path / "lab.conf"
+            cfg.write_text(f"# output\noutput.path = {target}\n")
+            args += ["--config", str(cfg)]
+            source = f"{cfg}:2"
+        else:
+            args += ["--out", str(target)]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, computed) == (2, "", [])
+        assert err.startswith(f"error: {source}: cannot write {target}: ")
+
+    def test_output_path_check_leaves_no_file(self, capsys, tmp_path):
+        # the path is writable, but the map is not: nothing is written
+        target = tmp_path / "x.csv"
+        code, out, err = run_cli(["flanagan", "--V", "sin(", "--grid", "0:0:1", "--out", str(target)], capsys)
+        assert code == 2
+        assert err.startswith("error: --V: ")
+        assert list(tmp_path.iterdir()) == []
+        code, out, err = run_cli(["flanagan", "--V", "v", "--grid", "0:0:1", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: --out: cannot write {tmp_path}: ")
+
     @pytest.mark.parametrize("content", ["quadrature.magic = 1\n", None], ids=["unknown-key", "missing"])
     def test_selftest_reads_no_config_file(self, capsys, tmp_path, monkeypatch, content):
         cfg = tmp_path / "env.conf"
@@ -729,8 +782,9 @@ class TestConfig:
             ("quadrature.rel_tol 1e-9\n", "{path}:1: expected 'key = value', got 'quadrature.rel_tol 1e-9'"),
             (None, "--config: cannot read {path}: "),
             ("output.format = xml\n", "{path}:1: output.format must be csv or json, got 'xml'"),
+            ("# tolerances\nquadrature.rel_tol = -1\n", "{path}:2: rel_tol must be finite and > 0, got -1.0"),
         ],
-        ids=["line-without-equals", "missing-file", "format-xml"],
+        ids=["line-without-equals", "missing-file", "format-xml", "negative-rel-tol"],
     )
     def test_bad_config_file_exits_2(self, capsys, tmp_path, content, message):
         cfg = tmp_path / "lab.conf"
@@ -832,9 +886,14 @@ class TestModes:
         assert [argv[0] for argv in commands] == [
             "well-energy", "step-energy", "limit-scan", "flanagan", "flanagan", "qi-bound", "selftest"
         ]
+        transcript = []
         for argv in commands:
             code, out, err = run_cli(argv, capsys)
             assert code == 0, (argv, err)
+            transcript.append("$ " + shlex.join(["regulab"] + argv) + "\n" + out)
+        # every byte of every command's stdout: a change that moves one must
+        # re-record this file on purpose
+        assert "".join(transcript) == (ROOT / "tests" / "readme_stdout.txt").read_text()
 
 
 class TestParser:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from regulab import exprlang
 from regulab.errors import DomainError, ExpressionSyntaxError, UnknownIdentifier
-from regulab.exprlang import eval_jet3, parse
+from regulab.exprlang import eval_jet1, eval_jet3, parse
 
 
 def jet_tuple(expr, v):
@@ -414,9 +414,59 @@ def test_jets_keep_their_bits(text, variable, point):
     assert repr(tuple(jet)) == repr(PINNED_JETS[text, variable, point])
 
 
+@pytest.mark.parametrize("text,variable,point", list(PINNED_JETS))
+def test_order_1_jets_are_the_pinned_value_and_first_derivative(text, variable, point):
+    jet = eval_jet1(parse(text, variable), point)
+    assert repr(jet) == repr(PINNED_JETS[text, variable, point][:2])
+
+
+# 0.0 is a critical point of v^2, cos(v), ..., where u' = 0 but u'' is not
+@given(random_expression(), st.sampled_from([0.0, -0.0, 0.4, -0.7, 1.3]) | st.floats(-30.0, 30.0))
+@settings(max_examples=300, deadline=None)
+def test_order_1_jet_is_the_order_3_jets_first_two_terms(text, v):
+    e = parse(text, "v")
+    try:
+        jet = eval_jet3(e, v)
+    except DomainError:
+        return
+    assert repr(eval_jet1(e, v)) == repr((jet.f, jet.d1))
+
+
+@pytest.mark.parametrize(
+    "text,v0,message",
+    [
+        ("ln(v)", -1.0, "ln of non-positive value in 'ln(v)'"),
+        ("ln(v^2 - 1)", 0.0, "ln of non-positive value in 'ln(v^2.0 - 1.0)'"),  # u' = 0 there
+        ("sqrt(v - 2)", 1.0, "sqrt of non-positive value in 'sqrt(v - 2.0)'"),
+        ("1/(v - 1)", 1.0, "division by zero in '1.0/(v - 1.0)'"),
+        ("v^-2", 0.0, "division by zero in 'v^-2.0'"),
+        ("v^0.5", -1.0, "non-integer power of non-positive base in 'v^0.5'"),
+        ("exp(1000*v)", 1.0, "overflow in 'exp(1000.0*v)'"),
+        ("2^2000", 1.0, "overflow in '2.0^2000.0'"),
+        ("v + sin(1e200*1e200)", 1.0, "math domain error in 'sin(1e+200*1e+200)'"),
+        ("v^(0*(1e200*1e200))", 1.0, "cannot convert float NaN to integer in 'v^nan'"),
+        ("+".join(["v"] * 1500), 1.0, "expression nested too deeply to evaluate"),
+    ],
+)
+def test_both_orders_raise_the_same_domain_error(text, v0, message):
+    e = parse(text, "v")
+    for evaluate in (eval_jet1, eval_jet3):
+        with pytest.raises(DomainError) as err:
+            evaluate(e, v0)
+        assert str(err.value) == message
+
+
+def test_order_1_never_computes_the_terms_that_overflow_at_order_3():
+    # ln''' = 2/v^3 divides by v^3, which underflows to 0 at 1e-110
+    e = parse("ln(v)", "v")
+    with pytest.raises(DomainError, match=r"^overflow in 'ln\(v\)'$"):
+        eval_jet3(e, 1e-110)
+    assert eval_jet1(e, 1e-110) == (math.log(1e-110), 1.0 / 1e-110)
+
+
 def test_expression_and_its_closures_are_freed_together():
     # no cache outlives an Expression: reference counting alone frees its
-    # closures, every one of them, with it
+    # closures at both orders, every one of them, with it
     def closures(f):
         found = [f]
         for cell in f.__closure__:
@@ -427,8 +477,10 @@ def test_expression_and_its_closures_are_freed_together():
     gc.disable()
     try:
         e = parse("exp(-(x/1.7)^2)/(1.7*sqrt(pi)) + ln(x^2 + 1)*x^-0.5", "x")
-        refs = [weakref.ref(e)] + [weakref.ref(f) for f in closures(e.taylor)]
-        assert len(refs) > 10
+        order1 = [weakref.ref(f) for f in closures(e.taylor1)]
+        order3 = [weakref.ref(f) for f in closures(e.taylor)]
+        assert len(order1) > 10 and len(order3) > 10
+        refs = [weakref.ref(e)] + order1 + order3
         del e
         assert [r() for r in refs] == [None] * len(refs)
     finally:

@@ -168,6 +168,15 @@ class TestQiBound:
         assert res.evaluations == 405
         assert type(res.value) is float
 
+    def test_readme_weight_keeps_its_bits(self):
+        # recorded from third-order jets: the integrand's order-1 jets are
+        # their value and first derivative bit for bit
+        rho = WeightFunction.from_text("exp(-(x/2)^2)/(2*sqrt(pi))", (-30.0, 30.0))
+        res = qi_bound_rhs(rho, SPEC)
+        assert (repr(res.value), repr(res.error_estimate), res.evaluations) == (
+            "-0.006631455962162289", "5.044257591948583e-14", 405
+        )
+
     def test_width_scaling(self):
         # the narrower gaussian needs a narrower support: e^(-900) underflows
         wide = qi_bound_rhs(
