@@ -178,16 +178,21 @@ def _apply_mode(args):
 
 
 def _check_writable(path: str, source: str) -> None:
-    """Refuse an output path that cannot be opened for writing, naming its
-    source, and leave the file system as it was."""
-    existed = os.path.lexists(path)
-    try:
-        with open(path, "a", encoding="utf-8"):
-            pass
-    except OSError as exc:
-        raise ValidationFailure(f"{source}: cannot write {path}: {exc}") from exc
-    if not existed:
-        os.remove(path)
+    """Refuse an output path that cannot be written, naming its source,
+    without opening it: opening a named pipe would end its reader's input,
+    and opening a dangling symlink would create its target."""
+    target = os.path.realpath(path)  # what opening the path would write
+    parent = os.path.dirname(target)
+    if os.path.isdir(target):
+        reason = "is a directory"
+    elif os.path.exists(target):
+        reason = None if os.access(target, os.W_OK) else "permission denied"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    else:
+        reason = None if os.access(parent, os.W_OK | os.X_OK) else f"permission denied in {parent}"
+    if reason:
+        raise ValidationFailure(f"{source}: cannot write {path}: {reason}")
 
 
 def _resolve(args) -> dict:
@@ -195,16 +200,17 @@ def _resolve(args) -> dict:
     settings the subcommand declares (its flags' dests); a file's other keys
     are checked, then ignored.  Each value is checked where it is read, and
     an output path that cannot be written is refused, naming the flag or
-    line that set it, before anything is computed."""
+    line that set it, before anything is computed; args.output_source keeps
+    that name for _emit."""
     flags = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
     resolved = {k: (_DEFAULTS[k], None) for k in flags}
     for path in (os.environ.get("REGULAB_CONFIG"), getattr(args, "config", None)):
         if path and flags:  # a command without settings reads no config file
             resolved.update((k, v) for k, v in _parse_config_file(path).items() if k in flags)
     resolved.update((k, (_setting(_FLAG_OF[k], k, v), _FLAG_OF[k])) for k, v in flags.items() if v is not None)
-    path, source = resolved.get("output.path", ("-", None))
+    path, args.output_source = resolved.get("output.path", ("-", None))
     if path != "-":
-        _check_writable(path, source)
+        _check_writable(path, args.output_source)
     return {k: value for k, (value, _) in resolved.items()}
 
 
@@ -240,7 +246,7 @@ def _parse_path(text: str) -> LimitPath:
     return _named("--path", LimitPath, *vals)
 
 
-def _emit(resolved: dict, columns: list[str], records: list[dict], summary: dict | None):
+def _emit(args, resolved: dict, columns: list[str], records: list[dict], summary: dict | None):
     buf = io.StringIO()
     config_items = [(k, resolved[k]) for k in sorted(resolved)]
     if resolved["output.format"] == "csv":
@@ -264,8 +270,11 @@ def _emit(resolved: dict, columns: list[str], records: list[dict], summary: dict
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:  # the path changed since _check_writable
+            raise ValidationFailure(f"{args.output_source}: cannot write {path}: {exc}") from exc
 
 
 def cmd_well_energy(args, resolved: dict) -> int:
@@ -307,7 +316,7 @@ def cmd_well_energy(args, resolved: dict) -> int:
                     "tau": reg.tau,
                 }
             )
-    _emit(resolved, ["x", "value", "error_estimate", "eps0", "eps1", "tau"], records, None)
+    _emit(args, resolved, ["x", "value", "error_estimate", "eps0", "eps1", "tau"], records, None)
     return EXIT_OK
 
 
@@ -340,7 +349,7 @@ def cmd_step_energy(args, resolved: dict) -> int:
             rec["residual"] = ps.value - gap - mode.value
         records.append(rec)
     columns = ["t", "mode_reg"] + (["pointsplit", "d_term", "residual"] if args.compare else [])
-    _emit(resolved, columns, records, None)
+    _emit(args, resolved, columns, records, None)
     return EXIT_OK
 
 
@@ -371,7 +380,7 @@ def cmd_limit_scan(args, resolved: dict) -> int:
     }
     if result.singular_s is not None:
         summary["singular_s"] = result.singular_s
-    _emit(resolved, ["s", "value_re", "value_im"], records, summary)
+    _emit(args, resolved, ["s", "value_re", "value_im"], records, summary)
     return EXIT_OK
 
 
@@ -394,7 +403,7 @@ def cmd_flanagan(args, resolved: dict) -> int:
         else:
             delta = _parsed("--V", delta_flanagan, V, v) if mode == "taylor" else _parsed("--V", delta_tau, V, v, args.tau)
             records.append({"v": v, "delta": delta, "mode": mode})
-    _emit(resolved, list(records[0]), records, None)  # a grid has at least one v
+    _emit(args, resolved, list(records[0]), records, None)  # a grid has at least one v
     return EXIT_OK
 
 
@@ -407,6 +416,7 @@ def cmd_qi_bound(args, resolved: dict) -> int:
     spec = _spec_from(resolved)
     res = _parsed("--rho", qi_bound_rhs, rho, spec)
     _emit(
+        args,
         resolved,
         ["bound", "error_estimate"],
         [{"bound": res.value, "error_estimate": res.error_estimate}],

@@ -22,8 +22,8 @@ of calling for them.  A function node computes F, its derivatives and their
 composition at its order.  So an order-1 jet is the order-3 jet's (f, d1)
 bit for bit, wherever the order-3 jet evaluates; where only its second or
 third derivative terms overflow, the order-1 jet still evaluates.  A jet of
-the qi-bound weight exp(-(x/1.7)^2)/(1.7*sqrt(pi)) takes 0.78 us at order 1
-and 2.0 us at order 3, against 2.5 us when each node's closure called a
+the qi-bound weight exp(-(x/1.7)^2)/(1.7*sqrt(pi)) takes 0.89 us at order 1
+and 2.4 us at order 3, against 2.7 us when each node's closure called a
 separate rule function (2-core Xeon, CPython 3.11.7, best of 9).
 
 A function of a jet with no derivative terms (a constant) takes only its
@@ -291,18 +291,6 @@ def _integer_power1(n: int, g, text: str):
     return power
 
 
-def _square1(g):
-    """_integer_power1 at n = 2, with its first product, 1 * b, written out:
-    1.0 * b_k is b_k, but 0.0 * b_j may be nan or -0.0, so it stays."""
-
-    def square(at):
-        b0, b1 = g(at)
-        o1 = b1 + 0.0 * b0
-        return (b0 * b0, b0 * b1 + o1 * b0)
-
-    return square
-
-
 def _function1(function, g, jet3, text: str):
     """F(u), F's entry in FUNCTIONS; jet3 is the same node's order-3 function."""
     value, first, _, undefined = function
@@ -405,31 +393,12 @@ def _integer_power3(n: int, g, text: str):
     return power
 
 
-def _square3(g):
-    """_integer_power3 at n = 2, with its first product, 1 * b, written out
-    as in _square1."""
-
-    def square(at):
-        b0, b1, b2, b3 = g(at)
-        o1 = b1 + 0.0 * b0
-        o2 = b2 + 0.0 * b1 + 0.0 * b0
-        o3 = b3 + 0.0 * b2 + 0.0 * b1 + 0.0 * b0
-        return (
-            b0 * b0,
-            b0 * b1 + o1 * b0,
-            b0 * b2 + o1 * b1 + o2 * b0,
-            b0 * b3 + o1 * b2 + o2 * b1 + o3 * b0,
-        )
-
-    return square
-
-
 def _function3(function, g, text: str):
     """F(u), F's entry in FUNCTIONS: the truncated series f0 + f1*p +
     f2/2*p^2 + f3/6*p^3 in p = u - u[0], with p^2 and p^3 written out.  Each
     coefficient sums only the terms that reach it, so F(u)' reads only f1 and
     F(u)'' only f1 and f2: an F''' that overflows leaves them finite."""
-    value, _, derivatives, undefined = function
+    value, first, higher, undefined = function
 
     def call(at):
         u0, u1, u2, u3 = g(at)
@@ -440,7 +409,8 @@ def _function3(function, g, text: str):
             if u1 == u2 == u3 == 0.0:
                 # a constant: F(u) has no derivative terms, and F's own may overflow where f0 does not
                 return (f0, 0.0, 0.0, 0.0)
-            f1, f2, f3 = derivatives(u0, f0)
+            f1 = first(u0, f0) if first else f0
+            f2, f3 = higher(u0, f0, f1)
         except _FAILURES as exc:
             raise _failure(exc, text) from None
         h2, h3 = f2 / 2.0, f3 / 6.0
@@ -460,49 +430,42 @@ _BINARY = {
 }
 
 
-# derivative rules: F'(x), F''(x), F'''(x) from x and F(x)
-def _exp(x: float, f0: float):
-    return f0, f0, f0
-
-
-def _ln(x: float, f0: float):
-    return 1.0 / x, -1.0 / x**2, 2.0 / x**3
-
-
-def _sin(x: float, f0: float):
-    c = math.cos(x)
-    return c, -f0, -c
-
-
-def _cos(x: float, f0: float):
-    s = math.sin(x)
-    return -s, -f0, s
-
-
+# F'(x) from x and F(x), the rule both orders read; and F''(x), F'''(x) from
+# x, F(x) and F'(x), which only order 3 reads
 def _sech2(x: float, f0: float):
     # tanh' from e^(-2|x|), not as 1 - tanh^2, which is 0 once tanh rounds to 1
     e = math.exp(-2.0 * abs(x))
     return 4.0 * e / ((1.0 + e) * (1.0 + e))
 
 
-def _tanh(x: float, f0: float):
-    sech2 = _sech2(x, f0)
-    return sech2, -2.0 * f0 * sech2, sech2 * (6.0 * f0 * f0 - 2.0)
+def _exp(x: float, f0: float, f1: float):
+    return f0, f0
 
 
-def _sqrt(x: float, f0: float):
-    return 0.5 / f0, -0.25 / (x * f0), 0.375 / (x * x * f0)
+def _ln(x: float, f0: float, f1: float):
+    return -1.0 / x**2, 2.0 / x**3
 
 
-# name -> F, F'(x) from x and F(x) (what order 1 reads: the same expression
-# as the first term of the derivative rule, or None where F' = F), the
-# derivative rule, and the message for a value outside F's domain (None where
-# F takes every real)
+def _sin_cos(x: float, f0: float, f1: float):
+    # sin'' = -sin and sin''' = -sin', and the same for cos
+    return -f0, -f1
+
+
+def _tanh(x: float, f0: float, f1: float):
+    return -2.0 * f0 * f1, f1 * (6.0 * f0 * f0 - 2.0)
+
+
+def _sqrt(x: float, f0: float, f1: float):
+    return -0.25 / (x * f0), 0.375 / (x * x * f0)
+
+
+# name -> F, F' (None where F' = F), F'' and F''', and the message for a
+# value outside F's domain (None where F takes every real)
 FUNCTIONS = {
     "exp": (math.exp, None, _exp, None),
     "ln": (math.log, lambda x, f0: 1.0 / x, _ln, "ln of non-positive value"),
-    "sin": (math.sin, lambda x, f0: math.cos(x), _sin, None),
-    "cos": (math.cos, lambda x, f0: -math.sin(x), _cos, None),
+    "sin": (math.sin, lambda x, f0: math.cos(x), _sin_cos, None),
+    "cos": (math.cos, lambda x, f0: -math.sin(x), _sin_cos, None),
     "tanh": (math.tanh, _sech2, _tanh, None),
     "sqrt": (math.sqrt, lambda x, f0: 0.5 / f0, _sqrt, "sqrt of non-positive value"),
 }
@@ -516,10 +479,10 @@ def _real_power(p: float):
     def first(x: float, f0: float):
         return p * x ** (p - 1.0)
 
-    def derivatives(x: float, f0: float):
-        return p * x ** (p - 1.0), p1 * x ** (p - 2.0), p2 * x ** (p - 3.0)
+    def higher(x: float, f0: float, f1: float):
+        return p1 * x ** (p - 2.0), p2 * x ** (p - 3.0)
 
-    return (lambda x: x**p, first, derivatives, "non-integer power of non-positive base")
+    return (lambda x: x**p, first, higher, "non-integer power of non-positive base")
 
 
 # --- nodes ---------------------------------------------------------------
@@ -611,8 +574,6 @@ def _pow(base: _Node, p: float) -> _Node:
             message = str(_failure(exc, text))
         return _node(_failing(base.jet1, message), _failing(base.jet3, message), text, 4, False)
     foldable = base.const is not None
-    if p == 2.0:  # the common case
-        return _node(_square1(base.jet1), _square3(base.jet3), text, 4, foldable)
     if p == round(p) and abs(p) <= 64:
         n = int(p)
         return _node(_integer_power1(n, base.jet1, text), _integer_power3(n, base.jet3, text), text, 4, foldable)

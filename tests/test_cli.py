@@ -7,6 +7,7 @@ import random
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -753,7 +754,44 @@ class TestConfig:
         assert list(tmp_path.iterdir()) == []
         code, out, err = run_cli(["flanagan", "--V", "v", "--grid", "0:0:1", "--out", str(tmp_path)], capsys)
         assert code == 2
-        assert err.startswith(f"error: --out: cannot write {tmp_path}: ")
+        assert err == f"error: --out: cannot write {tmp_path}: is a directory\n"
+
+    def test_output_through_a_dangling_symlink(self, capsys, tmp_path):
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        link.symlink_to(target)
+        # the check opens nothing, so a command that fails leaves no target
+        code, out, err = run_cli(["flanagan", "--V", "sin(", "--grid", "0:0:1", "--out", str(link)], capsys)
+        assert code == 2
+        assert err.startswith("error: --V: ")
+        assert not target.exists()
+        code, out, err = run_cli(["flanagan", "--V", "v", "--grid", "0:0:1", "--out", str(link)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text().endswith("v,delta,mode\n0,0,taylor\n")
+        # a link into a directory that does not exist
+        link = tmp_path / "nowhere.csv"
+        link.symlink_to(tmp_path / "missing" / "x.csv")
+        code, out, err = run_cli(["flanagan", "--V", "v", "--grid", "0:0:1", "--out", str(link)], capsys)
+        assert code == 2
+        assert err == f"error: --out: cannot write {link}: no directory {os.path.realpath(tmp_path / 'missing')}\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_output_to_a_named_pipe(self, capsys, tmp_path):
+        # a reader such as `cat pipe` stops at its first end of input, so the
+        # command must open the pipe once, to write its output
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reads, codes = [], []
+        argv = ["flanagan", "--V", "v", "--grid", "0:0:1", "--out", str(pipe)]
+        threads = [
+            threading.Thread(target=lambda: reads.append(pipe.read_text()), daemon=True),
+            threading.Thread(target=lambda: codes.append(main(argv)), daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)  # a thread still blocked in open() stays behind
+        assert codes == [0]
+        assert reads[0].startswith("# ") and reads[0].endswith("v,delta,mode\n0,0,taylor\n")
 
     @pytest.mark.parametrize("content", ["quadrature.magic = 1\n", None], ids=["unknown-key", "missing"])
     def test_selftest_reads_no_config_file(self, capsys, tmp_path, monkeypatch, content):
