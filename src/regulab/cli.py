@@ -66,6 +66,16 @@ _FLAG_OF = {**{key: flag for flag, key in _QUADRATURE_FLAGS.items()}, "output.fo
 
 _REGULATOR_FLAGS = {"--eps0": 0.0, "--eps1": 0.0, "--tau": 0.0}
 
+# limit-scan's --expr: expression id -> ({flag it reads: its default}, its
+# constructor from the parsed flags)
+_EXPRESSIONS = {
+    "ratio239": ({}, lambda args: AmbiguityExpr.ratio239()),
+    "rstatic317": ({"--lambda": 1.0}, lambda args: _named("--lambda", AmbiguityExpr.r_static317, args.lam)),
+    "dterm616": ({"--lambda": 1.0}, lambda args: AmbiguityExpr.d_term616(args.lam)),
+    "flanagan-delta": ({"--V": "exp(v)", "--v0": 0.0},
+                       lambda args: AmbiguityExpr.flanagan_delta(_parsed("--V", ConformalMap.from_text, args.V), args.v0)),
+}
+
 # The mode table: subcommand -> (its mode, from the parsed arguments; why a
 # mode refuses a flag it does not read; mode -> {flag it reads: its default}).
 # These flags parse as None, "not given".
@@ -78,8 +88,7 @@ _MODES = {
                  {"taylor": {}, "tau_first": {"--tau": 0.0},
                   "pointsplit": {"--tau": 0.0, "--vbar-offset": 0.01}}),
     "limit-scan": (lambda args: args.expr, "not read by --expr {}",
-                   {"ratio239": {}, "rstatic317": {"--lambda": 1.0},
-                    "dterm616": {"--lambda": 1.0}, "flanagan-delta": {"--V": "exp(v)", "--v0": 0.0}}),
+                   {expr_id: reads for expr_id, (reads, _) in _EXPRESSIONS.items()}),
 }
 
 # a mode-dependent flag's dest, where it is not the one argparse derives
@@ -343,27 +352,17 @@ def cmd_step_energy(args, resolved: dict) -> int:
         rec = {"t": t, "mode_reg": mode.value}
         if args.compare:
             ps = pointsplit_density(cfg, t, reg, spec)
-            gap = d_term(cfg, reg)
-            rec["pointsplit"] = ps.value
-            rec["d_term"] = gap
-            rec["residual"] = ps.value - gap - mode.value
+            d = d_term(cfg, reg)  # the point split carries -d_term
+            rec.update(pointsplit=ps.value, d_term=d, residual=ps.value + d - mode.value)
         records.append(rec)
     columns = ["t", "mode_reg"] + (["pointsplit", "d_term", "residual"] if args.compare else [])
     _emit(args, resolved, columns, records, None)
     return EXIT_OK
 
 
-# limit-scan's --expr: expression id -> its constructor from the parsed flags
-_EXPRESSIONS = {
-    "ratio239": lambda args: AmbiguityExpr.ratio239(),
-    "rstatic317": lambda args: _named("--lambda", AmbiguityExpr.r_static317, args.lam),
-    "dterm616": lambda args: AmbiguityExpr.d_term616(args.lam),
-    "flanagan-delta": lambda args: AmbiguityExpr.flanagan_delta(_parsed("--V", ConformalMap.from_text, args.V), args.v0),
-}
-
 
 def cmd_limit_scan(args, resolved: dict) -> int:
-    expr = _EXPRESSIONS[args.expr](args)
+    expr = _EXPRESSIONS[args.expr][1](args)
     path = _parse_path(args.path)
     schedule = _parse_floats(args.s_schedule, "--s-schedule", n_min=4)
     _named("--s-schedule", check_schedule, schedule)  # scan_path's check, naming the flag

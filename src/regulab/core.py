@@ -1,9 +1,11 @@
-"""Shared domain type: the regulator triple."""
+"""Shared domain types: the regulator triple and its regulated interval."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .errors import SingularRegulator
 
 
 @dataclass(frozen=True)
@@ -24,3 +26,16 @@ class Regulator:
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
+
+def sigma_tau(eps0: float, eps1: float, tau: float) -> complex:
+    """The regulated interval eps1^2 - (eps0 - i*tau)^2 of the split points,
+    in which the Hadamard form of the 1+1 two-point function is written."""
+    return complex(eps1 * eps1 - eps0 * eps0 + tau * tau, 2.0 * eps0 * tau)
+
+
+def nonzero_sigma_tau(eps0: float, eps1: float, tau: float) -> complex:
+    """sigma_tau, or SingularRegulator where it vanishes: on the null split
+    eps0 = eps1 at tau = 0, at the origin, or where its terms underflow."""
+    if (sigma := sigma_tau(eps0, eps1, tau)) == 0:
+        raise SingularRegulator(f"sigma_tau vanishes at (eps0, eps1, tau) = ({eps0}, {eps1}, {tau})")
+    return sigma

@@ -4,7 +4,9 @@ regulator-dependent expressions along them.
 A LimitPath drives each regulator component to zero as a power of a single
 parameter s; the exponent ordering is what decides the limit of the
 degree-zero-homogeneous ambiguity expressions.  A coefficient of zero pins a
-component identically to zero along the whole path.
+component identically to zero along the whole path.  The prototype,
+ratio239 = eps1^2/sigma_tau (core.sigma_tau), tends to 1, 0 or diverges by
+which component shrinks fastest.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Regulator
+from .core import Regulator, nonzero_sigma_tau, sigma_tau
 from .errors import SingularRegulator
 from .flanagan import ConformalMap, delta_pointsplit
 from .numerics import LimitKind, LimitOutcome, classify_limit
@@ -71,21 +73,13 @@ def check_schedule(s_values: Sequence[float]) -> None:
 
 
 def sigma1(reg: Regulator) -> complex:
-    """Regulated squared separation of the split points:
-    (eps1^2 - eps0^2) + 2i*eps0*tau + tau^2."""
-    return complex(
-        reg.eps1 * reg.eps1 - reg.eps0 * reg.eps0 + reg.tau * reg.tau,
-        2.0 * reg.eps0 * reg.tau,
-    )
+    """sigma_tau of the regulator; 0j on a null split."""
+    return sigma_tau(reg.eps0, reg.eps1, reg.tau)
 
 
 def ratio_239(reg: Regulator) -> complex:
-    """eps1^2 / sigma1 — the prototype order-of-limits ambiguity: 1, 0, or
-    unbounded depending on which regulator component shrinks fastest."""
-    s1 = sigma1(reg)
-    if s1 == 0:
-        raise SingularRegulator(f"sigma1 vanishes at {reg}")
-    return reg.eps1 * reg.eps1 / s1
+    """eps1^2 / sigma_tau, the prototype order-of-limits ambiguity."""
+    return reg.eps1 * reg.eps1 / nonzero_sigma_tau(reg.eps0, reg.eps1, reg.tau)
 
 
 @dataclass(frozen=True)
@@ -105,6 +99,7 @@ class AmbiguityExpr:
 
     @classmethod
     def d_term616(cls, lam: float = 1.0) -> "AmbiguityExpr":
+        """d_term_value, which is minus the step's gap (time_step)."""
         if not math.isfinite(lam):
             raise ValueError(f"lam must be finite, got {lam}")
         return cls(lambda reg: d_term_value(lam, reg.eps0, reg.eps1, reg.tau))

@@ -17,8 +17,9 @@ acceptance tests (tests/test_acceptance.py) call these checks:
 
     criterion 1   check_static_remainder_closed_form(taus, fractions)
     criterion 2   check_dterm_closed_form(taus, fractions)
-    criterion 3   check_equivalence_trend(), after the test has checked
-                  cutoff_slope_series against scipy's closed form
+    criterion 3   check_equivalence_trend() of point split + d_term - mode
+                  sum, after the test has checked cutoff_slope_series
+                  against scipy's closed form
     criterion 4   check_ratio_regimes()
     criterion 7   check_vacuum_tvv(dvs, taus)
     criterion 8   check_qi_gaussian()
@@ -300,13 +301,13 @@ def check_equivalence_trend():
     for s in schedule:
         reg = Regulator(s * s, s * s, s)
         ps = pointsplit_density(cfg, t, reg, spec).value
-        residuals.append(ps - d_term(cfg, reg) - mode)
+        residuals.append(ps + d_term(cfg, reg) - mode)  # the point split carries -d_term
     r0, r1, r2 = (abs(r) for r in residuals)
     monotone = r0 > r1 > r2
     rel_raw = r2 / abs(mode)
     rel = abs(residuals[-1] - c1 * schedule[-1]) / abs(mode)
     detail = (
-        "point-split minus gap minus mode-sum along eps=(s^2,s^2), tau=s: "
+        "point-split plus d_term minus mode-sum along eps=(s^2,s^2), tau=s: "
         f"|r| {r0:.3e} > {r1:.3e} > {r2:.3e} (monotone: {monotone}); at s=0.05 "
         f"r is {rel_raw:.1%} of the mode-sum value, and taking out the cutoff's "
         f"first-order term c1*tau (c1 = {c1:.7f}) leaves {rel:.2%} (needs < 1%)"

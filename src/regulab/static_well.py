@@ -10,8 +10,8 @@ the removable point omega^2 = lam of the antisymmetric family.
 
 The renormalized density inside the well is a frequency integral of a
 subtracted per-mode density plus a slowly-decaying remainder whose cutoff
-integral has an elementary closed form; the closed form is what carries the
-entire dependence on how (eps0, eps1, tau) -> 0.
+integral is r = (lam/4pi) Re[eps1^2/sigma_tau] (core.sigma_tau); r carries
+the entire dependence on how (eps0, eps1, tau) -> 0.
 
 t00r_static validates its inputs once and builds the subtracted integrand
 once per call, as a closure over the constants of (cfg, reg, x); the
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable
 
-from .core import Regulator
-from .errors import InvalidCutoff, InvalidFrequency, OutsideRegionI, SingularRegulator
+from .core import Regulator, nonzero_sigma_tau
+from .errors import InvalidCutoff, InvalidFrequency, OutsideRegionI
 from .numerics import QuadratureResult, QuadratureSpec, integrate_halfline
 
 __all__ = [
@@ -273,18 +273,10 @@ def s_omega(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> float:
 
 
 def r_integral_closed(cfg: WellConfig, reg: Regulator) -> float:
-    """Elementary closed form of the cutoff integral of r_omega.
-
-    Divergent directions of (eps0, eps1, tau) -> 0 show up here as a vanishing
-    complex denominator, reported as SingularRegulator.
-    """
-    e0, e1, tau = reg.eps0, reg.eps1, reg.tau
-    den = complex(e1 * e1 - e0 * e0 + tau * tau, -2.0 * tau * e0)
-    if den == 0:
-        raise SingularRegulator(
-            f"eps1^2 - eps0^2 + tau^2 and eps0*tau both vanish at {reg}"
-        )
-    return cfg.lam / (8.0 * math.pi) * 2.0 * (e1 * e1 / den).real
+    """(lam/4pi) Re[eps1^2/sigma_tau], the cutoff integral of r_omega.  The
+    division by conj(sigma_tau) keeps the sign of the zero at eps1 = 0."""
+    sigma = nonzero_sigma_tau(reg.eps0, reg.eps1, reg.tau)
+    return cfg.lam / _FOUR_PI * (reg.eps1 * reg.eps1 / sigma.conjugate()).real
 
 
 def t00r_static(

@@ -9,9 +9,11 @@ renormalized kinetic energy density can then be computed two ways:
 * pointsplit_density point-splits the two-point function with offsets
   (eps0, eps1) and a frequency cutoff tau.
 
-Their difference is carried by a slowly-decaying remainder of the point-split
-integrand whose cutoff integral, in the small-split regime, is the closed
-form d_term; d_term depends only on how (eps0, eps1, tau) -> 0.
+At large |k| the point-split integrand approaches minus a slowly-decaying
+remainder, r_k_integrand, whose cutoff integral in the small-split regime is
+d_term = -(lam/4pi) Re[eps0 (eps0 - i*tau)/sigma_tau] (core.sigma_tau).  So
+the point split carries -d_term: point split + d_term - mode sum vanishes as
+(eps0, eps1, tau) -> 0, apart from the cutoff's first-order term c1*tau.
 
 omega, E and the Bogoliubov pair are even in k; only the spatial phase
 e^(i k eps1) is not.  So pointsplit_density and d_term_quadrature integrate
@@ -28,13 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Regulator
-from .errors import (
-    InvalidCutoff,
-    SingularRegulator,
-    SplitStraddlesStep,
-    ZeroFrequency,
-)
+from .core import Regulator, nonzero_sigma_tau
+from .errors import InvalidCutoff, SplitStraddlesStep, ZeroFrequency
 # integrate_realline has no caller here; the benchmark tracer (bench/spans.py) wraps this name.
 from .numerics import (
     QuadratureResult,
@@ -307,19 +304,14 @@ def pointsplit_density(
 
 
 def d_term_value(lam: float, eps0: float, eps1: float, tau: float) -> float:
-    """Closed form of the remainder's cutoff integral in the small-split
-    regime (omega -> |k|); homogeneous of degree 0 in (eps0, eps1, tau)."""
-    den = complex(eps1 * eps1 - eps0 * eps0 + tau * tau, 2.0 * eps0 * tau)
-    if den == 0:
-        raise SingularRegulator(
-            f"eps1^2 - eps0^2 + tau^2 and eps0*tau both vanish at "
-            f"({eps0}, {eps1}, {tau})"
-        )
-    return -(lam * eps0 / (8.0 * math.pi)) * 2.0 * (complex(eps0, -tau) / den).real
+    """-(lam/4pi) Re[eps0 (eps0 - i*tau)/sigma_tau], the remainder's cutoff
+    integral at small split (omega -> |k|): degree-0 homogeneous, even in tau."""
+    sigma = nonzero_sigma_tau(eps0, eps1, tau)
+    return -(lam * eps0 / (4.0 * math.pi)) * (complex(eps0, -tau) / sigma).real
 
 
 def d_term(cfg: StepConfig, reg: Regulator) -> float:
-    """Regulator-dependent gap between point-split and mode-sum densities."""
+    """Cutoff integral of r_k_integrand; the point split carries minus it."""
     return d_term_value(cfg.lam, reg.eps0, reg.eps1, reg.tau)
 
 

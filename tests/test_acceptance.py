@@ -14,8 +14,10 @@ written here because they measure something the selftest does not: a family
 of maps (5), errors scaled by max(1, |direct|) (6), tighter bounds on the
 Bogoliubov identities plus mode-function matching (9), and reruns (11).
 
-Criterion 3 checks that point-split minus the closed-form gap gives back the
-mode sum along eps = (s^2, s^2), tau = s.  The cutoff weight e^(-omega*tau)
+Criterion 3 checks that point-split plus the closed form d_term gives back
+the mode sum along eps = (s^2, s^2), tau = s: d_term is the cutoff integral
+of the remainder r_k_integrand, and the point-split integrand approaches
+minus that remainder at large |k|.  The cutoff weight e^(-omega*tau)
 multiplies the whole point-split integrand, so it shifts the convergent
 per-mode part at first order in tau, by c1*tau with
 

@@ -568,6 +568,22 @@ class TestOutputs:
         assert len(rows) == 5
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
+    def test_step_energy_residual_leaves_the_cutoff_term(self, capsys):
+        # the point split carries -d_term: point split + d_term - mode sum is
+        # the cutoff's first-order term c1*tau to 1.3e-5 here, and with
+        # -d_term it would be off by 2*d_term = 0.08
+        code, out, err = run_cli(
+            [
+                "step-energy", "--lambda", "1", "--mass", "1", "--grid", "1:1:1",
+                "--eps0", "0.01", "--eps1", "0", "--tau", "0.01", "--compare",
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        (row,) = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        residual = float(row.split(",")[4])
+        assert abs(residual - selftest.cutoff_slope_series(1.0, 1.0, 1.0) * 0.01) < 1e-4
+
     def test_step_energy_free_field_zeros(self, capsys):
         code, out, err = run_cli(
             [

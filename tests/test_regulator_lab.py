@@ -15,6 +15,8 @@ from regulab.regulator_lab import (
     scan_path,
     sigma1,
 )
+from regulab.static_well import WellConfig, r_integral_closed
+from regulab.time_step import d_term_value
 
 SCHED = [0.2 * 2.0**-j for j in range(8)]
 
@@ -48,6 +50,85 @@ class TestRatio:
         base = Regulator(0.03, 0.07, 0.2)
         scaled = Regulator(c * base.eps0, c * base.eps1, c * base.tau)
         assert abs(ratio_239(scaled) - ratio_239(base)) <= 1e-15 * abs(ratio_239(base)) * 4
+
+
+# (lam, eps0, eps1, tau, repr of ratio_239, r_integral_closed, d_term_value),
+# "SingularRegulator" where the form raises it; the -tau rows are
+# d_term_value's alone.  Recorded from the forms as they stood before they
+# read core.sigma_tau; the bits lean on CPython's complex division.  Kept a
+# literal, so a stdlib script can check it with ast.literal_eval where
+# pytest is missing.
+CLOSED_FORM_PINS = [
+    (1.0, 0.0, 0.0, 0.0, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
+    (1.0, 0.1, 0.1, 0.0, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
+    (1.7, 1.0, 1.0, 0.0, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
+    (1.0, 1e-300, 1e-300, 0.0, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
+    (1.0, 1e-200, 0.0, 1e-200, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
+    (1.0, 0.0, 1e-170, 1e-170, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
+    (1.0, 0.01, 0.0, 0.01, "0j", "-0.0", "0.039788735772973836"),
+    (1.0, 0.3, 0.0, 0.01, "(-0-0j)", "-0.0", "0.07948915026787226"),
+    (1.0, 0.01, 0.0, 0.3, "0j", "0.0", "8.832127807541366e-05"),
+    (1.7, 2.0, 0.0, 1.0, "-0j", "-0.0", "0.10822536130248883"),
+    (1.0, 0.1, 0.0, 0.0, "(-0-0j)", "-0.0", "0.07957747154594766"),
+    (1.0, 0.0, 0.0, 0.5, "0j", "0.0", "-0.0"),
+    (1.0, 1e-150, 0.0, 1e-150, "0j", "-0.0", "0.039788735772973836"),
+    (0.3, 0.0025, 0.0, 0.05, "0j", "0.0", "5.9534267989487016e-05"),
+    (1.0, 0.03, 0.05, 0.2, "(0.05547968589962445-0.01600375554796859j)", "0.004414933126055479", "0.0014671162388122817"),
+    (1.0, 0.1, 0.2, 0.05, "(1.1243243243243244-0.3459459459459459j)", "0.08947088692733576", "-0.018926533773090254"),
+    (1.7, 2.0, 0.3, 1.0, "(-0.010703732615119279-0.014713034522500725j)", "-0.001448019161945647", "0.10858761489351854"),
+    (1.0, 0.0, 0.5, 0.0, "(1+0j)", "0.07957747154594767", "-0.0"),
+    (1.0, 0.001, 0.002, 0.05, "(0.0015955355601880408-6.374492849332964e-05j)", "0.0001269686856414115", "3.166608150685222e-05"),
+    (1.0, 0.0025, 0.0025, 0.05, "(0.002475247524752475-0.0002475247524752474j)", "0.00019697393947016749", "0.00019697393947016743"),
+    (1.0, 1e-150, 1e-150, 1e-150, "(0.2-0.4j)", "0.015915494309189534", "0.015915494309189534"),
+    (2.5, 0.3, 1.0, 1e-09, "(1.0989010989010988-7.245501750996256e-10j)", "0.21861942732403206", "-0.019675748459162885"),
+    (1.0, 1.0, 2.0, 0.01, "(1.3332296396697816-0.008887901334420729j)", "0.10609504371503611", "-0.02652199273697017"),
+    (1.0, 0.0, 0.01, 2.0, "(2.4999375015624612e-05+0j)", "1.989387053972343e-06", "-0.0"),
+    (0.001, 0.5, 0.49, 0.0001, "(-24.250075500025698-0.2449505050007692j)", "-0.001929759693090378", "0.0020093331857546294"),
+    (1.0, 0.03, 0.05, -0.2, None, None, "0.0014671162388122817"),
+    (1.0, 0.1, 0.0, -0.07, None, None, "0.05340769902412595"),
+    (1.0, 0.01, 0.0, -0.01, None, None, "0.039788735772973836"),
+    (1.7, 0.3, 0.3, -0.0, None, None, "SingularRegulator"),
+    (1.0, 2.0, 0.01, -1.0, None, None, "0.06366223186531329"),
+]
+
+
+def _repr_or_singular(fn, *args):
+    try:
+        return repr(fn(*args))
+    except SingularRegulator:
+        return "SingularRegulator"
+
+
+class TestClosedFormsOfSigmaTau:
+    @pytest.mark.parametrize("lam,eps0,eps1,tau,ratio,r,d", CLOSED_FORM_PINS)
+    def test_pinned_bits(self, lam, eps0, eps1, tau, ratio, r, d):
+        assert _repr_or_singular(d_term_value, lam, eps0, eps1, tau) == d
+        if ratio is not None:
+            reg = Regulator(eps0, eps1, tau)
+            assert _repr_or_singular(ratio_239, reg) == ratio
+            assert _repr_or_singular(r_integral_closed, WellConfig(lam, 1.0), reg) == r
+
+    @pytest.mark.parametrize("lam", [1.0, 2.5])
+    def test_the_two_gaps_differ_by_a_constant(self, lam):
+        # r + d = (lam/4pi) Re[(eps1^2 - eps0^2 + i eps0 tau)/sigma_tau]
+        #       = (lam/4pi) (1 - Re[tau (tau + i eps0)/sigma_tau]),
+        # with sigma_tau = eps1^2 - (eps0 - i tau)^2 written out here, not
+        # read from regulab.core; lam/4pi, the sum at tau = 0, is the scale
+        scale = lam / (4.0 * math.pi)
+        grid = (0.0, 0.01, 0.3, 1.0, 2.0)
+        checked = 0
+        for eps0 in grid:
+            for eps1 in grid:
+                for tau in (0.0, 1e-9, 0.01, 0.5, 2.0):
+                    sigma = eps1**2 - (eps0 - 1j * tau) ** 2
+                    if sigma == 0:
+                        continue
+                    total = r_integral_closed(WellConfig(lam, 1.0), Regulator(eps0, eps1, tau))
+                    total += d_term_value(lam, eps0, eps1, tau)
+                    expected = scale if tau == 0.0 else scale * (1.0 - (tau * (tau + 1j * eps0) / sigma).real)
+                    assert abs(total - expected) <= 1e-13 * scale, (eps0, eps1, tau)
+                    checked += 1
+        assert checked == 120
 
 
 class TestLimitPath:

@@ -412,13 +412,13 @@ class TestPointsplitDensity:
 
     def test_late_time_small_cutoff_under_default_spec(self):
         # cos(2Et) runs through about 1,300 bisections' worth of periods here;
-        # the residual against the mode sum, the gap and the cutoff's
-        # first-order term is second order in tau (0.026% of the mode sum)
+        # the residual point split + d_term - mode sum, less the cutoff's
+        # first-order term, is second order in tau (0.057% of the mode sum)
         t, tau = 10.0, 0.0125
         reg = Regulator(tau * tau, tau * tau, tau)
         ps = pointsplit_density(CFG, t, reg)
         mode = mode_reg_density(CFG, t)
-        r = ps.value - d_term(CFG, reg) - mode.value
+        r = ps.value + d_term(CFG, reg) - mode.value
         assert ps.error_estimate <= SPEC.rel_tol * abs(ps.value)
         assert abs(r - cutoff_slope(CFG.lam, CFG.m, t) * tau) < 1e-3 * abs(mode.value)
 
