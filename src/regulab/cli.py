@@ -33,7 +33,6 @@ import math
 import os
 import sys
 
-from . import selftest as selftest_mod
 from .core import Regulator
 from .errors import NonFiniteResult, RegulabError, ToleranceNotMet
 from .flanagan import ConformalMap, WeightFunction, delta_flanagan, delta_pointsplit, delta_tau, qi_bound_rhs
@@ -425,7 +424,8 @@ def cmd_qi_bound(args, resolved: dict) -> int:
 
 
 def cmd_selftest(args, resolved: dict) -> int:
-    ok = selftest_mod.run_all(write=lambda line: sys.stdout.write(line + "\n"))
+    from . import selftest  # imported here, so that no other command pays for it
+    ok = selftest.run_all(write=lambda line: sys.stdout.write(line + "\n"))
     return EXIT_OK if ok else 1
 
 

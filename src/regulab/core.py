@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,9 +34,16 @@ def sigma_tau(eps0: float, eps1: float, tau: float) -> complex:
     return complex(eps1 * eps1 - eps0 * eps0 + tau * tau, 2.0 * eps0 * tau)
 
 
-def nonzero_sigma_tau(eps0: float, eps1: float, tau: float) -> complex:
-    """sigma_tau, or SingularRegulator where it vanishes: on the null split
-    eps0 = eps1 at tau = 0, at the origin, or where its terms underflow."""
-    if (sigma := sigma_tau(eps0, eps1, tau)) == 0:
+def nonzero_sigma_tau(eps0: float, eps1: float, tau: float) -> tuple[float, float, float, complex]:
+    """(eps0, eps1, tau, sigma_tau), the regulator scaled once by a power of 2
+    where sigma_tau underflows to 0 or is not finite, which the degree-0 forms
+    that divide by it do not see.  SingularRegulator where sigma_tau still
+    vanishes: on the null split eps0 = eps1 at tau = 0, or at the origin."""
+    sigma = sigma_tau(eps0, eps1, tau)
+    if sigma != 0 and cmath.isfinite(sigma):
+        return eps0, eps1, tau, sigma
+    k = -math.frexp(max(eps0, eps1, abs(tau)))[1]
+    scaled = math.ldexp(eps0, k), math.ldexp(eps1, k), math.ldexp(tau, k)
+    if (sigma := sigma_tau(*scaled)) == 0:
         raise SingularRegulator(f"sigma_tau vanishes at (eps0, eps1, tau) = ({eps0}, {eps1}, {tau})")
-    return sigma
+    return (*scaled, sigma)

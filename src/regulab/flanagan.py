@@ -59,9 +59,6 @@ class ConformalMap:
     def from_text(cls, text: str) -> "ConformalMap":
         return cls(parse(text, "v"))
 
-    def jet(self, v: float) -> Jet3:
-        return eval_jet3(self.expr, v)
-
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -123,7 +120,7 @@ def _finite_in_v(fn):
 def delta_pointsplit(V: ConformalMap, v: float, vbar: float, tau: float = 0.0) -> complex:
     """Split-and-cutoff regulated density difference between the two
     quantizations; the object whose coincidence limit is order-dependent."""
-    jet_v = V.jet(v)
+    jet_v = eval_jet3(V.expr, v)
     value_vbar, d1_vbar = eval_jet1(V.expr, vbar)
     dv = _map_difference(jet_v, v, vbar, value_vbar)
     den_mapped = complex(dv, -tau)
@@ -142,7 +139,7 @@ def delta_pointsplit(V: ConformalMap, v: float, vbar: float, tau: float = 0.0) -
 def delta_flanagan(V: ConformalMap, v: float) -> float:
     """Coincidence limit taken with the cutoff already removed:
     (1/4 pi) [V'''/(6 V') - V''^2/(4 V'^2)]."""
-    jet = V.jet(v)
+    jet = eval_jet3(V.expr, v)
     if jet.d1 == 0.0:
         raise DegenerateMap(f"V'({v}) = 0")
     return (
@@ -166,7 +163,6 @@ def qi_bound_rhs(rho: WeightFunction, spec: QuadratureSpec | None = None) -> Qua
     cut off outside the declared support (endpoint integrand times support
     length), so a too-short support is visible rather than silent.
     """
-    spec = spec or QuadratureSpec()
     lo, hi = rho.support
     expr = rho.expr
 

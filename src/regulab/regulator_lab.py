@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Regulator, nonzero_sigma_tau, sigma_tau
+from .core import Regulator, nonzero_sigma_tau
 from .errors import SingularRegulator
 from .flanagan import ConformalMap, delta_pointsplit
 from .numerics import LimitKind, LimitOutcome, classify_limit
@@ -26,7 +26,6 @@ __all__ = [
     "LimitPath",
     "AmbiguityExpr",
     "ScanResult",
-    "sigma1",
     "ratio_239",
     "check_schedule",
     "scan_path",
@@ -72,14 +71,10 @@ def check_schedule(s_values: Sequence[float]) -> None:
             raise ValueError(f"s = {s} and {later} have the same logarithm")
 
 
-def sigma1(reg: Regulator) -> complex:
-    """sigma_tau of the regulator; 0j on a null split."""
-    return sigma_tau(reg.eps0, reg.eps1, reg.tau)
-
-
 def ratio_239(reg: Regulator) -> complex:
     """eps1^2 / sigma_tau, the prototype order-of-limits ambiguity."""
-    return reg.eps1 * reg.eps1 / nonzero_sigma_tau(reg.eps0, reg.eps1, reg.tau)
+    _, eps1, _, sigma = nonzero_sigma_tau(reg.eps0, reg.eps1, reg.tau)
+    return eps1 * eps1 / sigma
 
 
 @dataclass(frozen=True)

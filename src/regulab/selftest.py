@@ -23,7 +23,7 @@ acceptance tests (tests/test_acceptance.py) call these checks:
     criterion 4   check_ratio_regimes()
     criterion 7   check_vacuum_tvv(dvs, taus)
     criterion 8   check_qi_gaussian()
-    criterion 10  check_xi_consistency(uniform, n)
+    criterion 10  check_xi_consistency(rng, n)
 
 xi_brute_force is also the oracle for tests/test_static_well.py::TestXi.
 Criteria 5, 6 and 9 measure other quantities than flanagan-orders and
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 import sys
 
 from .core import Regulator
@@ -55,27 +56,6 @@ from .time_step import (
 )
 
 __all__ = ["run_all", "CHECKS"]
-
-
-def _mulberry(seed: int):
-    """Tiny deterministic PRNG (splitmix-style) so checks never depend on
-    interpreter hash or library versions."""
-    state = seed & 0xFFFFFFFFFFFFFFFF
-
-    def rand() -> float:
-        nonlocal state
-        state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        z = z ^ (z >> 31)
-        return z / 2.0**64
-
-    return rand
-
-
-def _uniform(rand, lo: float, hi: float) -> float:
-    return lo + (hi - lo) * rand()
 
 
 def _miss_ratio(exact, value, error_estimate) -> float:
@@ -164,11 +144,11 @@ def info_dterm_mass_correction():
 
 
 def check_mode_identities():
-    rand = _mulberry(7)
+    rng = random.Random(7)
     worst_sum = worst_ratio = 0.0
     for _ in range(200):
-        cfg = StepConfig(_uniform(rand, 0.0, 5.0), _uniform(rand, 0.1, 3.0))
-        k = _uniform(rand, -20.0, 20.0)
+        cfg = StepConfig(rng.uniform(0.0, 5.0), rng.uniform(0.1, 3.0))
+        k = rng.uniform(-20.0, 20.0)
         pair = bogoliubov(cfg, k)
         omega = math.hypot(k, cfg.m)
         big_e = math.sqrt(omega**2 + cfg.lam)
@@ -212,18 +192,18 @@ def xi_brute_force(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> f
     return total
 
 
-def check_xi_consistency(uniform=None, n=50):
-    """n random (omega, eps0, eps1, x); uniform() returns floats in [0, 1) and
-    defaults to a fresh _mulberry(11)."""
+def check_xi_consistency(rng=None, n=50):
+    """n random (omega, eps0, eps1, x), drawn with rng.uniform(lo, hi);
+    rng defaults to a fresh random.Random(11)."""
     cfg = WellConfig(1.0, 1.0)
-    uniform = uniform or _mulberry(11)
+    rng = rng or random.Random(11)
     worst = 0.0
     for _ in range(n):
-        omega = _uniform(uniform, 0.05, 12.0)
+        omega = rng.uniform(0.05, 12.0)
         if abs(omega * omega - cfg.lam) < 1e-3:
             omega += 0.1
-        reg = Regulator(_uniform(uniform, 0.0, 0.3), _uniform(uniform, 0.0, 0.3), 0.0)
-        x = _uniform(uniform, -0.8, 0.8)
+        reg = Regulator(rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3), 0.0)
+        x = rng.uniform(-0.8, 0.8)
         worst = max(
             worst, abs(xi_lambda(cfg, omega, reg, x) - xi_brute_force(cfg, omega, reg, x))
         )

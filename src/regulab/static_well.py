@@ -28,7 +28,7 @@ from enum import IntEnum
 from typing import Callable
 
 from .core import Regulator, nonzero_sigma_tau
-from .errors import InvalidCutoff, InvalidFrequency, OutsideRegionI
+from .errors import InvalidFrequency, OutsideRegionI
 from .numerics import QuadratureResult, QuadratureSpec, integrate_halfline
 
 __all__ = [
@@ -101,18 +101,13 @@ def _sinc_w2(w2: float) -> float:
     return math.sinh(w) / w
 
 
-def _sinc_sqrt(z: float, c: float) -> float:
-    """sin(c*sqrt(z))/(c*sqrt(z)) continued to z < 0; entire in z."""
-    return _sinc_w2(c * c * z)
-
-
 def _interior_factors(cfg: WellConfig, omega: float) -> tuple[float, float, float, float]:
     """(z, sa, shared, n1) at frequency omega: z = omega^2 - lam,
     sa = sinc(a sqrt(z)) and shared = 1 + lam*a^2*sa^2.  amp_sq_j = omega^2 / n_j,
     with n1 = omega^2 - lam*sin^2(a q) = lam + z*(2 - shared) and
     n2 = omega^2 - lam*cos^2(a q) = z*shared."""
     z = omega * omega - cfg.lam
-    sa = _sinc_sqrt(z, cfg.a)
+    sa = _sinc_w2(cfg.a * cfg.a * z)
     shared = 1.0 + cfg.lam * cfg.a * cfg.a * sa * sa
     return z, sa, shared, cfg.lam + z * (2.0 - shared)
 
@@ -158,7 +153,7 @@ def chi_inside(cfg: WellConfig, j: ModeParity | int, omega: float, x: float) -> 
     j = ModeParity(j)
     z, _, shared, n1 = _interior_factors(cfg, omega)
     cx = _cos_sqrt(z, x)
-    sx = _sinc_sqrt(z, x)
+    sx = _sinc_w2(x * x * z)
     if j is ModeParity.SYMMETRIC:
         rn1 = math.sqrt(n1)
         return omega * cx / rn1, -omega * z * x * sx / rn1
@@ -190,7 +185,7 @@ def _interior_ratios(cfg: WellConfig, reg: Regulator, x: float) -> Callable[[flo
     the 1/omega and the omega^2 -> lam cancellations happen analytically.
 
     The constants of (cfg, reg, x) are computed once, here; each keeps the
-    association it has in _interior_factors and _sinc_sqrt (lam*a*a is
+    association it has in _interior_factors (lam*a*a is
     (lam*a)*a), so the closure's values do not depend on the hoisting.  The
     closure repeats _interior_factors' three lines instead of calling it:
     that call per node made t00r_static about 10% slower."""
@@ -275,8 +270,8 @@ def s_omega(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> float:
 def r_integral_closed(cfg: WellConfig, reg: Regulator) -> float:
     """(lam/4pi) Re[eps1^2/sigma_tau], the cutoff integral of r_omega.  The
     division by conj(sigma_tau) keeps the sign of the zero at eps1 = 0."""
-    sigma = nonzero_sigma_tau(reg.eps0, reg.eps1, reg.tau)
-    return cfg.lam / _FOUR_PI * (reg.eps1 * reg.eps1 / sigma.conjugate()).real
+    _, eps1, _, sigma = nonzero_sigma_tau(reg.eps0, reg.eps1, reg.tau)
+    return cfg.lam / _FOUR_PI * (eps1 * eps1 / sigma.conjugate()).real
 
 
 def t00r_static(
@@ -290,12 +285,9 @@ def t00r_static(
 
     Quadrature of s_omega under the cutoff weight, plus the closed form for
     the remainder integral.  The static well's vacuum density does not depend
-    on time, so t has no effect.
+    on time, so t has no effect.  At lam = 0 it is 0.0 for every tau.
     """
-    if not (reg.tau > 0.0):
-        raise InvalidCutoff(f"tau must be > 0, got {reg.tau}")
     _check_region(cfg, reg, x)
-    spec = spec or QuadratureSpec()
     if cfg.lam == 0.0:
         return QuadratureResult(0.0, 0.0)
     quad = integrate_halfline(_subtracted_integrand(cfg, reg, x), reg.tau, spec)

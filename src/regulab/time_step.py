@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Regulator, nonzero_sigma_tau
-from .errors import InvalidCutoff, SplitStraddlesStep, ZeroFrequency
+from .errors import SplitStraddlesStep, ZeroFrequency
 # integrate_realline has no caller here; the benchmark tracer (bench/spans.py) wraps this name.
 from .numerics import (
     QuadratureResult,
@@ -281,11 +281,9 @@ def pointsplit_density(
     """Renormalized point-split density at t > 0 under the cutoff weight.
 
     Integrates the full subtracted integrand (remainder included) over the
-    k-line, as its even fold over k >= 0 (_folded_pointsplit).
+    k-line, as its even fold over k >= 0 (_folded_pointsplit).  At lam = 0
+    it is 0.0 for every tau.
     """
-    spec = spec or QuadratureSpec()
-    if not (reg.tau > 0.0):
-        raise InvalidCutoff(f"tau must be > 0, got {reg.tau}")
     if reg.eps0 >= 2.0 * t:
         raise SplitStraddlesStep(
             f"need eps0 < 2t so both split times stay past the switch; got "
@@ -306,7 +304,7 @@ def pointsplit_density(
 def d_term_value(lam: float, eps0: float, eps1: float, tau: float) -> float:
     """-(lam/4pi) Re[eps0 (eps0 - i*tau)/sigma_tau], the remainder's cutoff
     integral at small split (omega -> |k|): degree-0 homogeneous, even in tau."""
-    sigma = nonzero_sigma_tau(eps0, eps1, tau)
+    eps0, _, tau, sigma = nonzero_sigma_tau(eps0, eps1, tau)
     return -(lam * eps0 / (4.0 * math.pi)) * (complex(eps0, -tau) / sigma).real
 
 

@@ -231,7 +231,7 @@ def test_criterion_09_mode_structure_invariants():
 def test_criterion_10_interior_density_identity():
     # the derivation-consistent form, not the commonly quoted variant: the
     # interference sign and per-mode prefactor differ (selftest INFO line)
-    report(10, *check_xi_consistency(np.random.default_rng(29).random, 100))
+    report(10, *check_xi_consistency(np.random.default_rng(29), 100))
 
 
 EXAMPLE_COMMANDS = [

@@ -543,6 +543,25 @@ class TestOutputs:
                 "singular_s = 0.20000000000000001",
             ]
 
+    @pytest.mark.parametrize(
+        "path",
+        ["160,160,160", "1,1,1,1e200,1e200,1e200"],
+        ids=["sigma-tau-underflows", "sigma-tau-overflows"],
+    )
+    def test_limit_scan_constant_ratio_where_sigma_tau_leaves_the_floats(self, capsys, path):
+        # ratio239 is 0.2 - 0.4i at every s of both paths, though sigma_tau
+        # underflows to 0 from s = 0.05 on the first and overflows on the second
+        code, out, err = run_cli(
+            ["limit-scan", "--expr", "ratio239", "--path", path,
+             "--s-schedule", "0.2,0.1,0.05,0.025", "--format", "json"],
+            capsys,
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert [(r["value_re"], r["value_im"]) for r in doc["records"]] == [(0.2, -0.4)] * 4
+        assert doc["summary"]["kind"] == "finite"
+        assert abs(complex(doc["summary"]["value_re"], doc["summary"]["value_im"]) - (0.2 - 0.4j)) < 1e-12
+
     def test_pointsplit_mode_columns(self, capsys):
         code, out, err = run_cli(
             [
@@ -997,6 +1016,15 @@ class TestDeterminism:
 
 
 class TestEntryPoints:
+    def test_importing_the_cli_leaves_selftest_unimported(self):
+        # only `regulab selftest` reads regulab.selftest, so only it imports it
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, regulab.cli; print('regulab.selftest' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_python_m_regulab_matches_the_script(self, capsys):
         # the `regulab` script runs cli:main in-process; `python -m regulab`
         # runs regulab/__main__.py in a fresh interpreter

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regulab.core import Regulator
+from regulab.core import Regulator, sigma_tau
 from regulab.errors import SingularRegulator, TooFewSamples
 from regulab.flanagan import ConformalMap, delta_flanagan
 from regulab.numerics import LimitKind
@@ -13,7 +13,6 @@ from regulab.regulator_lab import (
     LimitPath,
     ratio_239,
     scan_path,
-    sigma1,
 )
 from regulab.static_well import WellConfig, r_integral_closed
 from regulab.time_step import d_term_value
@@ -21,15 +20,15 @@ from regulab.time_step import d_term_value
 SCHED = [0.2 * 2.0**-j for j in range(8)]
 
 
-class TestSigma1:
+class TestSigmaTau:
     def test_cutoff_only(self):
-        assert sigma1(Regulator(0.0, 0.0, 0.3)) == complex(0.09, 0.0)
+        assert sigma_tau(0.0, 0.0, 0.3) == complex(0.09, 0.0)
 
     def test_null_split(self):
-        assert sigma1(Regulator(0.2, 0.2, 0.0)) == 0j
+        assert sigma_tau(0.2, 0.2, 0.0) == 0j
 
     def test_hand_checked_value(self):
-        z = sigma1(Regulator(0.1, 0.2, 0.05))
+        z = sigma_tau(0.1, 0.2, 0.05)
         assert abs(z - complex(0.0325, 0.01)) < 1e-15
 
 
@@ -55,7 +54,9 @@ class TestRatio:
 # (lam, eps0, eps1, tau, repr of ratio_239, r_integral_closed, d_term_value),
 # "SingularRegulator" where the form raises it; the -tau rows are
 # d_term_value's alone.  Recorded from the forms as they stood before they
-# read core.sigma_tau; the bits lean on CPython's complex division.  Kept a
+# read core.sigma_tau, apart from the two rows at 1e-200 and 1e-170, where
+# sigma_tau underflows and nonzero_sigma_tau rescales the regulator; the bits
+# lean on CPython's complex division.  Kept a
 # literal, so a stdlib script can check it with ast.literal_eval where
 # pytest is missing.
 CLOSED_FORM_PINS = [
@@ -63,8 +64,8 @@ CLOSED_FORM_PINS = [
     (1.0, 0.1, 0.1, 0.0, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
     (1.7, 1.0, 1.0, 0.0, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
     (1.0, 1e-300, 1e-300, 0.0, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
-    (1.0, 1e-200, 0.0, 1e-200, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
-    (1.0, 0.0, 1e-170, 1e-170, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
+    (1.0, 1e-200, 0.0, 1e-200, "0j", "-0.0", "0.03978873577297383"),
+    (1.0, 0.0, 1e-170, 1e-170, "(0.5+0j)", "0.039788735772973836", "-0.0"),
     (1.0, 0.01, 0.0, 0.01, "0j", "-0.0", "0.039788735772973836"),
     (1.0, 0.3, 0.0, 0.01, "(-0-0j)", "-0.0", "0.07948915026787226"),
     (1.0, 0.01, 0.0, 0.3, "0j", "0.0", "8.832127807541366e-05"),

@@ -146,7 +146,7 @@ class TestXi:
             )
 
     def test_matches_per_mode_oracle(self):
-        ok, detail = check_xi_consistency(np.random.default_rng(5).random, 100)
+        ok, detail = check_xi_consistency(np.random.default_rng(5), 100)
         assert ok, detail
 
     def test_coincidence_limit(self):
@@ -232,8 +232,10 @@ class TestSubtractedIntegrand:
 
 
 class TestDensity:
-    def test_free_field_zero(self):
-        res = t00r_static(WellConfig(0.0, 1.0), Regulator(0.01, 0.02, 0.1), 0.0)
+    @pytest.mark.parametrize("tau", [0.1, 0.0])
+    def test_free_field_zero(self, tau):
+        # the density is identically zero at lam = 0, so tau is not read
+        res = t00r_static(WellConfig(0.0, 1.0), Regulator(0.01, 0.02, tau), 0.0)
         assert res.value == 0.0
 
     def test_requires_positive_cutoff(self):

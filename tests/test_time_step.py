@@ -380,8 +380,10 @@ class TestDTerm:
 
 
 class TestPointsplitDensity:
-    def test_zero_step(self):
-        res = pointsplit_density(StepConfig(0.0, 1.0), 1.0, Regulator(0.0, 0.0, 0.1))
+    @pytest.mark.parametrize("tau", [0.1, 0.0])
+    def test_zero_step(self, tau):
+        # the density is identically zero at lam = 0, so tau is not read
+        res = pointsplit_density(StepConfig(0.0, 1.0), 1.0, Regulator(0.0, 0.0, tau))
         assert res.value == 0.0
 
     def test_cutoff_required(self):
