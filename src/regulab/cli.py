@@ -254,7 +254,15 @@ def _parse_path(text: str) -> LimitPath:
     return _named("--path", LimitPath, *vals)
 
 
+def _unsigned_zeros(rec: dict) -> dict:
+    """rec with -0.0 turned into 0.0 (v + 0.0), so a zero prints as 0 in both formats."""
+    return {k: v + 0.0 if isinstance(v, float) else v for k, v in rec.items()}
+
+
 def _emit(args, resolved: dict, columns: list[str], records: list[dict], summary: dict | None):
+    records = [_unsigned_zeros(rec) for rec in records]
+    if summary is not None:
+        summary = _unsigned_zeros(summary)
     buf = io.StringIO()
     config_items = [(k, resolved[k]) for k in sorted(resolved)]
     if resolved["output.format"] == "csv":

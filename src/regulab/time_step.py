@@ -9,6 +9,13 @@ renormalized kinetic energy density can then be computed two ways:
 * pointsplit_density point-splits the two-point function with offsets
   (eps0, eps1) and a frequency cutoff tau.
 
+mode_reg_density integrates the cos(2Et) part of the mode sum up to a cut K.
+Beyond it, in E with c = 2t and G = 1/(E omega k), the tail is
+-G sin(cX)/c - G' cos(cX)/c^2 + G'' sin(cX)/c^3 + R at X = E(K).  With
+L = (ln G)' = -1/E - E/omega^2 - E/k^2, G''' = G (L^3 + 3 L L' + L'') < 0 <
+G'''' wherever E^2 + lam, E^2 + 3 lam and E^4 + 6 lam E^2 + lam^2 are > 0
+(for all E if lam >= 0, for E^2 >= 6|lam| if not), so |R| <= 2|G'''(X)|/c^4.
+
 At large |k| the point-split integrand approaches minus a slowly-decaying
 remainder, r_k_integrand, whose cutoff integral in the small-split regime is
 d_term = -(lam/4pi) Re[eps0 (eps0 - i*tau)/sigma_tau] (core.sigma_tau).  So
@@ -216,17 +223,38 @@ def _constant_part_integral(cfg: StepConfig) -> float:
     return 2.0 * math.atan(rl / b) / (rl * b)
 
 
+def _tail(cfg: StepConfig, t: float, k: float) -> tuple[float, float]:
+    """Three integration-by-parts terms of the integral of cos(2Et)/(omega E^2)
+    over k > K, and the bound 2|G'''(E(K))|/(2t)^4 on the rest (see above)."""
+    lam, mu = cfg.lam, cfg.m * cfg.m + cfg.lam
+    k2 = k * k
+    w2 = k2 + cfg.m * cfg.m
+    e2 = k2 + mu
+    e = math.sqrt(e2)
+    g = 1.0 / (e * math.sqrt(w2) * k)
+    l0 = -1.0 / e - e / w2 - e / k2  # L, and its derivatives L' and L''
+    l1 = 1.0 / e2 + (e2 + lam) / (w2 * w2) + (e2 + mu) / (k2 * k2)
+    l2 = -2.0 / (e * e2) - 2.0 * e * (
+        (e2 + 3.0 * lam) / (w2 * w2 * w2) + (e2 + 3.0 * mu) / (k2 * k2 * k2)
+    )
+    g3 = g * (l0 * l0 * l0 + 3.0 * l0 * l1 + l2)
+    c = 2.0 * t
+    sin_cx, cos_cx = math.sin(c * e), math.cos(c * e)
+    value = (-sin_cx - l0 * cos_cx / c + (l0 * l0 + l1) * sin_cx / (c * c)) * g / c
+    return value, 2.0 * abs(g3) / (c * c * c * c)
+
+
 def mode_reg_density(
     cfg: StepConfig, t: float, spec: QuadratureSpec | None = None
 ) -> QuadratureResult:
     """Renormalized kinetic energy density at t > 0 from the mode sum.
 
-    The non-oscillatory piece of the k-integral is elementary; the cos(2Et)
-    piece is integrated adaptively up to a cut K and its tail beyond K is
-    taken from two integrations by parts: the leading term is added, and the
-    bound on the rest, which falls like 1/(t^2 K^4), sets K.  Requires m > 0:
-    at zero mass the per-mode 1/omega makes the integrand non-integrable at
-    k = 0.
+    The non-oscillatory piece of the k-integral is elementary.  The cos(2Et)
+    piece is integrated adaptively in u = asinh(k/m) up to a cut K, and its
+    tail beyond K is three terms of its integration by parts (_tail).  K is
+    the smallest cut, with E(K)^2 >= 6|lam|, whose bound on the rest takes
+    tol/2 of the error.  Requires m > 0: at zero mass the per-mode 1/omega
+    makes the integrand non-integrable at k = 0.
     """
     spec = spec or QuadratureSpec()
     if cfg.m <= 0.0:
@@ -240,33 +268,38 @@ def mode_reg_density(
     steady = _constant_part_integral(cfg)
     scale = pref * steady
     tol = max(spec.abs_tol, spec.rel_tol * scale)
-    # With g = 1/(omega E^2), h = 2Et and u = g/h' = 1/(2t k omega E), the
-    # tail of g cos h beyond K is -u(K) sin h(K) + R with |R| <= 2|u'/h'|(K),
-    # since |u'/h'| = (1/k + k/omega^2 + k/E^2)/(4 t^2 k^2 omega) falls
-    # monotonically; omega, E >= k bound it by 3/(4 t^2 K^4), so this K puts
-    # the tail's share of the error at tol/2.
-    try:
-        k_cut = (6.0 * pref / (t * t * tol)) ** 0.25
-    except ZeroDivisionError:  # t^2 tol underflowed
-        k_cut = math.inf
-    if not 0.0 < k_cut < math.inf:  # t^2 overflowed, say, or lambda^2 underflowed
+    # The cut is where _tail's bound is tol/(4 pref), its share tol/2 of the
+    # error.  The bound falls like 7.5/(t^4 K^6) far out and like
+    # 15 mu/(8 m t^4 K^7) as K -> 0, which put the cut near ratio^(1/6) and
+    # (mu ratio/(4m))^(1/7); from the larger, steps by the 7th root of the
+    # bound's ratio to tol/(4 pref) find it.
+    c2 = 4.0 * t * t
+    try:  # 30 pref/(t^4 tol), with (2t)^4 finite when it is
+        ratio = 480.0 * pref / (c2 * c2 * tol)
+    except ZeroDivisionError:  # t^4 tol underflowed
+        ratio = math.inf
+    k_cut = ratio ** (1.0 / 6.0)
+    if not 0.0 < k_cut < math.inf:  # t^4 overflowed, say, or lambda^2 underflowed
         raise OverflowError(
-            f"mode_reg_density at t = {t!r}: the tail cut (6 pref/(t^2 tol))^(1/4) is {k_cut}, "
+            f"mode_reg_density at t = {t!r}: the tail cut (30 pref/(t^4 tol))^(1/6) is {k_cut}, "
             "since a factor of it overflowed or underflowed"
         )
+    k_floor = math.sqrt(max(0.0, -7.0 * cfg.lam - cfg.m * cfg.m))  # E^2 >= 6|lam|
+    mu = cfg.m * cfg.m + cfg.lam
+    k_cut = max(k_floor, k_cut, (mu / (4.0 * cfg.m)) ** (1.0 / 7.0) * ratio ** (1.0 / 7.0))
+    for _ in range(20):  # 9 steps at most on 20,000 draws
+        k_next = max(k_floor, k_cut * (_tail(cfg, t, k_cut)[1] * 4.0 * pref / tol) ** (1.0 / 7.0))
+        if abs(k_next - k_cut) <= 1e-6 * k_cut:
+            break
+        k_cut = k_next
 
-    def oscillating(k: float) -> float:
-        omega = math.hypot(k, cfg.m)
-        big_e2 = omega * omega + cfg.lam
-        return math.cos(2.0 * math.sqrt(big_e2) * t) / (omega * big_e2)
+    def oscillating(u: float) -> float:  # cos(2Et)/(omega E^2) dk, with dk = omega du
+        w = cfg.m * math.cosh(u)
+        big_e2 = w * w + cfg.lam
+        return math.cos(2.0 * math.sqrt(big_e2) * t) / big_e2
 
-    quad = integrate_interval(oscillating, 0.0, k_cut, spec)
-    omega_cut = math.hypot(k_cut, cfg.m)
-    e_cut = math.sqrt(omega_cut * omega_cut + cfg.lam)
-    u = 1.0 / (2.0 * t * k_cut * omega_cut * e_cut)
-    du = -u * (1.0 / k_cut + k_cut / omega_cut**2 + k_cut / e_cut**2)
-    tail = -u * math.sin(2.0 * e_cut * t)
-    tail_err = 2.0 * abs(du) * e_cut / (2.0 * t * k_cut)
+    quad = integrate_interval(oscillating, 0.0, math.asinh(k_cut / cfg.m), spec)
+    tail, tail_err = _tail(cfg, t, k_cut)
     value = pref * (steady - 2.0 * (quad.value + tail))
     err = pref * 2.0 * (quad.error_estimate + tail_err)
     return QuadratureResult(value, err, quad.evaluations)

@@ -377,9 +377,11 @@ class TestValidation:
              "error: --V: ExpressionSyntaxError: expression nested too deeply (position 0)"),
             (["flanagan", "--V", "+".join(["v"] * 1500), "--grid", "0:0:1"], 2,
              "error: --V: DomainError: expression nested too deeply to evaluate"),
-            # t^2 overflows, so the mode sum's tail cut is 0
+            # t^4 overflows, so the mode sum's tail cut is 0; at 1e-200 it underflows, and the cut is inf
             (["step-energy", "--lambda", "0.5", "--mass", "1", "--grid", "1e200:1e200:1"], 3,
-             "numerical failure: mode_reg_density at t = 1e+200: the tail cut (6 pref/(t^2 tol))^(1/4) is 0.0"),
+             "numerical failure: mode_reg_density at t = 1e+200: the tail cut (30 pref/(t^4 tol))^(1/6) is 0.0"),
+            (["step-energy", "--lambda", "0.5", "--mass", "1", "--grid", "1e-200:1e-200:1"], 3,
+             "numerical failure: mode_reg_density at t = 1e-200: the tail cut (30 pref/(t^4 tol))^(1/6) is inf"),
             (["qi-bound", "--rho", "1 + 0*x", "--support", "-1,1", "--rel-tol", "-1"], 2,
              "error: --rel-tol: rel_tol must be finite and > 0, got -1.0"),
             (["qi-bound", "--rho", "1 + 0*x", "--support", "-1,1", "--max-subdivisions", "0"], 2,
@@ -387,7 +389,7 @@ class TestValidation:
         ],
         ids=["well-overflow", "step-math-domain", "degenerate-map", "nonpositive-weight", "scan-domain",
              "zero-offset", "non-injective-map", "deep-parentheses", "long-sum", "step-tail-cut",
-             "negative-rel-tol", "zero-budget"],
+             "step-tail-cut-small-t", "negative-rel-tol", "zero-budget"],
     )
     def test_exit_2_names_the_input_and_exit_3_is_numerical(self, capsys, args, code, start):
         got, out, err = run_cli(args, capsys)
@@ -520,6 +522,23 @@ class TestOutputs:
         assert doc["summary"]["kind"] == "finite"
         assert abs(doc["summary"]["value_re"] - 1.0) < 1e-6
         assert len(doc["records"]) == 6
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_zeros_print_unsigned(self, capsys, fmt):
+        # rstatic317 is -0.0 at every s of this path; the summary says 0
+        code, out, err = run_cli(
+            ["limit-scan", "--expr", "rstatic317", "--path", "1,0,1,1,0,1",
+             "--s-schedule", "0.2,0.1,0.05,0.025", "--format", fmt],
+            capsys,
+        )
+        assert code == 0
+        if fmt == "csv":
+            rows = [line.split(",") for line in out.splitlines()[3:-1]]
+            assert [row[1:] for row in rows] == [["0", "0"]] * 4
+        else:
+            values = [rec["value_re"] for rec in json.loads(out)["records"]]
+            assert [math.copysign(1.0, v) for v in values] == [1.0] * 4
+        assert "-0" not in out
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_limit_scan_summary_names_the_singular_s(self, capsys, fmt):

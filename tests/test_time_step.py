@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import sys
 
 import numpy as np
@@ -9,12 +10,19 @@ from hypothesis import strategies as st
 from test_acceptance import cutoff_slope
 
 from regulab.core import Regulator
-from regulab.errors import InvalidCutoff, SingularRegulator, SplitStraddlesStep, ZeroFrequency
-from regulab.numerics import QuadratureSpec, integrate_realline
+from regulab.errors import (
+    InvalidCutoff,
+    SingularRegulator,
+    SplitStraddlesStep,
+    ToleranceNotMet,
+    ZeroFrequency,
+)
+from regulab.numerics import QuadratureSpec, integrate_interval, integrate_realline
 from regulab.time_step import (
     StepConfig,
     _folded_pointsplit,
     _folded_remainder,
+    _tail,
     bogoliubov,
     d_term,
     d_term_quadrature,
@@ -285,6 +293,56 @@ class TestModeRegDensity:
         tight = mode_reg_density(cfg, t, QuadratureSpec(rel_tol=1e-12))
         assert abs(loose.value - tight.value) <= loose.error_estimate
 
+    def test_error_estimate_is_honest_over_the_parameter_space(self):
+        # the tight reference's [0, K] quadrature has a tolerance relative to
+        # its own total, which rounding in the phase 2Et keeps it from
+        # reaching where that total is small; it is then taken at 1e-11 or
+        # 1e-10, with its own estimate added to the allowance
+        def reference(cfg, t):
+            for rel_tol in (1e-12, 1e-11, 1e-10):
+                try:
+                    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-18, max_subdivisions=5000)
+                    return mode_reg_density(cfg, t, spec)
+                except ToleranceNotMet:
+                    pass
+            raise AssertionError(f"no reference at {cfg}, t = {t}")
+
+        rng = random.Random(28)
+        for i in range(40):
+            m = rng.uniform(0.3, 2.0)
+            lam = rng.uniform(-0.01, 0.01) if i % 4 == 0 else rng.uniform(-0.95 * m * m, 4.0)
+            t = math.exp(rng.uniform(math.log(0.2), math.log(1000.0)))
+            cfg = StepConfig(lam, m)
+            loose = mode_reg_density(cfg, t, QuadratureSpec(rel_tol=1e-9))
+            ref = reference(cfg, t)
+            assert abs(loose.value - ref.value) <= loose.error_estimate + ref.error_estimate, (lam, m, t)
+
+    @pytest.mark.parametrize("lam,m,t", [(1.0, 1.0, 1.0), (-0.9, 1.0, 0.3), (2.0, 0.5, 17.0)])
+    def test_tail_terms_give_the_integral_between_two_cuts(self, lam, m, t):
+        # apart from the choice of cut: tail(K1) - tail(K2) is the integral
+        # over [K1, K2] up to the two bounds on what the terms leave out; at
+        # 2t E(K1) ~ 200 the third term is about 15 times those bounds, so a
+        # wrong sign or a dropped term fails here even where the cut hides it
+        def oscillating(k):
+            w2 = k * k + m * m
+            return math.cos(2.0 * t * math.sqrt(w2 + lam)) / (math.sqrt(w2) * (w2 + lam))
+
+        k1 = 100.0 / t
+        k2 = 2.0 * k1
+        assert k1 * k1 + m * m + lam >= 6.0 * abs(lam)  # past the sign floor
+        cfg = StepConfig(lam, m)
+        (tail1, bound1), (tail2, bound2) = _tail(cfg, t, k1), _tail(cfg, t, k2)
+        quad = integrate_interval(oscillating, k1, k2, QuadratureSpec(rel_tol=1e-13))
+        assert abs(tail1 - tail2 - quad.value) <= bound1 + bound2 + quad.error_estimate
+
+    @pytest.mark.parametrize("t", [1e-13, 1e-20, 1e-60])
+    def test_vanishes_at_small_t(self, t):
+        # the density is O(t^2 ln t) as t -> 0; the cut is then far beyond
+        # the mass scale, where a single initial panel in k would put no node
+        # on the integrand and return the t -> infinity value
+        res = mode_reg_density(StepConfig(0.5, 1.0), t)
+        assert abs(res.value) <= res.error_estimate
+
 
 class TestFoldedIntegrands:
     """The step densities integrate f(k) + f(-k) over k >= 0 in closed form."""
@@ -476,7 +534,7 @@ class TestEvaluationCounts:
 
     def test_mode_reg_density(self):
         res = mode_reg_density(CFG, 1.0)
-        assert res.evaluations == 4065
+        assert res.evaluations == 945
         assert type(res.value) is float
 
     def test_closed_forms_cost_nothing(self):
