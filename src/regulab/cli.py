@@ -38,7 +38,7 @@ from .errors import NonFiniteResult, RegulabError, ToleranceNotMet
 from .flanagan import ConformalMap, WeightFunction, delta_flanagan, delta_pointsplit, delta_tau, qi_bound_rhs
 from .numerics import QuadratureSpec
 from .regulator_lab import AmbiguityExpr, LimitPath, check_schedule, scan_path
-from .static_well import WellConfig, t00r_static
+from .static_well import WellConfig, check_region, t00r_static
 from .time_step import StepConfig, d_term, mode_reg_density, pointsplit_density
 
 EXIT_OK = 0
@@ -310,10 +310,7 @@ def cmd_well_energy(args, resolved: dict) -> int:
         regulators = [_named("--eps0/--eps1/--tau", Regulator, args.eps0, args.eps1, args.tau)]
     for x in xs:
         for reg in regulators:
-            if abs(x) + reg.eps1 / 2.0 >= cfg.a:
-                raise ValidationFailure(
-                    f"--grid: x outside |x|<a (x = {_fmt(x)}, eps1 = {_fmt(reg.eps1)}, a = {_fmt(cfg.a)})"
-                )
+            _parsed("--grid", check_region, cfg, reg, x)
             if not (reg.tau > 0.0):
                 # a path sets tau itself, and --path refuses --tau
                 flag = "--tau" if args.path is None else "--path"
@@ -338,8 +335,6 @@ def cmd_well_energy(args, resolved: dict) -> int:
 
 def cmd_step_energy(args, resolved: dict) -> int:
     cfg = _named("--lambda/--mass", StepConfig, args.lam, args.mass)
-    if cfg.m == 0.0:  # StepConfig allows it; neither step density does
-        raise ValidationFailure("--mass: need m > 0 for the step densities")
     spec = _spec_from(resolved)
     ts = _parse_grid(args.grid, "--grid")
     if any(t < 0.0 for t in ts):

@@ -62,10 +62,6 @@ class SingularRegulator(RegulabError):
     """A regulator-dependent denominator vanished for this (eps0, eps1, tau)."""
 
 
-class ZeroFrequency(RegulabError):
-    """k = 0 with zero mass gives omega = 0; Bogoliubov pair undefined."""
-
-
 class SplitStraddlesStep(RegulabError):
     """The time split must keep both points on the post-switch side."""
 

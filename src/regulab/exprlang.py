@@ -18,8 +18,9 @@ eval_jet3 calls the order-3 one and eval_jet1 the order-1 one.
 Each node's function does its rule's arithmetic in its own body.  A binary
 node with a folded operand keeps that operand's coefficients in its closure
 and does the same float arithmetic with them, zero terms included, instead
-of calling for them.  A function node computes F, its derivatives and their
-composition at its order.  So an order-1 jet is the order-3 jet's (f, d1)
+of calling for them; b^-n is such a division of a folded 1 by b^n.  A
+function node computes F, its derivatives and their composition at its
+order.  So an order-1 jet is the order-3 jet's (f, d1)
 bit for bit, wherever the order-3 jet evaluates; where only its second or
 third derivative terms overflow, the order-1 jet still evaluates.  A jet of
 the qi-bound weight exp(-(x/1.7)^2)/(1.7*sqrt(pi)) takes 0.89 us at order 1
@@ -272,21 +273,16 @@ def _neg1(g):
     return neg
 
 
-def _integer_power1(n: int, g, text: str):
-    """b^n as |n| products from 1, and for n < 0 the quotient of 1 by that."""
-    times = range(abs(n))
+def _integer_power1(n: int, g):
+    """b^n, n >= 0, as n products from 1."""
+    times = range(n)
 
     def power(at):
         b0, b1 = g(at)
         o0, o1 = 1.0, 0.0
         for _ in times:
             o0, o1 = o0 * b0, o0 * b1 + o1 * b0
-        if n >= 0:
-            return (o0, o1)
-        if o0 == 0.0:
-            raise _domain_error("division by zero", text)
-        d0 = 1.0 / o0
-        return (d0, (0.0 - d0 * o1) / o0)
+        return (o0, o1)
 
     return power
 
@@ -367,9 +363,9 @@ def _neg3(g):
     return neg
 
 
-def _integer_power3(n: int, g, text: str):
-    """b^n as |n| products from 1, and for n < 0 the quotient of 1 by that."""
-    times = range(abs(n))
+def _integer_power3(n: int, g):
+    """b^n, n >= 0, as n products from 1."""
+    times = range(n)
 
     def power(at):
         b0, b1, b2, b3 = g(at)
@@ -381,14 +377,7 @@ def _integer_power3(n: int, g, text: str):
                 o0 * b2 + o1 * b1 + o2 * b0,
                 o0 * b3 + o1 * b2 + o2 * b1 + o3 * b0,
             )
-        if n >= 0:
-            return (o0, o1, o2, o3)
-        if o0 == 0.0:
-            raise _domain_error("division by zero", text)
-        d0 = 1.0 / o0
-        d1 = (0.0 - d0 * o1) / o0
-        d2 = (0.0 - d0 * o2 - d1 * o1) / o0
-        return (d0, d1, d2, (0.0 - d0 * o3 - d1 * o2 - d2 * o1) / o0)
+        return (o0, o1, o2, o3)
 
     return power
 
@@ -576,7 +565,10 @@ def _pow(base: _Node, p: float) -> _Node:
     foldable = base.const is not None
     if p == round(p) and abs(p) <= 64:
         n = int(p)
-        return _node(_integer_power1(n, base.jet1, text), _integer_power3(n, base.jet3, text), text, 4, foldable)
+        jet1, jet3 = _integer_power1(abs(n), base.jet1), _integer_power3(abs(n), base.jet3)
+        if n < 0:  # 1/b^|n|, by the quotient rule with its numerator folded
+            jet1, jet3 = _div1(None, jet1, _ONE[:2], None, text), _div3(None, jet3, _ONE, None, text)
+        return _node(jet1, jet3, text, 4, foldable)
     return _apply(_real_power(p), base, text, 4)
 
 

@@ -119,7 +119,11 @@ def _finite_in_v(fn):
 @_finite_in_v
 def delta_pointsplit(V: ConformalMap, v: float, vbar: float, tau: float = 0.0) -> complex:
     """Split-and-cutoff regulated density difference between the two
-    quantizations; the object whose coincidence limit is order-dependent."""
+    quantizations; the object whose coincidence limit is order-dependent.
+
+    It is vacuum_tvv(v, vbar, tau) - V'(v) V'(vbar) vacuum_tvv(V(v), V(vbar),
+    tau): the v-quantization's point-split vacuum density minus the
+    V-quantization's, pulled back to v."""
     jet_v = eval_jet3(V.expr, v)
     value_vbar, d1_vbar = eval_jet1(V.expr, vbar)
     dv = _map_difference(jet_v, v, vbar, value_vbar)

@@ -43,6 +43,7 @@ __all__ = [
     "r_omega",
     "s_omega",
     "r_integral_closed",
+    "check_region",
     "t00r_static",
 ]
 
@@ -172,7 +173,9 @@ def chi_outside(cfg: WellConfig, j: ModeParity | int, omega: float, x: float) ->
     return math.sin(arg), omega * math.cos(arg)
 
 
-def _check_region(cfg: WellConfig, reg: Regulator, x: float):
+def check_region(cfg: WellConfig, reg: Regulator, x: float):
+    """Raise OutsideRegionI unless both split points x +- eps1/2 lie
+    strictly inside the well, where the interior density is defined."""
     if abs(x) + reg.eps1 / 2.0 >= cfg.a:
         raise OutsideRegionI(
             f"x outside |x|<a: need |x| + eps1/2 < a = {cfg.a}, got x = {x}, eps1 = {reg.eps1}"
@@ -236,7 +239,7 @@ def xi_lambda(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> float:
     only through cos(omega*eps0)).
     """
     _check_frequency(omega)
-    _check_region(cfg, reg, x)
+    check_region(cfg, reg, x)
     pref = omega * math.cos(omega * reg.eps0) / _FOUR_PI
     return pref * _interior_ratios(cfg, reg, x)(omega)
 
@@ -263,7 +266,7 @@ def r_omega(cfg: WellConfig, omega: float, reg: Regulator) -> float:
 def s_omega(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> float:
     """Integrable part of the subtracted density: (xi_lambda - xi_free) - r_omega."""
     _check_frequency(omega)
-    _check_region(cfg, reg, x)
+    check_region(cfg, reg, x)
     return _subtracted_integrand(cfg, reg, x)(omega)
 
 
@@ -287,7 +290,7 @@ def t00r_static(
     the remainder integral.  The static well's vacuum density does not depend
     on time, so t has no effect.  At lam = 0 it is 0.0 for every tau.
     """
-    _check_region(cfg, reg, x)
+    check_region(cfg, reg, x)
     if cfg.lam == 0.0:
         return QuadratureResult(0.0, 0.0)
     quad = integrate_halfline(_subtracted_integrand(cfg, reg, x), reg.tau, spec)

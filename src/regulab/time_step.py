@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Regulator, nonzero_sigma_tau
-from .errors import SplitStraddlesStep, ZeroFrequency
+from .errors import SplitStraddlesStep
 # integrate_realline has no caller here; the benchmark tracer (bench/spans.py) wraps this name.
 from .numerics import (
     QuadratureResult,
@@ -67,7 +67,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Step height lam (may be negative as long as m^2 + lam > 0) and mass m."""
+    """Step height lam (may be negative as long as m^2 + lam > 0) and mass
+    m > 0: at zero mass the per-mode 1/omega of the mode sum is not
+    integrable at k = 0, and the k = 0 mode has no positive frequency."""
 
     lam: float
     m: float
@@ -75,8 +77,8 @@ class StepConfig:
     def __post_init__(self):
         if not math.isfinite(self.lam) or not math.isfinite(self.m):
             raise ValueError("lam and m must be finite")
-        if self.m < 0.0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
+        if self.m <= 0.0:
+            raise ValueError(f"m must be > 0, got {self.m}")
         if self.m * self.m + self.lam <= 0.0:
             raise ValueError("need m^2 + lam > 0 so every mode keeps oscillating")
 
@@ -91,8 +93,6 @@ class BogoliubovPair:
 
 def _freqs(cfg: StepConfig, k: float) -> tuple[float, float]:
     omega = math.hypot(k, cfg.m)
-    if omega == 0.0:
-        raise ZeroFrequency("k = 0 with m = 0 has no positive frequency")
     return omega, math.sqrt(omega * omega + cfg.lam)
 
 
@@ -253,12 +253,9 @@ def mode_reg_density(
     piece is integrated adaptively in u = asinh(k/m) up to a cut K, and its
     tail beyond K is three terms of its integration by parts (_tail).  K is
     the smallest cut, with E(K)^2 >= 6|lam|, whose bound on the rest takes
-    tol/2 of the error.  Requires m > 0: at zero mass the per-mode 1/omega
-    makes the integrand non-integrable at k = 0.
+    tol/2 of the error; the quadrature's absolute tolerance is the other half.
     """
     spec = spec or QuadratureSpec()
-    if cfg.m <= 0.0:
-        raise ValueError("mode_reg_density requires m > 0")
     if t < 0.0:
         raise ValueError("density is defined after the switch-on, t >= 0")
     if t == 0.0 or cfg.lam == 0.0:
@@ -298,7 +295,9 @@ def mode_reg_density(
         big_e2 = w * w + cfg.lam
         return math.cos(2.0 * math.sqrt(big_e2) * t) / big_e2
 
-    quad = integrate_interval(oscillating, 0.0, math.asinh(k_cut / cfg.m), spec)
+    # the value counts the integral's error 2 pref times, so this is tol/2 of it
+    quad_spec = QuadratureSpec(spec.rel_tol, tol / (4.0 * pref), spec.max_subdivisions)
+    quad = integrate_interval(oscillating, 0.0, math.asinh(k_cut / cfg.m), quad_spec)
     tail, tail_err = _tail(cfg, t, k_cut)
     value = pref * (steady - 2.0 * (quad.value + tail))
     err = pref * 2.0 * (quad.error_estimate + tail_err)
@@ -322,8 +321,6 @@ def pointsplit_density(
             f"need eps0 < 2t so both split times stay past the switch; got "
             f"eps0 = {reg.eps0}, t = {t}"
         )
-    if cfg.m <= 0.0:
-        raise ValueError("pointsplit_density requires m > 0")
     if cfg.lam == 0.0:
         return QuadratureResult(0.0, 0.0)
 

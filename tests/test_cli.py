@@ -78,6 +78,23 @@ class TestValidation:
         assert code == 2
         assert "x outside |x|<a" in err
 
+    def test_path_leaving_the_well_exits_2_naming_grid(self, capsys, monkeypatch):
+        # x = 0.9 with eps1 = 0.4 reaches past a = 1; x = 0 comes first and fits
+        def no_density(*args):
+            raise AssertionError("computed a density before validating")
+
+        monkeypatch.setattr(cli, "t00r_static", no_density)
+        code, out, err = run_cli(
+            ["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0.9:2", "--path", "1,1,1",
+             "--s-schedule", "0.4,0.2"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --grid: OutsideRegionI: x outside |x|<a: need |x| + eps1/2 < a = 1.0, "
+            "got x = 0.9, eps1 = 0.4\n"
+        )
+
     def test_degenerate_map(self, capsys):
         code, out, err = run_cli(
             ["flanagan", "--V", "0*v", "--grid", "0:0:1", "--mode", "taylor"], capsys
@@ -273,7 +290,7 @@ class TestValidation:
               "0.0009999999999999996,0.0009999999999999994,0.0009999999999999992,0.000999999999999999"],
              "--s-schedule: s = 0.0009999999999999996 and 0.0009999999999999994 have the same logarithm"),
             (["step-energy", "--lambda", "1", "--mass", "0", "--grid", "1:1:1"],
-             "--mass: need m > 0 for the step densities"),
+             "--lambda/--mass: m must be > 0, got 0.0"),
         ],
         ids=["limit-scan-s-above-1", "well-energy-s-0", "limit-scan-s-rising", "limit-scan-singular-path",
              "well-energy-s-rising", "limit-scan-logs-coincide", "step-energy-mass-0"],

@@ -346,7 +346,8 @@ def test_round_trip_random(text):
 # the benchmark's maps (bench/refs.py MAPS) and Gaussian weights (widths 0.5,
 # 1.7 and 4.0), and the README's expressions.  repr tells -0.0 from 0.0.  The
 # two tanh entries at -0.7 are from tanh's cancellation-free sech^2, which
-# moved them in their last bits.
+# moved them in their last bits.  The four negative integer powers at the end
+# were recorded from the power rule that wrote out its own quotient of 1 by b^n.
 PINNED_JETS = {
     ('v', 'v', -0.7): (-0.7, 1.0, 0.0, 0.0),
     ('v', 'v', 0.4): (0.4, 1.0, 0.0, 0.0),
@@ -405,6 +406,18 @@ PINNED_JETS = {
     ('exp(-(x/2)^2)/(2*sqrt(pi))', 'x', -0.7): (0.24957092803615244, 0.08734982481265335, -0.09421302533364756, -0.12032438367943002),
     ('exp(-(x/2)^2)/(2*sqrt(pi))', 'x', 0.4): (0.2710336967762158, -0.05420673935524316, -0.12467550051705927, 0.07914183945865501),
     ('exp(-(x/2)^2)/(2*sqrt(pi))', 'x', 1.3): (0.1848866908416275, -0.12017634904705789, -0.014328718540226116, 0.12949001609820487),
+    ('v^-2 + 1', 'v', -0.7): (3.0408163265306127, 5.830903790087465, 24.989587671803424, 142.7976438388767),
+    ('v^-2 + 1', 'v', 0.4): (7.249999999999999, -31.249999999999993, 234.37499999999991, -2343.7499999999986),
+    ('v^-2 + 1', 'v', 1.3): (1.5917159763313609, -0.9103322712790167, 2.100766779874654, -6.463897784229704),
+    ('(1 + v^2)^-3', 'v', -0.7): (0.30230212134467616, 0.8521267849984161, 1.9853001798141439, 1.3203532004840186),
+    ('(1 + v^2)^-3', 'v', 0.4): (0.6406576735413504, -1.3254986349131388, 0.34280137109822645, 14.81532362447503),
+    ('(1 + v^2)^-3', 'v', 1.3): (0.05137397381129484, -0.14896542592122666, 0.46133702108289526, -1.454225022743667),
+    ('(v + 2)^-5', 'v', -0.7): (0.26932907434290426, -1.0358810551650162, 4.780989485376996, -25.743789536645362),
+    ('(v + 2)^-5', 'v', 0.4): (0.012558674125514403, -0.026163904428155006, 0.0654097610703875, -0.19077846978863006),
+    ('(v + 2)^-5', 'v', 1.3): (0.0025552317821364414, -0.0038715633062673355, 0.007039206011395154, -0.014931649115080626),
+    ('2^-3*v', 'v', -0.7): (-0.0875, 0.125, 0.0, 0.0),
+    ('2^-3*v', 'v', 0.4): (0.05, 0.125, 0.0, 0.0),
+    ('2^-3*v', 'v', 1.3): (0.1625, 0.125, 0.0, 0.0),
 }
 
 

@@ -1,10 +1,12 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from regulab.errors import DegenerateMap, DomainError, NonpositiveWeight, SingularRegulator
+from regulab.exprlang import eval_jet1
 from regulab.flanagan import (
     ConformalMap,
     WeightFunction,
@@ -43,6 +45,19 @@ class TestVacuumDensity:
 
 
 class TestDeltaPointsplit:
+    @pytest.mark.parametrize("text", ["exp(v)", "v + 0.5*sin(v)", "2*v + tanh(v)", "v + sqrt(1 + v^2)"])
+    def test_is_the_difference_of_the_two_vacuum_densities(self, text):
+        V = ConformalMap.from_text(text)
+        for v in (-0.7, 0.3, 1.1):
+            for vbar in (-0.2, 0.5, 0.9):
+                for tau in (0.0, 0.05, 0.5):
+                    (f, d1), (f_bar, d1_bar) = eval_jet1(V.expr, v), eval_jet1(V.expr, vbar)
+                    plain = vacuum_tvv(v, vbar, tau)
+                    pulled_back = d1 * d1_bar * vacuum_tvv(f, f_bar, tau)
+                    # rounding, relative to the larger of the two cancelling terms
+                    bound = 4.0 * sys.float_info.epsilon * max(abs(plain), abs(pulled_back))
+                    assert abs(delta_pointsplit(V, v, vbar, tau) - (plain - pulled_back)) <= bound
+
     def test_identity_map_vanishes(self):
         for v, vbar, tau in [(0.0, 0.5, 0.0), (1.0, 0.9, 0.2), (-2.0, -2.0, 0.3)]:
             assert delta_pointsplit(IDENTITY, v, vbar, tau) == 0j

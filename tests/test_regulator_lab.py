@@ -1,4 +1,8 @@
+import functools
+import itertools
 import math
+import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,11 @@ from regulab.regulator_lab import (
 )
 from regulab.static_well import WellConfig, r_integral_closed
 from regulab.time_step import d_term_value
+
+# the benchmark's exact path limits (bench/refs.py) and limit-lab's schedule
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
+import refs  # noqa: E402
+import workloads  # noqa: E402
 
 SCHED = [0.2 * 2.0**-j for j in range(8)]
 
@@ -263,3 +272,34 @@ class TestFlanaganDeltaExpr:
             abs(tau_first_gone.outcome.value - split_first.outcome.value)
             > 1e-3
         )
+
+
+EXPRESSIONS = {
+    "ratio239": AmbiguityExpr.ratio239(),
+    "rstatic317": AmbiguityExpr.r_static317(1.0),
+    "dterm616": AmbiguityExpr.d_term616(1.0),
+}
+
+
+@functools.cache
+def divergent_paths() -> tuple:
+    """(expression id, path) for every power path with exponents in
+    {0.5, 1, 1.5, 2, 3} and coefficients in {0, 0.5, 1, 2}, not all 0, on
+    which the exact s -> 0 limit at lam = 1 diverges."""
+    exponents = itertools.product((0.5, 1.0, 1.5, 2.0, 3.0), repeat=3)
+    coefficients = [c for c in itertools.product((0.0, 0.5, 1.0, 2.0), repeat=3) if any(c)]
+    return tuple(
+        (expr_id, p + c)
+        for p in exponents
+        for c in coefficients
+        for expr_id in EXPRESSIONS
+        if refs.path_limit(expr_id, p + c, 1.0)[0] == "divergent"
+    )
+
+
+@pytest.mark.parametrize("schedule", [workloads.SCHEDULE, SCHED], ids=["limit-lab", "halving"])
+def test_divergent_limit_is_reported_divergent(schedule):
+    assert len(divergent_paths()) == 315
+    for expr_id, path in divergent_paths():
+        res = scan_path(EXPRESSIONS[expr_id], LimitPath(*path), schedule)
+        assert res.outcome.kind is LimitKind.DIVERGENT, (expr_id, path)

@@ -14,8 +14,6 @@ from regulab.errors import (
     InvalidCutoff,
     SingularRegulator,
     SplitStraddlesStep,
-    ToleranceNotMet,
-    ZeroFrequency,
 )
 from regulab.numerics import QuadratureSpec, integrate_interval, integrate_realline
 from regulab.time_step import (
@@ -71,10 +69,6 @@ class TestBogoliubov:
     def test_frozen_example(self):
         pair = bogoliubov(StepConfig(3.0, 1.0), 0.0)
         assert pair.a_k == 0.25 and pair.b_k == 0.75
-
-    def test_zero_frequency_rejected(self):
-        with pytest.raises(ZeroFrequency):
-            bogoliubov(StepConfig(1.0, 0.0), 0.0)
 
     @given(
         st.floats(0.05, 3.0),
@@ -139,7 +133,7 @@ class TestTimeFactor:
     [
         (lambda: StepConfig(math.nan, 1.0), "lam and m must be finite"),
         (lambda: mode_reg_density(CFG, -1.0), "density is defined after the switch-on"),
-        (lambda: pointsplit_density(StepConfig(1.0, 0.0), 1.0, split(0.05)), "pointsplit_density requires m > 0"),
+        (lambda: pointsplit_density(StepConfig(1.0, 0.0), 1.0, split(0.05)), r"m must be > 0, got 0\.0"),
     ],
     ids=["step-not-finite", "mode-sum-before-switch", "pointsplit-massless"],
 )
@@ -264,10 +258,6 @@ class TestModeRegDensity:
         for t in (0.3, 1.0, 2.5):
             assert mode_reg_density(CFG, t, SPEC).value >= 0.0
 
-    def test_massless_rejected(self):
-        with pytest.raises(ValueError):
-            mode_reg_density(StepConfig(1.0, 0.0), 1.0)
-
     def test_negative_step_allowed(self):
         res = mode_reg_density(StepConfig(-0.5, 1.0), 1.0, SPEC)
         assert res.value >= 0.0
@@ -294,28 +284,29 @@ class TestModeRegDensity:
         assert abs(loose.value - tight.value) <= loose.error_estimate
 
     def test_error_estimate_is_honest_over_the_parameter_space(self):
-        # the tight reference's [0, K] quadrature has a tolerance relative to
-        # its own total, which rounding in the phase 2Et keeps it from
-        # reaching where that total is small; it is then taken at 1e-11 or
-        # 1e-10, with its own estimate added to the allowance
-        def reference(cfg, t):
-            for rel_tol in (1e-12, 1e-11, 1e-10):
-                try:
-                    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-18, max_subdivisions=5000)
-                    return mode_reg_density(cfg, t, spec)
-                except ToleranceNotMet:
-                    pass
-            raise AssertionError(f"no reference at {cfg}, t = {t}")
-
         rng = random.Random(28)
+        tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-18, max_subdivisions=5000)
         for i in range(40):
             m = rng.uniform(0.3, 2.0)
             lam = rng.uniform(-0.01, 0.01) if i % 4 == 0 else rng.uniform(-0.95 * m * m, 4.0)
             t = math.exp(rng.uniform(math.log(0.2), math.log(1000.0)))
             cfg = StepConfig(lam, m)
             loose = mode_reg_density(cfg, t, QuadratureSpec(rel_tol=1e-9))
-            ref = reference(cfg, t)
+            ref = mode_reg_density(cfg, t, tight)
             assert abs(loose.value - ref.value) <= loose.error_estimate + ref.error_estimate, (lam, m, t)
+
+    def test_tight_spec_is_met_over_the_parameter_space(self):
+        # the [0, K] quadrature needs its share of the density's tolerance:
+        # asked for rel_tol of its own total, it is asked for less than the
+        # rounding floor of the phase 2Et where that total is small, and
+        # raises ToleranceNotMet
+        rng = random.Random(0)
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-18)
+        for _ in range(40):
+            m = rng.uniform(0.3, 2.0)
+            lam = rng.uniform(-0.95 * m * m, 4.0)
+            t = math.exp(rng.uniform(math.log(0.2), math.log(1000.0)))
+            mode_reg_density(StepConfig(lam, m), t, spec)
 
     @pytest.mark.parametrize("lam,m,t", [(1.0, 1.0, 1.0), (-0.9, 1.0, 0.3), (2.0, 0.5, 17.0)])
     def test_tail_terms_give_the_integral_between_two_cuts(self, lam, m, t):
@@ -547,6 +538,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             StepConfig(-1.0, 0.5)
 
-    def test_rejects_negative_mass(self):
-        with pytest.raises(ValueError):
-            StepConfig(1.0, -1.0)
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    def test_rejects_mass_not_positive(self, m):
+        with pytest.raises(ValueError, match=f"m must be > 0, got {m}"):
+            StepConfig(1.0, m)
