@@ -368,7 +368,7 @@ def cmd_limit_scan(args, resolved: dict) -> int:
     path = _parse_path(args.path)
     schedule = _parse_floats(args.s_schedule, "--s-schedule", n_min=4)
     _named("--s-schedule", check_schedule, schedule)  # scan_path's check, naming the flag
-    # scan_path catches SingularRegulator, so only flanagan-delta's map raises a RegulabError
+    # scan_path catches SingularRegulator and a NonFiniteResult is numerical, so --V is all a RegulabError can name
     result = _parsed("--V", scan_path, expr, path, schedule)
     records = [
         {"s": s, "value_re": z.real, "value_im": z.imag} for s, z in result.samples

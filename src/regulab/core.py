@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,22 +27,20 @@ class Regulator:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
-def sigma_tau(eps0: float, eps1: float, tau: float) -> complex:
-    """The regulated interval eps1^2 - (eps0 - i*tau)^2 of the split points,
-    in which the Hadamard form of the 1+1 two-point function is written."""
-    return complex(eps1 * eps1 - eps0 * eps0 + tau * tau, 2.0 * eps0 * tau)
-
-
-def nonzero_sigma_tau(eps0: float, eps1: float, tau: float) -> tuple[float, float, float, complex]:
-    """(eps0, eps1, tau, sigma_tau), the regulator scaled once by a power of 2
-    where sigma_tau underflows to 0 or is not finite, which the degree-0 forms
-    that divide by it do not see.  SingularRegulator where sigma_tau still
-    vanishes: on the null split eps0 = eps1 at tau = 0, or at the origin."""
-    sigma = sigma_tau(eps0, eps1, tau)
-    if sigma != 0 and cmath.isfinite(sigma):
-        return eps0, eps1, tau, sigma
-    k = -math.frexp(max(eps0, eps1, abs(tau)))[1]
-    scaled = math.ldexp(eps0, k), math.ldexp(eps1, k), math.ldexp(tau, k)
-    if (sigma := sigma_tau(*scaled)) == 0:
+def sigma_tau_factors(eps0: float, eps1: float, tau: float) -> tuple[float, ...]:
+    """(g, h, b, A, t, n1, n2) of the Hadamard form's regulated interval
+    sigma_tau = eps1^2 - (eps0 - i*tau)^2 = (eps1 - eps0 + i*tau)(eps1 + eps0 - i*tau):
+    the moduli n1, n2 of the two factors and t = tau at the scale 2^k that puts
+    the largest component in [2^1019, 2^1020), the bounded g = eps1/n2,
+    h = eps0/n2, b = tau/n1, and A = (eps1^2 - eps0^2)/n1^2.  SingularRegulator
+    where the first factor vanishes: eps0 = eps1 at tau = 0."""
+    k = 1020 - math.frexp(max(eps0, eps1, abs(tau)))[1]
+    e0, e1 = math.ldexp(eps0, k), math.ldexp(eps1, k)
+    # a tau scaled below 2^-1074 sits beside an eps >= 2^1020 and counts only on
+    # the null split, where b = 1 at any scale: unscaled, it keeps n1 off 0
+    t = math.ldexp(tau, k) or tau
+    n1 = math.hypot(e1 - e0, t)
+    if n1 == 0.0:
         raise SingularRegulator(f"sigma_tau vanishes at (eps0, eps1, tau) = ({eps0}, {eps1}, {tau})")
-    return (*scaled, sigma)
+    n2 = math.hypot(e1 + e0, t)
+    return e1 / n2, e0 / n2, t / n1, (e1 - e0) / n1 * (e1 + e0) / n1, t, n1, n2

@@ -46,8 +46,8 @@ class DomainError(RegulabError):
 
 
 class NonFiniteResult(DomainError):
-    """A density difference came out inf or nan because an intermediate
-    overflowed or underflowed: a numerical failure, not bad input."""
+    """A density difference or closed form came out inf or nan because it or an
+    intermediate overflowed or underflowed: a numerical failure, not bad input."""
 
 
 class InvalidFrequency(RegulabError):

@@ -5,8 +5,8 @@ A LimitPath drives each regulator component to zero as a power of a single
 parameter s; the exponent ordering is what decides the limit of the
 degree-zero-homogeneous ambiguity expressions.  A coefficient of zero pins a
 component identically to zero along the whole path.  The prototype,
-ratio239 = eps1^2/sigma_tau (core.sigma_tau), tends to 1, 0 or diverges by
-which component shrinks fastest.
+ratio239 = eps1^2/sigma_tau (core.sigma_tau_factors), tends to 1, 0 or
+diverges by which component shrinks fastest.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Regulator, nonzero_sigma_tau
-from .errors import SingularRegulator
+from .core import Regulator, sigma_tau_factors
+from .errors import NonFiniteResult, SingularRegulator
 from .flanagan import ConformalMap, delta_pointsplit
 from .numerics import LimitKind, LimitOutcome, classify_limit
 from .static_well import WellConfig, r_integral_closed
@@ -72,9 +72,12 @@ def check_schedule(s_values: Sequence[float]) -> None:
 
 
 def ratio_239(reg: Regulator) -> complex:
-    """eps1^2 / sigma_tau, the prototype order-of-limits ambiguity."""
-    _, eps1, _, sigma = nonzero_sigma_tau(reg.eps0, reg.eps1, reg.tau)
-    return eps1 * eps1 / sigma
+    """eps1^2/sigma_tau = g^2 (A + b^2) - 2i g^2 h n2 t/n1^2, the prototype
+    order-of-limits ambiguity; NonFiniteResult where it overflows."""
+    g, h, b, a, t, n1, n2 = sigma_tau_factors(reg.eps0, reg.eps1, reg.tau)
+    if math.isinf(im := 2.0 * g * g * h * n2 / n1 * t / n1):  # t/n1 alone can lose digits below 2^-1022
+        raise NonFiniteResult(f"ratio239 at {reg}: the imaginary part overflows")
+    return complex(g * g * (a + b * b), -im)
 
 
 @dataclass(frozen=True)

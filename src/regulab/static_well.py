@@ -10,8 +10,8 @@ the removable point omega^2 = lam of the antisymmetric family.
 
 The renormalized density inside the well is a frequency integral of a
 subtracted per-mode density plus a slowly-decaying remainder whose cutoff
-integral is r = (lam/4pi) Re[eps1^2/sigma_tau] (core.sigma_tau); r carries
-the entire dependence on how (eps0, eps1, tau) -> 0.
+integral is r = (lam/4pi) Re[eps1^2/sigma_tau] (core.sigma_tau_factors); r
+carries the entire dependence on how (eps0, eps1, tau) -> 0.
 
 t00r_static validates its inputs once and builds the subtracted integrand
 once per call, as a closure over the constants of (cfg, reg, x); the
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable
 
-from .core import Regulator, nonzero_sigma_tau
-from .errors import InvalidFrequency, OutsideRegionI
+from .core import Regulator, sigma_tau_factors
+from .errors import InvalidFrequency, NonFiniteResult, OutsideRegionI
 from .numerics import QuadratureResult, QuadratureSpec, integrate_halfline
 
 __all__ = [
@@ -271,10 +271,13 @@ def s_omega(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> float:
 
 
 def r_integral_closed(cfg: WellConfig, reg: Regulator) -> float:
-    """(lam/4pi) Re[eps1^2/sigma_tau], the cutoff integral of r_omega.  The
-    division by conj(sigma_tau) keeps the sign of the zero at eps1 = 0."""
-    _, eps1, _, sigma = nonzero_sigma_tau(reg.eps0, reg.eps1, reg.tau)
-    return cfg.lam / _FOUR_PI * (eps1 * eps1 / sigma.conjugate()).real
+    """(lam/4pi) Re[eps1^2/sigma_tau] = (lam/4pi) g^2 (A + b^2), the cutoff
+    integral of r_omega: lam/4pi times Re ratio_239, bit for bit.
+    NonFiniteResult where it overflows."""
+    g, _, b, a, *_ = sigma_tau_factors(reg.eps0, reg.eps1, reg.tau)
+    if math.isinf(value := cfg.lam / _FOUR_PI * (g * g * (a + b * b))):
+        raise NonFiniteResult(f"r_integral_closed at {reg}, lam = {cfg.lam!r}: the value overflows")
+    return value
 
 
 def t00r_static(

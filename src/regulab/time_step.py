@@ -18,9 +18,9 @@ G'''' wherever E^2 + lam, E^2 + 3 lam and E^4 + 6 lam E^2 + lam^2 are > 0
 
 At large |k| the point-split integrand approaches minus a slowly-decaying
 remainder, r_k_integrand, whose cutoff integral in the small-split regime is
-d_term = -(lam/4pi) Re[eps0 (eps0 - i*tau)/sigma_tau] (core.sigma_tau).  So
-the point split carries -d_term: point split + d_term - mode sum vanishes as
-(eps0, eps1, tau) -> 0, apart from the cutoff's first-order term c1*tau.
+d_term = -(lam/4pi) Re[eps0 (eps0 - i*tau)/sigma_tau] (core.sigma_tau_factors).
+So the point split carries -d_term: point split + d_term - mode sum vanishes
+as (eps0, eps1, tau) -> 0, apart from the cutoff's first-order term c1*tau.
 
 omega, E and the Bogoliubov pair are even in k; only the spatial phase
 e^(i k eps1) is not.  So pointsplit_density and d_term_quadrature integrate
@@ -37,8 +37,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Regulator, nonzero_sigma_tau
-from .errors import SplitStraddlesStep
+from .core import Regulator, sigma_tau_factors
+from .errors import NonFiniteResult, SplitStraddlesStep
 # integrate_realline has no caller here; the benchmark tracer (bench/spans.py) wraps this name.
 from .numerics import (
     QuadratureResult,
@@ -275,17 +275,19 @@ def mode_reg_density(
         ratio = 480.0 * pref / (c2 * c2 * tol)
     except ZeroDivisionError:  # t^4 tol underflowed
         ratio = math.inf
-    k_cut = ratio ** (1.0 / 6.0)
-    if not 0.0 < k_cut < math.inf:  # t^4 overflowed, say, or lambda^2 underflowed
-        raise OverflowError(
-            f"mode_reg_density at t = {t!r}: the tail cut (30 pref/(t^4 tol))^(1/6) is {k_cut}, "
-            "since a factor of it overflowed or underflowed"
-        )
+
+    def checked(k: float, name: str) -> float:  # t^4 overflowed, say, lambda^2 underflowed or _tail's bound overflowed
+        if 0.0 < k < math.inf:
+            return k
+        raise OverflowError(f"mode_reg_density at t = {t!r}: the tail cut {name} is {k}, "
+                            "since a factor of it overflowed or underflowed")
+
+    k_cut = checked(ratio ** (1.0 / 6.0), "(30 pref/(t^4 tol))^(1/6)")
     k_floor = math.sqrt(max(0.0, -7.0 * cfg.lam - cfg.m * cfg.m))  # E^2 >= 6|lam|
     mu = cfg.m * cfg.m + cfg.lam
     k_cut = max(k_floor, k_cut, (mu / (4.0 * cfg.m)) ** (1.0 / 7.0) * ratio ** (1.0 / 7.0))
     for _ in range(20):  # 9 steps at most on 20,000 draws
-        k_next = max(k_floor, k_cut * (_tail(cfg, t, k_cut)[1] * 4.0 * pref / tol) ** (1.0 / 7.0))
+        k_next = checked(max(k_floor, k_cut * (_tail(cfg, t, k_cut)[1] * 4.0 * pref / tol) ** (1.0 / 7.0)), "one step on")
         if abs(k_next - k_cut) <= 1e-6 * k_cut:
             break
         k_cut = k_next
@@ -332,10 +334,13 @@ def pointsplit_density(
 
 
 def d_term_value(lam: float, eps0: float, eps1: float, tau: float) -> float:
-    """-(lam/4pi) Re[eps0 (eps0 - i*tau)/sigma_tau], the remainder's cutoff
-    integral at small split (omega -> |k|): degree-0 homogeneous, even in tau."""
-    eps0, _, tau, sigma = nonzero_sigma_tau(eps0, eps1, tau)
-    return -(lam * eps0 / (4.0 * math.pi)) * (complex(eps0, -tau) / sigma).real
+    """-(lam/4pi) Re[eps0 (eps0 - i*tau)/sigma_tau] = -(lam/4pi) h^2 (A - b^2),
+    the remainder's cutoff integral at small split (omega -> |k|): degree-0
+    homogeneous, even in tau.  NonFiniteResult where it overflows."""
+    _, h, b, a, *_ = sigma_tau_factors(eps0, eps1, tau)
+    if math.isinf(value := -(lam / (4.0 * math.pi)) * (h * h * (a - b * b))):
+        raise NonFiniteResult(f"d_term at (eps0, eps1, tau) = ({eps0}, {eps1}, {tau}), lam = {lam!r}: it overflows")
+    return value
 
 
 def d_term(cfg: StepConfig, reg: Regulator) -> float:

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,12 @@ class TestValidation:
              "numerical failure: mode_reg_density at t = 1e+200: the tail cut (30 pref/(t^4 tol))^(1/6) is 0.0"),
             (["step-energy", "--lambda", "0.5", "--mass", "1", "--grid", "1e-200:1e-200:1"], 3,
              "numerical failure: mode_reg_density at t = 1e-200: the tail cut (30 pref/(t^4 tol))^(1/6) is inf"),
+            # the first cut is near 1e-44, where _tail's bound overflows, so the next cut is inf
+            (["step-energy", "--lambda", "1e-160", "--mass", "1", "--grid", "1:1:1"], 3,
+             "numerical failure: mode_reg_density at t = 1.0: the tail cut one step on is inf"),
+            # Im ratio239 = -1/(2 tau) at eps0 = eps1 = 0.2 is about -2.5e310
+            (["limit-scan", "--expr", "ratio239", "--path", "1,1,1,1,1,1e-310", "--s-schedule", "0.2,0.1,0.05,0.025"],
+             3, "numerical failure: ratio239 at Regulator(eps0=0.2, eps1=0.2, tau=2e-311): the imaginary part overflows"),
             (["qi-bound", "--rho", "1 + 0*x", "--support", "-1,1", "--rel-tol", "-1"], 2,
              "error: --rel-tol: rel_tol must be finite and > 0, got -1.0"),
             (["qi-bound", "--rho", "1 + 0*x", "--support", "-1,1", "--max-subdivisions", "0"], 2,
@@ -406,7 +413,8 @@ class TestValidation:
         ],
         ids=["well-overflow", "step-math-domain", "degenerate-map", "nonpositive-weight", "scan-domain",
              "zero-offset", "non-injective-map", "deep-parentheses", "long-sum", "step-tail-cut",
-             "step-tail-cut-small-t", "negative-rel-tol", "zero-budget"],
+             "step-tail-cut-small-t", "step-tail-cut-tiny-lambda", "ratio239-overflows", "negative-rel-tol",
+             "zero-budget"],
     )
     def test_exit_2_names_the_input_and_exit_3_is_numerical(self, capsys, args, code, start):
         got, out, err = run_cli(args, capsys)
@@ -585,8 +593,10 @@ class TestOutputs:
         ids=["sigma-tau-underflows", "sigma-tau-overflows"],
     )
     def test_limit_scan_constant_ratio_where_sigma_tau_leaves_the_floats(self, capsys, path):
-        # ratio239 is 0.2 - 0.4i at every s of both paths, though sigma_tau
-        # underflows to 0 from s = 0.05 on the first and overflows on the second
+        # ratio239 is 1/(1 + 2i) = 0.2 - 0.4i at every s of both paths, though
+        # sigma_tau underflows to 0 from s = 0.05 on the first and overflows on
+        # the second; each part is held to the closed forms' bound,
+        # 8*2^-52 times its exact value (tests/test_regulator_lab.py)
         code, out, err = run_cli(
             ["limit-scan", "--expr", "ratio239", "--path", path,
              "--s-schedule", "0.2,0.1,0.05,0.025", "--format", "json"],
@@ -594,9 +604,25 @@ class TestOutputs:
         )
         assert code == 0, err
         doc = json.loads(out)
-        assert [(r["value_re"], r["value_im"]) for r in doc["records"]] == [(0.2, -0.4)] * 4
+        assert len(doc["records"]) == 4
+        for r in doc["records"]:
+            for got, exact in ((r["value_re"], Fraction(1, 5)), (r["value_im"], Fraction(-2, 5))):
+                assert abs(Fraction(got) - exact) <= 8 * Fraction(2) ** -52 * abs(exact)
         assert doc["summary"]["kind"] == "finite"
         assert abs(complex(doc["summary"]["value_re"], doc["summary"]["value_im"]) - (0.2 - 0.4j)) < 1e-12
+
+    def test_limit_scan_dterm_where_eps0_squared_overflows(self, capsys):
+        # eps1 = tau = 0 from s < 1 on, so d_term is lam/4pi at every s; the
+        # expanded form squared eps0 = 1e40 s and printed -inf
+        code, out, err = run_cli(
+            ["limit-scan", "--expr", "dterm616", "--path", "1,1e160,1e300,1e40,0.01,1e300",
+             "--s-schedule", "0.2,0.1,0.05,0.025", "--lambda", "-1e300"],
+            capsys,
+        )
+        assert code == 0, err
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        assert [float(re) for _, re, _ in rows] == [-1e300 / (4.0 * math.pi)] * 4
+        assert out.splitlines()[-1].startswith("# summary: kind = finite, value_re = -7.9577471545947675e+298, ")
 
     def test_pointsplit_mode_columns(self, capsys):
         code, out, err = run_cli(

@@ -3,13 +3,14 @@ import itertools
 import math
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regulab.core import Regulator, sigma_tau
-from regulab.errors import SingularRegulator, TooFewSamples
+from regulab.core import Regulator, sigma_tau_factors
+from regulab.errors import NonFiniteResult, SingularRegulator, TooFewSamples
 from regulab.flanagan import ConformalMap, delta_flanagan
 from regulab.numerics import LimitKind
 from regulab.regulator_lab import (
@@ -29,16 +30,26 @@ import workloads  # noqa: E402
 SCHED = [0.2 * 2.0**-j for j in range(8)]
 
 
-class TestSigmaTau:
+class TestSigmaTauFactors:
     def test_cutoff_only(self):
-        assert sigma_tau(0.0, 0.0, 0.3) == complex(0.09, 0.0)
+        # f1 = f2 = 0.3i up to sign: sigma_tau = 0.09
+        g, h, b, a, t, n1, n2 = sigma_tau_factors(0.0, 0.0, 0.3)
+        assert (g, h, b, a) == (0.0, 0.0, 1.0, 0.0)
+        assert t == n1 == n2 == math.ldexp(0.3, 1021)
 
     def test_null_split(self):
-        assert sigma_tau(0.2, 0.2, 0.0) == 0j
+        with pytest.raises(SingularRegulator):
+            sigma_tau_factors(0.2, 0.2, 0.0)
 
     def test_hand_checked_value(self):
-        z = sigma_tau(0.1, 0.2, 0.05)
-        assert abs(z - complex(0.0325, 0.01)) < 1e-15
+        # sigma_tau = 0.0325 + 0.01i = (0.1 + 0.05i)(0.3 - 0.05i)
+        g, h, b, a, t, n1, n2 = sigma_tau_factors(0.1, 0.2, 0.05)
+        assert abs(n2 / n1 - abs(0.3 - 0.05j) / abs(0.1 + 0.05j)) < 1e-15
+        for got, want in ((g, 0.2 / abs(0.3 - 0.05j)), (h, 0.1 / abs(0.3 - 0.05j)),
+                          (b, 0.05 / abs(0.1 + 0.05j)), (a, 0.03 / abs(0.1 + 0.05j) ** 2)):
+            assert abs(got - want) < 1e-15
+        assert b == t / n1
+        assert abs(g * g * (a + b * b) - 2j * g * g * h * b * n2 / n1 - 0.04 / complex(0.0325, 0.01)) < 1e-15
 
 
 class TestRatio:
@@ -62,43 +73,41 @@ class TestRatio:
 
 # (lam, eps0, eps1, tau, repr of ratio_239, r_integral_closed, d_term_value),
 # "SingularRegulator" where the form raises it; the -tau rows are
-# d_term_value's alone.  Recorded from the forms as they stood before they
-# read core.sigma_tau, apart from the two rows at 1e-200 and 1e-170, where
-# sigma_tau underflows and nonzero_sigma_tau rescales the regulator; the bits
-# lean on CPython's complex division.  Kept a
-# literal, so a stdlib script can check it with ast.literal_eval where
-# pytest is missing.
+# d_term_value's alone.  Recorded from the forms on the factors of sigma_tau
+# (core.sigma_tau_factors), whose bits lean on math.hypot; each value is
+# within the bound of _agrees of the exact rational.  Kept a literal, so a
+# stdlib script can check it with ast.literal_eval where pytest is missing.
 CLOSED_FORM_PINS = [
     (1.0, 0.0, 0.0, 0.0, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
     (1.0, 0.1, 0.1, 0.0, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
     (1.7, 1.0, 1.0, 0.0, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
     (1.0, 1e-300, 1e-300, 0.0, "SingularRegulator", "SingularRegulator", "SingularRegulator"),
-    (1.0, 1e-200, 0.0, 1e-200, "0j", "-0.0", "0.03978873577297383"),
-    (1.0, 0.0, 1e-170, 1e-170, "(0.5+0j)", "0.039788735772973836", "-0.0"),
-    (1.0, 0.01, 0.0, 0.01, "0j", "-0.0", "0.039788735772973836"),
+    (1.0, 1e-200, 0.0, 1e-200, "-0j", "0.0", "0.03978873577297384"),
+    (1.0, 0.0, 1e-170, 1e-170, "(0.5000000000000002-0j)", "0.03978873577297386", "-0.0"),
+    (1.0, 0.01, 0.0, 0.01, "-0j", "0.0", "0.03978873577297386"),
     (1.0, 0.3, 0.0, 0.01, "(-0-0j)", "-0.0", "0.07948915026787226"),
-    (1.0, 0.01, 0.0, 0.3, "0j", "0.0", "8.832127807541366e-05"),
-    (1.7, 2.0, 0.0, 1.0, "-0j", "-0.0", "0.10822536130248883"),
-    (1.0, 0.1, 0.0, 0.0, "(-0-0j)", "-0.0", "0.07957747154594766"),
-    (1.0, 0.0, 0.0, 0.5, "0j", "0.0", "-0.0"),
-    (1.0, 1e-150, 0.0, 1e-150, "0j", "-0.0", "0.039788735772973836"),
-    (0.3, 0.0025, 0.0, 0.05, "0j", "0.0", "5.9534267989487016e-05"),
-    (1.0, 0.03, 0.05, 0.2, "(0.05547968589962445-0.01600375554796859j)", "0.004414933126055479", "0.0014671162388122817"),
-    (1.0, 0.1, 0.2, 0.05, "(1.1243243243243244-0.3459459459459459j)", "0.08947088692733576", "-0.018926533773090254"),
-    (1.7, 2.0, 0.3, 1.0, "(-0.010703732615119279-0.014713034522500725j)", "-0.001448019161945647", "0.10858761489351854"),
-    (1.0, 0.0, 0.5, 0.0, "(1+0j)", "0.07957747154594767", "-0.0"),
-    (1.0, 0.001, 0.002, 0.05, "(0.0015955355601880408-6.374492849332964e-05j)", "0.0001269686856414115", "3.166608150685222e-05"),
-    (1.0, 0.0025, 0.0025, 0.05, "(0.002475247524752475-0.0002475247524752474j)", "0.00019697393947016749", "0.00019697393947016743"),
-    (1.0, 1e-150, 1e-150, 1e-150, "(0.2-0.4j)", "0.015915494309189534", "0.015915494309189534"),
-    (2.5, 0.3, 1.0, 1e-09, "(1.0989010989010988-7.245501750996256e-10j)", "0.21861942732403206", "-0.019675748459162885"),
-    (1.0, 1.0, 2.0, 0.01, "(1.3332296396697816-0.008887901334420729j)", "0.10609504371503611", "-0.02652199273697017"),
-    (1.0, 0.0, 0.01, 2.0, "(2.4999375015624612e-05+0j)", "1.989387053972343e-06", "-0.0"),
-    (0.001, 0.5, 0.49, 0.0001, "(-24.250075500025698-0.2449505050007692j)", "-0.001929759693090378", "0.0020093331857546294"),
-    (1.0, 0.03, 0.05, -0.2, None, None, "0.0014671162388122817"),
-    (1.0, 0.1, 0.0, -0.07, None, None, "0.05340769902412595"),
-    (1.0, 0.01, 0.0, -0.01, None, None, "0.039788735772973836"),
+    (1.0, 0.01, 0.0, 0.3, "-0j", "0.0", "8.832127807541364e-05"),
+    (1.7, 2.0, 0.0, 1.0, "(-0-0j)", "-0.0", "0.1082253613024888"),
+    (1.0, 0.1, 0.0, 0.0, "(-0-0j)", "-0.0", "0.07957747154594767"),
+    (1.0, 0.0, 0.0, 0.5, "-0j", "0.0", "0.0"),
+    (1.0, 1e-150, 0.0, 1e-150, "-0j", "0.0", "0.03978873577297386"),
+    (0.3, 0.0025, 0.0, 0.05, "-0j", "0.0", "5.9534267989487036e-05"),
+    (1.0, 0.03, 0.05, 0.2, "(0.055479685899624445-0.01600375554796859j)", "0.004414933126055479", "0.001467116238812282"),
+    (1.0, 0.1, 0.2, 0.05, "(1.1243243243243244-0.34594594594594597j)", "0.08947088692733576", "-0.018926533773090257"),
+    (1.7, 2.0, 0.3, 1.0, "(-0.010703732615119275-0.014713034522500725j)", "-0.0014480191619456466", "0.10858761489351854"),
+    (1.0, 0.0, 0.5, 0.0, "(1-0j)", "0.07957747154594767", "-0.0"),
+    (1.0, 0.001, 0.002, 0.05, "(0.0015955355601880417-6.374492849332967e-05j)", "0.00012696868564141157", "3.1666081506852243e-05"),
+    (1.0, 0.0025, 0.0025, 0.05, "(0.0024752475247524753-0.00024752475247524753j)", "0.0001969739394701675", "0.0001969739394701675"),
+    (1.0, 1e-150, 1e-150, 1e-150, "(0.19999999999999998-0.39999999999999997j)", "0.015915494309189534", "0.015915494309189534"),
+    (2.5, 0.3, 1.0, 1e-09, "(1.098901098901099-7.245501750996257e-10j)", "0.21861942732403208", "-0.019675748459162888"),
+    (1.0, 1.0, 2.0, 0.01, "(1.333229639669782-0.008887901334420733j)", "0.10609504371503614", "-0.02652199273697018"),
+    (1.0, 0.0, 0.01, 2.0, "(2.4999375015624612e-05-0j)", "1.989387053972343e-06", "0.0"),
+    (0.001, 0.5, 0.49, 0.0001, "(-24.250075500025723-0.24495050500076976j)", "-0.0019297596930903799", "0.0020093331857546325"),
+    (1.0, 0.03, 0.05, -0.2, None, None, "0.001467116238812282"),
+    (1.0, 0.1, 0.0, -0.07, None, None, "0.053407699024125954"),
+    (1.0, 0.01, 0.0, -0.01, None, None, "0.03978873577297386"),
     (1.7, 0.3, 0.3, -0.0, None, None, "SingularRegulator"),
-    (1.0, 2.0, 0.01, -1.0, None, None, "0.06366223186531329"),
+    (1.0, 2.0, 0.01, -1.0, None, None, "0.06366223186531327"),
 ]
 
 
@@ -109,6 +118,69 @@ def _repr_or_singular(fn, *args):
         return "SingularRegulator"
 
 
+_INF = Fraction(2) ** 1024 - Fraction(2) ** 970  # the least magnitude that rounds to inf
+
+
+def _exact_terms(lam, eps0, eps1, tau):
+    """The exact terms, as rationals of the floats given and of the float
+    lam/4pi, of each component: with X = eps1^2 - eps0^2 and
+    |sigma_tau|^2 = |f1|^2 |f2|^2, Re ratio239 = eps1^2 (X + tau^2)/|sigma_tau|^2,
+    Im ratio239 = -2 eps1^2 eps0 tau/|sigma_tau|^2, r = (lam/4pi) Re ratio239
+    and d = -(lam/4pi) eps0^2 (X - tau^2)/|sigma_tau|^2."""
+    e0, e1, t = Fraction(eps0), Fraction(eps1), Fraction(tau)
+    c = Fraction(lam / (4.0 * math.pi))
+    x, t2 = e1 * e1 - e0 * e0, t * t
+    m = ((e1 - e0) ** 2 + t2) * ((e1 + e0) ** 2 + t2)
+    re = (e1 * e1 * x / m, e1 * e1 * t2 / m)
+    return {"re": re, "im": (-2 * e1 * e1 * e0 * t / m,), "r": (c * re[0], c * re[1]),
+            "d": (-c * e0 * e0 * x / m, c * e0 * e0 * t2 / m)}
+
+
+def _agrees(got, terms):
+    """got is the sum of the exact terms to 8*2^-52*sum|terms| + 64*2^-1074,
+    or got is NonFiniteResult and that sum is not representable."""
+    exact = sum(terms)
+    bound = 8 * Fraction(2) ** -52 * sum(abs(v) for v in terms) + 64 * Fraction(2) ** -1074
+    if got is NonFiniteResult:
+        return abs(exact) + bound >= _INF
+    return abs(exact) < _INF and abs(Fraction(got) - exact) <= bound
+
+
+def _closed_forms(eps0, eps1, tau):
+    """Each component's value at lam = 1, or the class of the error its form raised."""
+    def call(fn, *args):
+        try:
+            return fn(*args)
+        except (NonFiniteResult, SingularRegulator) as exc:
+            return type(exc)
+
+    reg = Regulator(eps0, eps1, tau)
+    z = call(ratio_239, reg)
+    re, im = (z, z) if isinstance(z, type) else (z.real, z.imag)
+    return {"re": re, "im": im,
+            "r": call(r_integral_closed, WellConfig(1.0, 1.0), reg), "d": call(d_term_value, 1.0, eps0, eps1, tau)}
+
+
+_COMPONENT = st.one_of(
+    st.sampled_from((0.0, 5e-324, 1e-320, 2.2e-308, 1e-300, 1e-170, 1e-150, 1e-9, 0.3, 1.0, 2.0, 1e150, 1e300,
+                     9e307, 1.7e308)),
+    st.floats(0.0, sys.float_info.max),
+)
+
+
+@st.composite
+def _regulators(draw):
+    """(eps0, eps1, tau) among all finite floats >= 0, subnormals included,
+    with eps1 = eps0 on the null split and eps1 = eps0 (1 - 2^-j) beside it."""
+    eps0, eps1, tau = draw(_COMPONENT), draw(_COMPONENT), draw(_COMPONENT)
+    split = draw(st.sampled_from(("free", "free", "free", "null", "beside")))
+    if split == "null":
+        eps1 = eps0
+    elif split == "beside":
+        eps1 = eps0 - math.ldexp(eps0, -draw(st.integers(1, 60)))
+    return eps0, eps1, tau
+
+
 class TestClosedFormsOfSigmaTau:
     @pytest.mark.parametrize("lam,eps0,eps1,tau,ratio,r,d", CLOSED_FORM_PINS)
     def test_pinned_bits(self, lam, eps0, eps1, tau, ratio, r, d):
@@ -117,6 +189,47 @@ class TestClosedFormsOfSigmaTau:
             reg = Regulator(eps0, eps1, tau)
             assert _repr_or_singular(ratio_239, reg) == ratio
             assert _repr_or_singular(r_integral_closed, WellConfig(lam, 1.0), reg) == r
+        if d != "SingularRegulator":
+            terms = _exact_terms(lam, eps0, eps1, tau)
+            assert _agrees(float(d), terms["d"])
+            if ratio is not None:
+                z = complex(ratio)
+                assert _agrees(z.real, terms["re"]) and _agrees(z.imag, terms["im"]) and _agrees(float(r), terms["r"])
+
+    @given(_regulators())
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    def test_closed_forms_hold_to_exact_rationals(self, regulator):
+        eps0, eps1, tau = regulator
+        got = _closed_forms(eps0, eps1, tau)
+        if eps0 == eps1 and tau == 0.0:  # f1 = 0
+            assert got == dict.fromkeys(got, SingularRegulator)
+            return
+        terms = _exact_terms(1.0, eps0, eps1, tau)
+        if got["re"] is NonFiniteResult:  # ratio_239 raised for its imaginary part; r reads Re
+            del got["re"]
+        else:
+            assert repr(got["r"]) == repr(1.0 / (4.0 * math.pi) * got["re"])
+        for name, value in got.items():
+            assert _agrees(value, terms[name]), (name, value, float(sum(terms[name])))
+
+    @pytest.mark.parametrize("eps,tau", [(1.0, 1e-170), (1.0, 1e-310), (1.7e308, 5e-324)])
+    def test_null_split_at_small_tau(self, eps, tau):
+        # A = 0 and b = 1 on the null split, so r = d = lam/(16 pi) at any
+        # tau > 0, also where scaling eps into [2^1019, 2^1020) sends tau to 0
+        reg = Regulator(eps, eps, tau)
+        for value in (r_integral_closed(WellConfig(1.0, 1.0), reg), d_term_value(1.0, eps, eps, tau)):
+            assert _agrees(value, (Fraction(1.0 / (4.0 * math.pi)) / 4,))
+
+    def test_value_that_overflows_raises(self):
+        # Im ratio239 = -1/(2 tau) on the null split
+        with pytest.raises(NonFiniteResult, match=r"ratio239 at Regulator\(eps0=1.0, eps1=1.0, tau=1e-310\)"):
+            ratio_239(Regulator(1.0, 1.0, 1e-310))
+        # eps1 - eps0 = 2^-52 makes A = 2^53, so (lam/4pi) A/4 overflows at lam = 1e300
+        near = math.nextafter(1.0, 2.0)
+        with pytest.raises(NonFiniteResult, match="r_integral_closed at Regulator"):
+            r_integral_closed(WellConfig(1e300, 1.0), Regulator(1.0, near, 0.0))
+        with pytest.raises(NonFiniteResult, match=r"d_term at \(eps0, eps1, tau\) = \(1.0000000000000002, 1.0, 0.0\)"):
+            d_term_value(1e300, near, 1.0, 0.0)
 
     @pytest.mark.parametrize("lam", [1.0, 2.5])
     def test_the_two_gaps_differ_by_a_constant(self, lam):
