@@ -16,9 +16,9 @@ flags, never a setting.
 All output is deterministic: identical inputs produce byte-identical files.
 
 Exit codes: 0 success, 1 a selftest check failed, 2 bad input, named by its
-flag, config-file line or setting, 3 a numerical failure: a tolerance not met,
-a panel or a density difference that is not finite, or float overflow or a
-math domain error in a density.
+flag, config-file line or setting, 3 a numerical failure: ToleranceNotMet, or
+NonFiniteResult naming a density or closed form and its inputs (errors.finite).
+Any other exception is a bug, and main lets it through.
 """
 
 from __future__ import annotations
@@ -549,8 +549,7 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (*_NUMERICAL, ArithmeticError, ValueError) as exc:
-        # input is refused, or named by _named and _parsed, before it can fail here
+    except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

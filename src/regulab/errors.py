@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the `finite` wrapper."""
+
+import cmath
+import functools
+import inspect
 
 
 class RegulabError(Exception):
@@ -16,8 +20,12 @@ class ToleranceNotMet(RegulabError):
         self.evaluations = evaluations
 
 
-class InvalidCutoff(RegulabError):
+class InvalidCutoff(RegulabError, ValueError):
     """Frequency cutoff tau must be strictly positive."""
+
+
+class BeforeSwitchOn(RegulabError, ValueError):
+    """A time-step density is defined only after the switch-on, at t >= 0."""
 
 
 class TooFewSamples(RegulabError):
@@ -46,8 +54,8 @@ class DomainError(RegulabError):
 
 
 class NonFiniteResult(DomainError):
-    """A density difference or closed form came out inf or nan because it or an
-    intermediate overflowed or underflowed: a numerical failure, not bad input."""
+    """A density or closed form that cannot be computed in floats, raised only
+    by `finite`: a numerical failure, not bad input."""
 
 
 class InvalidFrequency(RegulabError):
@@ -76,3 +84,27 @@ class NonpositiveWeight(RegulabError):
     def __init__(self, message, location=None):
         super().__init__(message)
         self.location = location
+
+
+def finite(fn):
+    """fn, raising NonFiniteResult that names fn and its arguments where fn
+    raises an ArithmeticError or ValueError, or returns a value (a
+    QuadratureResult's .value) that is not finite.  A RegulabError, fn's own
+    refusal, passes unchanged.  The message is built only on failure."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+            if cmath.isfinite(number := getattr(value, "value", value)):
+                return value
+            cause = number
+        except RegulabError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            cause = f"{type(exc).__name__}: {exc}"
+        bound = inspect.signature(fn).bind(*args, **kwargs).arguments
+        at = ", ".join(f"{name} = {arg!r}" for name, arg in bound.items())
+        raise NonFiniteResult(f"{fn.__name__} at {at} is not finite ({cause})")
+
+    return checked

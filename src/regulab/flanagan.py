@@ -11,10 +11,10 @@ first:
 * delta_tau sets vbar = v first and keeps tau (a cutoff-scale term that
   vanishes iff V'(v)^2 = 1).
 
-delta_pointsplit, delta_flanagan and delta_tau raise NonFiniteResult naming
-v where their value is not finite.  Each evaluates the map's jets to the
-order it reads: order 3 for delta_flanagan and for the compensated
-difference at v, order 1 everywhere else.
+delta_pointsplit, delta_flanagan and delta_tau are errors.finite: they raise
+NonFiniteResult, naming the map and v, where a value is not computable in
+floats.  Each evaluates the map's jets to the order it reads: order 3 for
+delta_flanagan and for the compensated difference at v, order 1 elsewhere.
 
 qi_bound_rhs evaluates the weighted-average lower bound -(1/24 pi) *
 integral of rho'(x)^2 / rho(x) for a strictly positive weight rho, from
@@ -23,12 +23,10 @@ order-1 jets of rho.
 
 from __future__ import annotations
 
-import cmath
-import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMap, NonFiniteResult, NonpositiveWeight, SingularRegulator
+from .errors import DegenerateMap, InvalidCutoff, NonpositiveWeight, SingularRegulator, finite
 from .exprlang import Expression, Jet3, eval_jet1, eval_jet3, parse
 from .numerics import QuadratureResult, QuadratureSpec, integrate_interval
 
@@ -95,28 +93,7 @@ def _map_difference(jet_v: Jet3, v: float, vbar: float, value_vbar: float) -> fl
     return jet_v.f - value_vbar
 
 
-def _finite_in_v(fn):
-    """Wrap fn(V, v, ...) so that a result that is not finite raises
-    NonFiniteResult naming v.  A division by an intermediate that underflowed to
-    0 (V'(v)^2 of a tiny V', say) counts as not finite."""
-
-    @functools.wraps(fn)
-    def checked(V, v, *args, **kwargs):
-        try:
-            value = fn(V, v, *args, **kwargs)
-        except ZeroDivisionError:
-            value = math.nan
-        if not cmath.isfinite(value):
-            raise NonFiniteResult(
-                f"{fn.__name__} at v = {v!r} is not finite ({value}): "
-                "an intermediate overflowed or underflowed"
-            )
-        return value
-
-    return checked
-
-
-@_finite_in_v
+@finite
 def delta_pointsplit(V: ConformalMap, v: float, vbar: float, tau: float = 0.0) -> complex:
     """Split-and-cutoff regulated density difference between the two
     quantizations; the object whose coincidence limit is order-dependent.
@@ -139,7 +116,7 @@ def delta_pointsplit(V: ConformalMap, v: float, vbar: float, tau: float = 0.0) -
     ) / _FOUR_PI
 
 
-@_finite_in_v
+@finite
 def delta_flanagan(V: ConformalMap, v: float) -> float:
     """Coincidence limit taken with the cutoff already removed:
     (1/4 pi) [V'''/(6 V') - V''^2/(4 V'^2)]."""
@@ -151,11 +128,11 @@ def delta_flanagan(V: ConformalMap, v: float) -> float:
     ) / _FOUR_PI
 
 
-@_finite_in_v
+@finite
 def delta_tau(V: ConformalMap, v: float, tau: float) -> float:
     """Coincidence limit taken before the cutoff: -(1/(4 pi tau^2)) (V'^2 - 1)."""
     if not (tau > 0.0):
-        raise ValueError(f"tau must be > 0, got {tau}")
+        raise InvalidCutoff(f"tau must be > 0, got {tau}")
     _, d1 = eval_jet1(V.expr, v)
     return -(d1 * d1 - 1.0) / (_FOUR_PI * tau * tau)
 

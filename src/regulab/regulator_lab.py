@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import Regulator, sigma_tau_factors
-from .errors import NonFiniteResult, SingularRegulator
+from .errors import SingularRegulator, finite
 from .flanagan import ConformalMap, delta_pointsplit
 from .numerics import LimitKind, LimitOutcome, classify_limit
 from .static_well import WellConfig, r_integral_closed
@@ -71,12 +71,12 @@ def check_schedule(s_values: Sequence[float]) -> None:
             raise ValueError(f"s = {s} and {later} have the same logarithm")
 
 
+@finite
 def ratio_239(reg: Regulator) -> complex:
     """eps1^2/sigma_tau = g^2 (A + b^2) - 2i g^2 h n2 t/n1^2, the prototype
-    order-of-limits ambiguity; NonFiniteResult where it overflows."""
+    order-of-limits ambiguity."""
     g, h, b, a, t, n1, n2 = sigma_tau_factors(reg.eps0, reg.eps1, reg.tau)
-    if math.isinf(im := 2.0 * g * g * h * n2 / n1 * t / n1):  # t/n1 alone can lose digits below 2^-1022
-        raise NonFiniteResult(f"ratio239 at {reg}: the imaginary part overflows")
+    im = 2.0 * g * g * h * n2 / n1 * t / n1  # t/n1 alone can lose digits below 2^-1022
     return complex(g * g * (a + b * b), -im)
 
 

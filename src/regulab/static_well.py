@@ -28,7 +28,7 @@ from enum import IntEnum
 from typing import Callable
 
 from .core import Regulator, sigma_tau_factors
-from .errors import InvalidFrequency, NonFiniteResult, OutsideRegionI
+from .errors import InvalidFrequency, OutsideRegionI, finite
 from .numerics import QuadratureResult, QuadratureSpec, integrate_halfline
 
 __all__ = [
@@ -270,16 +270,15 @@ def s_omega(cfg: WellConfig, omega: float, reg: Regulator, x: float) -> float:
     return _subtracted_integrand(cfg, reg, x)(omega)
 
 
+@finite
 def r_integral_closed(cfg: WellConfig, reg: Regulator) -> float:
     """(lam/4pi) Re[eps1^2/sigma_tau] = (lam/4pi) g^2 (A + b^2), the cutoff
-    integral of r_omega: lam/4pi times Re ratio_239, bit for bit.
-    NonFiniteResult where it overflows."""
+    integral of r_omega: lam/4pi times Re ratio_239, bit for bit."""
     g, _, b, a, *_ = sigma_tau_factors(reg.eps0, reg.eps1, reg.tau)
-    if math.isinf(value := cfg.lam / _FOUR_PI * (g * g * (a + b * b))):
-        raise NonFiniteResult(f"r_integral_closed at {reg}, lam = {cfg.lam!r}: the value overflows")
-    return value
+    return cfg.lam / _FOUR_PI * (g * g * (a + b * b))
 
 
+@finite
 def t00r_static(
     cfg: WellConfig,
     reg: Regulator,

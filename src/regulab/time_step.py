@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Regulator, sigma_tau_factors
-from .errors import NonFiniteResult, SplitStraddlesStep
+from .errors import BeforeSwitchOn, SplitStraddlesStep, finite
 # integrate_realline has no caller here; the benchmark tracer (bench/spans.py) wraps this name.
 from .numerics import (
     QuadratureResult,
@@ -212,13 +212,15 @@ def _folded_remainder(cfg: StepConfig, reg: Regulator, massless: bool) -> Callab
 
 def _constant_part_integral(cfg: StepConfig) -> float:
     """Closed form of the non-oscillatory integral over all k of
-    1/(omega * E^2): elementary after k = m*sinh(u).  Needs lam != 0:
+    1/(omega * E^2): elementary after k = m*sinh(u).  At lam > 0,
+    asinh(sqrt(lam)/m) = atanh(sqrt(lam)/b), and keeps its digits where
+    sqrt(lam)/b rounds to 1.  Needs lam != 0:
     mode_reg_density returns 0 before calling it at lam = 0."""
     lam, m = cfg.lam, cfg.m
     b = math.sqrt(m * m + lam)
     if lam > 0.0:
         rl = math.sqrt(lam)
-        return 2.0 * math.atanh(rl / b) / (rl * b)
+        return 2.0 * math.asinh(rl / m) / (rl * b)
     rl = math.sqrt(-lam)
     return 2.0 * math.atan(rl / b) / (rl * b)
 
@@ -244,6 +246,7 @@ def _tail(cfg: StepConfig, t: float, k: float) -> tuple[float, float]:
     return value, 2.0 * abs(g3) / (c * c * c * c)
 
 
+@finite
 def mode_reg_density(
     cfg: StepConfig, t: float, spec: QuadratureSpec | None = None
 ) -> QuadratureResult:
@@ -257,7 +260,7 @@ def mode_reg_density(
     """
     spec = spec or QuadratureSpec()
     if t < 0.0:
-        raise ValueError("density is defined after the switch-on, t >= 0")
+        raise BeforeSwitchOn("density is defined after the switch-on, t >= 0")
     if t == 0.0 or cfg.lam == 0.0:
         return QuadratureResult(0.0, 0.0)
 
@@ -271,23 +274,12 @@ def mode_reg_density(
     # (mu ratio/(4m))^(1/7); from the larger, steps by the 7th root of the
     # bound's ratio to tol/(4 pref) find it.
     c2 = 4.0 * t * t
-    try:  # 30 pref/(t^4 tol), with (2t)^4 finite when it is
-        ratio = 480.0 * pref / (c2 * c2 * tol)
-    except ZeroDivisionError:  # t^4 tol underflowed
-        ratio = math.inf
-
-    def checked(k: float, name: str) -> float:  # t^4 overflowed, say, lambda^2 underflowed or _tail's bound overflowed
-        if 0.0 < k < math.inf:
-            return k
-        raise OverflowError(f"mode_reg_density at t = {t!r}: the tail cut {name} is {k}, "
-                            "since a factor of it overflowed or underflowed")
-
-    k_cut = checked(ratio ** (1.0 / 6.0), "(30 pref/(t^4 tol))^(1/6)")
+    ratio = 480.0 * pref / (c2 * c2 * tol)  # 30 pref/(t^4 tol), with (2t)^4 finite when it is
     k_floor = math.sqrt(max(0.0, -7.0 * cfg.lam - cfg.m * cfg.m))  # E^2 >= 6|lam|
     mu = cfg.m * cfg.m + cfg.lam
-    k_cut = max(k_floor, k_cut, (mu / (4.0 * cfg.m)) ** (1.0 / 7.0) * ratio ** (1.0 / 7.0))
+    k_cut = max(k_floor, ratio ** (1.0 / 6.0), (mu / (4.0 * cfg.m)) ** (1.0 / 7.0) * ratio ** (1.0 / 7.0))
     for _ in range(20):  # 9 steps at most on 20,000 draws
-        k_next = checked(max(k_floor, k_cut * (_tail(cfg, t, k_cut)[1] * 4.0 * pref / tol) ** (1.0 / 7.0)), "one step on")
+        k_next = max(k_floor, k_cut * (_tail(cfg, t, k_cut)[1] * 4.0 * pref / tol) ** (1.0 / 7.0))
         if abs(k_next - k_cut) <= 1e-6 * k_cut:
             break
         k_cut = k_next
@@ -306,6 +298,7 @@ def mode_reg_density(
     return QuadratureResult(value, err, quad.evaluations)
 
 
+@finite
 def pointsplit_density(
     cfg: StepConfig,
     t: float,
@@ -333,14 +326,13 @@ def pointsplit_density(
     )
 
 
+@finite
 def d_term_value(lam: float, eps0: float, eps1: float, tau: float) -> float:
     """-(lam/4pi) Re[eps0 (eps0 - i*tau)/sigma_tau] = -(lam/4pi) h^2 (A - b^2),
     the remainder's cutoff integral at small split (omega -> |k|): degree-0
-    homogeneous, even in tau.  NonFiniteResult where it overflows."""
+    homogeneous, even in tau."""
     _, h, b, a, *_ = sigma_tau_factors(eps0, eps1, tau)
-    if math.isinf(value := -(lam / (4.0 * math.pi)) * (h * h * (a - b * b))):
-        raise NonFiniteResult(f"d_term at (eps0, eps1, tau) = ({eps0}, {eps1}, {tau}), lam = {lam!r}: it overflows")
-    return value
+    return -(lam / (4.0 * math.pi)) * (h * h * (a - b * b))
 
 
 def d_term(cfg: StepConfig, reg: Regulator) -> float:
@@ -348,6 +340,7 @@ def d_term(cfg: StepConfig, reg: Regulator) -> float:
     return d_term_value(cfg.lam, reg.eps0, reg.eps1, reg.tau)
 
 
+@finite
 def d_term_quadrature(
     cfg: StepConfig,
     reg: Regulator,

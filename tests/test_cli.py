@@ -1,9 +1,12 @@
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -12,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regulab import cli, selftest
 from regulab.cli import main
@@ -22,6 +27,7 @@ WELL = ["well-energy", "--lambda", "1", "--a", "1", "--grid", "0:0:1", "--tau", 
 OUTPUT = {"output.format", "output.path"}
 QUADRATURE = {"quadrature.rel_tol", "quadrature.abs_tol", "quadrature.max_subdivisions"}
 ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_SPEC = "QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=20000)"
 
 # (subcommand, mode) -> (argv whose other inputs are all malformed, why the
 # mode refuses a flag, the mode-dependent flags that mode does not read)
@@ -378,9 +384,14 @@ class TestValidation:
         "args,code,start",
         [
             (["well-energy", "--lambda", "1e6", "--a", "10", "--grid", "0:0:1",
-              "--eps0", "0.01", "--eps1", "0.01", "--tau", "0.1"], 3, "numerical failure: math range error"),
+              "--eps0", "0.01", "--eps1", "0.01", "--tau", "0.1"], 3,
+             "numerical failure: t00r_static at cfg = WellConfig(lam=1000000.0, a=10.0), "
+             f"reg = Regulator(eps0=0.01, eps1=0.01, tau=0.1), x = 0.0, t = 0.0, spec = {DEFAULT_SPEC} "
+             "is not finite (OverflowError: math range error)"),
+            # the steady part's atanh left its domain here; with asinh, the oscillating part misses its tolerance
             (["step-energy", "--lambda", "1e20", "--mass", "1", "--grid", "1:1:1"], 3,
-             "numerical failure: math domain error"),
+             "numerical failure: the error estimate 1.050e-26 is above tolerance 1.186e-29 after 20000 "
+             "bisections (max_subdivisions = 20000); worst panel ["),
             (["flanagan", "--V", "v^2", "--grid", "0:0:1"], 2, "error: --V: DegenerateMap: V'(0.0) = 0"),
             (["qi-bound", "--rho", "x", "--support", "-1,1"], 2, "error: --rho: NonpositiveWeight: "),
             (["limit-scan", "--expr", "flanagan-delta", "--V", "ln(v)", "--v0", "-1", "--path", "0,1,3",
@@ -395,17 +406,38 @@ class TestValidation:
              "error: --V: ExpressionSyntaxError: expression nested too deeply (position 0)"),
             (["flanagan", "--V", "+".join(["v"] * 1500), "--grid", "0:0:1"], 2,
              "error: --V: DomainError: expression nested too deeply to evaluate"),
-            # t^4 overflows, so the mode sum's tail cut is 0; at 1e-200 it underflows, and the cut is inf
+            # t^4 overflows, so the mode sum's tail cut is 0, and _tail divides by it; at 1e-200 t^4 tol
+            # underflows to 0, and the cut's ratio divides by it
             (["step-energy", "--lambda", "0.5", "--mass", "1", "--grid", "1e200:1e200:1"], 3,
-             "numerical failure: mode_reg_density at t = 1e+200: the tail cut (30 pref/(t^4 tol))^(1/6) is 0.0"),
+             "numerical failure: mode_reg_density at cfg = StepConfig(lam=0.5, m=1.0), "
+             f"t = 1e+200, spec = {DEFAULT_SPEC} "
+             "is not finite (ZeroDivisionError: float division by zero)"),
             (["step-energy", "--lambda", "0.5", "--mass", "1", "--grid", "1e-200:1e-200:1"], 3,
-             "numerical failure: mode_reg_density at t = 1e-200: the tail cut (30 pref/(t^4 tol))^(1/6) is inf"),
-            # the first cut is near 1e-44, where _tail's bound overflows, so the next cut is inf
+             "numerical failure: mode_reg_density at cfg = StepConfig(lam=0.5, m=1.0), "
+             f"t = 1e-200, spec = {DEFAULT_SPEC} "
+             "is not finite (ZeroDivisionError: float division by zero)"),
+            # the first cut is near 1e-44, where _tail's bound overflows, so the next cut is inf, and its sine
+            # leaves the domain
             (["step-energy", "--lambda", "1e-160", "--mass", "1", "--grid", "1:1:1"], 3,
-             "numerical failure: mode_reg_density at t = 1.0: the tail cut one step on is inf"),
+             "numerical failure: mode_reg_density at cfg = StepConfig(lam=1e-160, m=1.0), "
+             f"t = 1.0, spec = {DEFAULT_SPEC} "
+             "is not finite (ValueError: math domain error)"),
             # Im ratio239 = -1/(2 tau) at eps0 = eps1 = 0.2 is about -2.5e310
             (["limit-scan", "--expr", "ratio239", "--path", "1,1,1,1,1,1e-310", "--s-schedule", "0.2,0.1,0.05,0.025"],
-             3, "numerical failure: ratio239 at Regulator(eps0=0.2, eps1=0.2, tau=2e-311): the imaginary part overflows"),
+             3, "numerical failure: ratio_239 at reg = Regulator(eps0=0.2, eps1=0.2, tau=2e-311) "
+             "is not finite ((0.25-infj))"),
+            # sinh overflows in the well's sinc at this frequency
+            (["well-energy", "--lambda", "1e8", "--a", "0.3", "--grid", "1e-160:-1:1", "--eps0", "1e300",
+              "--eps1", "0.3", "--tau", "0.3"], 3,
+             "numerical failure: t00r_static at cfg = WellConfig(lam=100000000.0, a=0.3), "
+             f"reg = Regulator(eps0=1e+300, eps1=0.3, tau=0.3), x = 1e-160, t = 0.0, spec = {DEFAULT_SPEC} "
+             "is not finite (OverflowError: math range error)"),
+            # the symmetric family's n1 is 0 at a node
+            (["well-energy", "--lambda", "1e-8", "--a", "2.05e-25", "--grid", "1e-40:3.7e26:1", "--eps0", "1e300",
+              "--eps1", "1e-40", "--tau", "1e40"], 3,
+             "numerical failure: t00r_static at cfg = WellConfig(lam=1e-08, a=2.05e-25), "
+             f"reg = Regulator(eps0=1e+300, eps1=1e-40, tau=1e+40), x = 1e-40, t = 0.0, spec = {DEFAULT_SPEC} "
+             "is not finite (ZeroDivisionError: float division by zero)"),
             (["qi-bound", "--rho", "1 + 0*x", "--support", "-1,1", "--rel-tol", "-1"], 2,
              "error: --rel-tol: rel_tol must be finite and > 0, got -1.0"),
             (["qi-bound", "--rho", "1 + 0*x", "--support", "-1,1", "--max-subdivisions", "0"], 2,
@@ -413,8 +445,8 @@ class TestValidation:
         ],
         ids=["well-overflow", "step-math-domain", "degenerate-map", "nonpositive-weight", "scan-domain",
              "zero-offset", "non-injective-map", "deep-parentheses", "long-sum", "step-tail-cut",
-             "step-tail-cut-small-t", "step-tail-cut-tiny-lambda", "ratio239-overflows", "negative-rel-tol",
-             "zero-budget"],
+             "step-tail-cut-small-t", "step-tail-cut-tiny-lambda", "ratio239-overflows", "well-sinh-overflow",
+             "well-n1-zero", "negative-rel-tol", "zero-budget"],
     )
     def test_exit_2_names_the_input_and_exit_3_is_numerical(self, capsys, args, code, start):
         got, out, err = run_cli(args, capsys)
@@ -481,11 +513,13 @@ class TestValidation:
         [
             # V''^2 of v^690.8 overflows at v = 2
             (["flanagan", "--V", "v^ln(1e300)", "--grid", "1:2:2"],
-             "numerical failure: delta_flanagan at v = 2.0 is not finite (nan)"),
+             "numerical failure: delta_flanagan at V = ConformalMap(expr=Expression(text='v^690.7755278982137', "
+             "variable='v')), v = 2.0 is not finite (nan)"),
             # eps1 = s^2 and tau^2 = s^2 underflow to 0 on this schedule
             (["limit-scan", "--expr", "flanagan-delta", "--V", "exp(v)", "--path", "2,2,1",
               "--s-schedule", "1e-200,1e-250,1e-300,1e-305"],
-             "numerical failure: delta_pointsplit at v = 0.0 is not finite (nan)"),
+             "numerical failure: delta_pointsplit at V = ConformalMap(expr=Expression(text='exp(v)', variable='v')), "
+             "v = 0.0, vbar = 0.0, tau = 1e-200 is not finite (ZeroDivisionError: complex division by zero)"),
         ],
         ids=["flanagan", "limit-scan"],
     )
@@ -1053,6 +1087,64 @@ class TestParser:
         assert code == 0
         assert "# output.format = csv" in out
         assert "# quadrature.rel_tol = 1e-10" in out
+
+
+# Every numeric flag of the computing subcommands, as text: an extreme of the
+# floats or log-uniform on [1e-12, 1e12], negated a quarter of the time.
+# Schedules and path components may also be a magnitude or its reciprocal, so
+# that some of them are valid; the raw numbers stay among them.
+_EXTREMES = [0.0, 5e-324, 1e-320, 1e-300, 1e-160, 1e-40, 1e-12, 1.0, 1e12, 1e40, 1e160, 1e300, 1.7e308]
+_magnitudes = st.one_of(st.sampled_from(_EXTREMES), st.floats(-12.0, 12.0).map(lambda e: 10.0**e))
+_numbers = st.tuples(_magnitudes, st.integers(0, 3)).map(lambda p: repr(-p[0] if p[1] == 0 else p[0]))
+_grids = st.tuples(_numbers, _numbers, st.sampled_from(["1", "2"])).map(":".join)
+_schedules = st.lists(st.one_of(_numbers, _magnitudes.map(lambda m: repr(m if m <= 1.0 else 1.0 / m))),
+                      min_size=4, max_size=4).map(lambda s: ",".join(sorted(set(s), key=float, reverse=True)))
+_paths = st.lists(st.one_of(_numbers, _magnitudes.map(repr)), min_size=6, max_size=6).map(",".join)
+_regulators = st.tuples(_numbers, _numbers, _numbers).map(lambda r: ["--eps0", r[0], "--eps1", r[1], "--tau", r[2]])
+_MAPS = ["exp(v)", "v^3 + v", "tanh(v)", "v + 0.1*sin(v)", "ln(v)", "v^ln(1e300)", "1/v", "exp(700*v)"]
+_WEIGHTS = ["exp(-x^2)", "2 + sin(100*x)", "1 + x^2", "exp(x^2/2)*exp(x^2/2)", "exp(x^2)", "x"]
+_BUDGET = ["--max-subdivisions", "50"]  # bounds the time a command can take
+_COMMANDS = st.one_of(
+    st.tuples(_numbers, _numbers, _grids, st.one_of(st.just([]), _regulators.map(lambda r: ["--compare", *r]))).map(
+        lambda a: ["step-energy", "--lambda", a[0], "--mass", a[1], "--grid", a[2], *a[3], *_BUDGET]),
+    st.tuples(_numbers, _numbers, _grids, st.one_of(
+        _regulators, st.tuples(_paths, _schedules).map(lambda p: ["--path", p[0], "--s-schedule", p[1]]))).map(
+        lambda a: ["well-energy", "--lambda", a[0], "--a", a[1], "--grid", a[2], *a[3], *_BUDGET]),
+    st.tuples(_paths, _schedules, st.one_of(
+        st.just(["--expr", "ratio239"]),
+        st.tuples(st.sampled_from(["rstatic317", "dterm616"]), _numbers).map(
+            lambda e: ["--expr", e[0], "--lambda", e[1]]),
+        st.tuples(st.sampled_from(_MAPS), _numbers).map(
+            lambda e: ["--expr", "flanagan-delta", "--V", e[0], "--v0", e[1]]))).map(
+        lambda a: ["limit-scan", "--path", a[0], "--s-schedule", a[1], *a[2]]),
+    st.tuples(st.sampled_from(_MAPS), _grids, st.one_of(
+        st.just(["--mode", "taylor"]),
+        _numbers.map(lambda t: ["--mode", "tau_first", "--tau", t]),
+        st.tuples(_numbers, _numbers).map(
+            lambda p: ["--mode", "pointsplit", "--tau", p[0], "--vbar-offset", p[1]]))).map(
+        lambda a: ["flanagan", "--V", a[0], "--grid", a[1], *a[2]]),
+    st.tuples(st.sampled_from(_WEIGHTS), _numbers, _numbers).map(
+        lambda a: ["qi-bound", "--rho", a[0], "--support", f"{a[1]},{a[2]}", *_BUDGET]),
+)
+# a function named with its inputs (errors.finite), or a panel (ToleranceNotMet)
+_NAMED_FAILURE = re.compile(r"numerical failure: (\w+ at \w+ = .+ is not finite \(.+\)|.*panel \[.+\].*)\n", re.S)
+
+
+class TestEveryCommandIsTotal:
+    @given(_COMMANDS)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_exit_0_is_finite_and_exit_3_names_its_cause(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        if code == 0:
+            assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out.getvalue()), (argv, out.getvalue())
+        if code == 3:
+            assert _NAMED_FAILURE.fullmatch(err.getvalue()), (argv, err.getvalue())
 
 
 class TestDeterminism:

@@ -134,7 +134,8 @@ class TestNonFiniteResult:
     def test_raises_domain_error_naming_v(self, call):
         with pytest.raises(DomainError) as err:
             call()
-        assert "at v = " in str(err.value)
+        assert " at V = ConformalMap(" in str(err.value)
+        assert ", v = " in str(err.value)
         assert "is not finite" in str(err.value)
 
 

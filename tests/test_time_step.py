@@ -326,6 +326,14 @@ class TestModeRegDensity:
         quad = integrate_interval(oscillating, k1, k2, QuadratureSpec(rel_tol=1e-13))
         assert abs(tail1 - tail2 - quad.value) <= bound1 + bound2 + quad.error_estimate
 
+    def test_tiny_mass_against_a_reference_in_e(self):
+        # sqrt(lam)/b rounds to 1 at this mass, where the steady part's
+        # atanh(sqrt(lam)/b) left its domain.  The reference is scipy's quad
+        # of 2 pref (1 - cos 2Et)/(omega E k) over E >= b, in E = b + s^2
+        # near b and with weight='cos' beyond
+        res = mode_reg_density(StepConfig(1.0, 2.5e-10), 511.26, QuadratureSpec(rel_tol=1e-12))
+        assert abs(res.value - 0.92889493644327) <= res.error_estimate
+
     @pytest.mark.parametrize("t", [1e-13, 1e-20, 1e-60])
     def test_vanishes_at_small_t(self, t):
         # the density is O(t^2 ln t) as t -> 0; the cut is then far beyond
