@@ -9,12 +9,10 @@ renormalized kinetic energy density can then be computed two ways:
 * pointsplit_density point-splits the two-point function with offsets
   (eps0, eps1) and a frequency cutoff tau.
 
-mode_reg_density integrates the cos(2Et) part of the mode sum up to a cut K.
-Beyond it, in E with c = 2t and G = 1/(E omega k), the tail is
--G sin(cX)/c - G' cos(cX)/c^2 + G'' sin(cX)/c^3 + R at X = E(K).  With
-L = (ln G)' = -1/E - E/omega^2 - E/k^2, G''' = G (L^3 + 3 L L' + L'') < 0 <
-G'''' wherever E^2 + lam, E^2 + 3 lam and E^4 + 6 lam E^2 + lam^2 are > 0
-(for all E if lam >= 0, for E^2 >= 6|lam| if not), so |R| <= 2|G'''(X)|/c^4.
+mode_reg_density turns the E-integral of the mode sum's cos(2Et) part onto
+the ray E = b + i s^2, where e^(2itE) decays instead of oscillating
+(numerical steepest descent: Huybrechs & Vandewalle, SIAM J. Numer. Anal.
+44, 2006), so one smooth quadrature serves every t and lam.
 
 At large |k| the point-split integrand approaches minus a slowly-decaying
 remainder, r_k_integrand, whose cutoff integral in the small-split regime is
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Regulator, sigma_tau_factors
-from .errors import BeforeSwitchOn, SplitStraddlesStep, finite
+from .errors import BeforeSwitchOn, SplitStraddlesStep, ToleranceNotMet, finite
 # integrate_realline has no caller here; the benchmark tracer (bench/spans.py) wraps this name.
 from .numerics import (
     QuadratureResult,
@@ -225,38 +223,24 @@ def _constant_part_integral(cfg: StepConfig) -> float:
     return 2.0 * math.atan(rl / b) / (rl * b)
 
 
-def _tail(cfg: StepConfig, t: float, k: float) -> tuple[float, float]:
-    """Three integration-by-parts terms of the integral of cos(2Et)/(omega E^2)
-    over k > K, and the bound 2|G'''(E(K))|/(2t)^4 on the rest (see above)."""
-    lam, mu = cfg.lam, cfg.m * cfg.m + cfg.lam
-    k2 = k * k
-    w2 = k2 + cfg.m * cfg.m
-    e2 = k2 + mu
-    e = math.sqrt(e2)
-    g = 1.0 / (e * math.sqrt(w2) * k)
-    l0 = -1.0 / e - e / w2 - e / k2  # L, and its derivatives L' and L''
-    l1 = 1.0 / e2 + (e2 + lam) / (w2 * w2) + (e2 + mu) / (k2 * k2)
-    l2 = -2.0 / (e * e2) - 2.0 * e * (
-        (e2 + 3.0 * lam) / (w2 * w2 * w2) + (e2 + 3.0 * mu) / (k2 * k2 * k2)
-    )
-    g3 = g * (l0 * l0 * l0 + 3.0 * l0 * l1 + l2)
-    c = 2.0 * t
-    sin_cx, cos_cx = math.sin(c * e), math.cos(c * e)
-    value = (-sin_cx - l0 * cos_cx / c + (l0 * l0 + l1) * sin_cx / (c * c)) * g / c
-    return value, 2.0 * abs(g3) / (c * c * c * c)
-
-
 @finite
 def mode_reg_density(
     cfg: StepConfig, t: float, spec: QuadratureSpec | None = None
 ) -> QuadratureResult:
     """Renormalized kinetic energy density at t > 0 from the mode sum.
 
-    The non-oscillatory piece of the k-integral is elementary.  The cos(2Et)
-    piece is integrated adaptively in u = asinh(k/m) up to a cut K, and its
-    tail beyond K is three terms of its integration by parts (_tail).  K is
-    the smallest cut, with E(K)^2 >= 6|lam|, whose bound on the rest takes
-    tol/2 of the error; the quadrature's absolute tolerance is the other half.
+    The density is pref (S - 2I), pref = lam^2/(16 pi), with S elementary
+    (_constant_part_integral) and I = Re int_b^inf e^(2itE) dE/(E omega k),
+    b = sqrt(m^2 + lam).  Turned onto E = b + i s^2, past no singularity,
+    I = Re[e^(i (2tb + pi/4)) J] with J = int_0^inf 2 e^(-2ts^2) ds /
+    (E omega sqrt(2b + i s^2)), which neither oscillates nor cancels.  J
+    beyond s = R is at most e^(-2tR^2)/(2bR^2), as |E| >= s^2, |omega|^2 >=
+    2bs^2 and |2b + i s^2| >= 2b; R takes tol/4 of the error, and the
+    quadrature in s = c sinh(v), c = min(sqrt(b), m/sqrt(2b)) the smallest
+    scale on which the integrand turns, another tol/4.  ToleranceNotMet
+    names the float phase 2tb where the rounding of its exact correction can
+    move the density by more than tol.  Where 2 pref S <= tol, the density,
+    which lies in [0, 2 pref S], is pref S +- pref S.
     """
     spec = spec or QuadratureSpec()
     if t < 0.0:
@@ -264,37 +248,52 @@ def mode_reg_density(
     if t == 0.0 or cfg.lam == 0.0:
         return QuadratureResult(0.0, 0.0)
 
-    pref = cfg.lam * cfg.lam / (16.0 * math.pi)
+    lam, m = cfg.lam, cfg.m
     steady = _constant_part_integral(cfg)
-    scale = pref * steady
+    scale = lam * (lam * steady) / (16.0 * math.pi)  # pref S, where pref may underflow
     tol = max(spec.abs_tol, spec.rel_tol * scale)
-    # The cut is where _tail's bound is tol/(4 pref), its share tol/2 of the
-    # error.  The bound falls like 7.5/(t^4 K^6) far out and like
-    # 15 mu/(8 m t^4 K^7) as K -> 0, which put the cut near ratio^(1/6) and
-    # (mu ratio/(4m))^(1/7); from the larger, steps by the 7th root of the
-    # bound's ratio to tol/(4 pref) find it.
-    c2 = 4.0 * t * t
-    ratio = 480.0 * pref / (c2 * c2 * tol)  # 30 pref/(t^4 tol), with (2t)^4 finite when it is
-    k_floor = math.sqrt(max(0.0, -7.0 * cfg.lam - cfg.m * cfg.m))  # E^2 >= 6|lam|
-    mu = cfg.m * cfg.m + cfg.lam
-    k_cut = max(k_floor, ratio ** (1.0 / 6.0), (mu / (4.0 * cfg.m)) ** (1.0 / 7.0) * ratio ** (1.0 / 7.0))
-    for _ in range(20):  # 9 steps at most on 20,000 draws
-        k_next = max(k_floor, k_cut * (_tail(cfg, t, k_cut)[1] * 4.0 * pref / tol) ** (1.0 / 7.0))
-        if abs(k_next - k_cut) <= 1e-6 * k_cut:
-            break
-        k_cut = k_next
+    if 2.0 * scale <= tol:
+        return QuadratureResult(scale, scale)
 
-    def oscillating(u: float) -> float:  # cos(2Et)/(omega E^2) dk, with dk = omega du
-        w = cfg.m * math.cosh(u)
-        big_e2 = w * w + cfg.lam
-        return math.cos(2.0 * math.sqrt(big_e2) * t) / big_e2
+    pref = lam * lam / (16.0 * math.pi)
+    b = math.sqrt(m * m + lam)
+    r2b = math.sqrt(2.0 * b)
+    c = min(math.sqrt(b), m / r2b)
+    # The tail bound is pref e^(-x)/(bR^2) with x = 2tR^2, at most tol/4 where
+    # x e^x >= q = 8 pref t/(tol b): at x = ln(1 + q), with ln q from logs.
+    ln_q = math.log(8.0 * pref / tol) + math.log(t) - math.log(b)
+    x = ln_q if ln_q > 700.0 else math.log1p(math.exp(ln_q))
 
-    # the value counts the integral's error 2 pref times, so this is tol/2 of it
-    quad_spec = QuadratureSpec(spec.rel_tol, tol / (4.0 * pref), spec.max_subdivisions)
-    quad = integrate_interval(oscillating, 0.0, math.asinh(k_cut / cfg.m), quad_spec)
-    tail, tail_err = _tail(cfg, t, k_cut)
-    value = pref * (steady - 2.0 * (quad.value + tail))
-    err = pref * 2.0 * (quad.error_estimate + tail_err)
+    def ray(v: float) -> complex:  # J's integrand in v, with ds = c cosh(v) dv
+        s = c * math.sinh(v)
+        s2 = s * s
+        g = max(m, r2b * s, s2)  # omega/g keeps m^2, s^4 and bs^2 in range
+        omega_g = cmath.sqrt(complex((m / g) ** 2 - (s2 / g) ** 2, (r2b * s / g) ** 2))
+        denom = complex(b, s2) * omega_g * cmath.sqrt(complex(2.0 * b, s2))
+        return 2.0 * math.exp(-2.0 * t * s2) * (c * math.cosh(v) / g) / denom
+
+    # the value counts J's error 2 pref times, so this is tol/4 of it
+    quad_spec = QuadratureSpec(spec.rel_tol, tol / (8.0 * pref), spec.max_subdivisions)
+    quad = integrate_interval(ray, 0.0, math.asinh(math.sqrt(x / (2.0 * t)) / c), quad_spec)
+    # slip = 2t sqrt(m^2 + lam) - phase from the inputs' integer ratios, to
+    # 2^-63: with m^2 + lam = n/d, d a power of 2, the root is isqrt(n d 4^j)/(d 2^j)
+    phase = 2.0 * t * b
+    (mp, mq), (lp, lq), (tp, tq), (pp, pq) = (f.as_integer_ratio() for f in (m, lam, t, phase))
+    n, d, j = mp * mp * lq + lp * mq * mq, mq * mq * lq, 64 + tp.bit_length()
+    slip = (2 * tp * pq * math.isqrt(n * d << 2 * j) - (pp * tq * d << j)) / (tq * pq * d << j)
+    turn = cmath.rect(1.0, phase) * cmath.rect(1.0, slip + 0.25 * math.pi)
+    value = pref * (steady - 2.0 * (turn * quad.value).real)
+    # slip, slip + pi/4, their cosine and sine and the products round by
+    # about 4 eps (|slip| + 1), and no rotation moves J by more than 2|J|
+    rounding = 2.0 * pref * abs(quad.value) * min(2.0, 4.0 * math.ulp(1.0) * (abs(slip) + 1.0))
+    err = 2.0 * pref * quad.error_estimate + 0.25 * tol + rounding
+    if rounding > tol:
+        raise ToleranceNotMet(
+            f"mode_reg_density at cfg = {cfg!r}, t = {t!r}: the phase 2tb = {phase!r} is off by "
+            f"{slip:.3e}, whose rounding moves the density by up to {rounding:.3e}, above "
+            f"tolerance {tol:.3e}",
+            value=value, error_estimate=err, evaluations=quad.evaluations,
+        )
     return QuadratureResult(value, err, quad.evaluations)
 
 

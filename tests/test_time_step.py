@@ -3,10 +3,12 @@ import math
 import random
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from test_acceptance import cutoff_slope
 
 from regulab.core import Regulator
@@ -18,9 +20,9 @@ from regulab.errors import (
 from regulab.numerics import QuadratureSpec, integrate_interval, integrate_realline
 from regulab.time_step import (
     StepConfig,
+    _constant_part_integral,
     _folded_pointsplit,
     _folded_remainder,
-    _tail,
     bogoliubov,
     d_term,
     d_term_quadrature,
@@ -55,6 +57,34 @@ def realline_oracle(integrand, tau, spec):
     divided by 2 pi: (value, error estimate)."""
     res = integrate_realline(integrand, tau, spec)
     return res.value / (2.0 * math.pi), res.error_estimate / (2.0 * math.pi)
+
+
+def real_axis_mode_sum(lam, m, t):
+    """scipy's pref (S - 2I), with I = int_b^inf cos(2tE)/(E omega k) dE:
+    E = b + y^2 on [b, b + 1/t], where the integrand is not singular in y,
+    and QUADPACK's weight='cos' beyond.  Returns (value, error estimate)."""
+    b = math.sqrt(m * m + lam)
+    pref = lam * lam / (16.0 * math.pi)
+    rl = math.sqrt(abs(lam))
+    steady = 2.0 * (math.asinh(rl / m) if lam > 0.0 else math.atan(rl / b)) / (rl * b)
+
+    def g(e):  # 1/(E omega k), with k^2 = (E - b)(E + b) and omega^2 = k^2 + m^2
+        k2 = (e - b) * (e + b)
+        return 1.0 / (e * math.sqrt(k2 + m * m) * math.sqrt(k2))
+
+    def near(y):  # cos(2tE) g(E) dE, with dE/k = 2 dy/sqrt(2b + y^2)
+        e = b + y * y
+        k2 = y * y * (2.0 * b + y * y)
+        return 2.0 * math.cos(2.0 * t * e) / (e * math.sqrt(k2 + m * m) * math.sqrt(2.0 * b + y * y))
+
+    y1 = 1.0 / math.sqrt(t)
+    e1, e2 = b + y1 * y1, b + max(1.0, b)
+    parts = [
+        integrate.quad(near, 0.0, y1, epsabs=1e-17, epsrel=1e-13, limit=200),
+        integrate.quad(g, e1, e2, weight="cos", wvar=2.0 * t, epsabs=1e-15, epsrel=1e-12, limit=2000),
+        integrate.quad(g, e2, math.inf, weight="cos", wvar=2.0 * t, epsabs=1e-15, limlst=200),
+    ]
+    return pref * (steady - 2.0 * sum(p[0] for p in parts)), 2.0 * pref * sum(p[1] for p in parts)
 
 
 FOLD_KS = (1e-6, 0.3, 2.7, 50.0, 1e3, 1e4)
@@ -308,24 +338,6 @@ class TestModeRegDensity:
             t = math.exp(rng.uniform(math.log(0.2), math.log(1000.0)))
             mode_reg_density(StepConfig(lam, m), t, spec)
 
-    @pytest.mark.parametrize("lam,m,t", [(1.0, 1.0, 1.0), (-0.9, 1.0, 0.3), (2.0, 0.5, 17.0)])
-    def test_tail_terms_give_the_integral_between_two_cuts(self, lam, m, t):
-        # apart from the choice of cut: tail(K1) - tail(K2) is the integral
-        # over [K1, K2] up to the two bounds on what the terms leave out; at
-        # 2t E(K1) ~ 200 the third term is about 15 times those bounds, so a
-        # wrong sign or a dropped term fails here even where the cut hides it
-        def oscillating(k):
-            w2 = k * k + m * m
-            return math.cos(2.0 * t * math.sqrt(w2 + lam)) / (math.sqrt(w2) * (w2 + lam))
-
-        k1 = 100.0 / t
-        k2 = 2.0 * k1
-        assert k1 * k1 + m * m + lam >= 6.0 * abs(lam)  # past the sign floor
-        cfg = StepConfig(lam, m)
-        (tail1, bound1), (tail2, bound2) = _tail(cfg, t, k1), _tail(cfg, t, k2)
-        quad = integrate_interval(oscillating, k1, k2, QuadratureSpec(rel_tol=1e-13))
-        assert abs(tail1 - tail2 - quad.value) <= bound1 + bound2 + quad.error_estimate
-
     def test_tiny_mass_against_a_reference_in_e(self):
         # sqrt(lam)/b rounds to 1 at this mass, where the steady part's
         # atanh(sqrt(lam)/b) left its domain.  The reference is scipy's quad
@@ -341,6 +353,62 @@ class TestModeRegDensity:
         # on the integrand and return the t -> infinity value
         res = mode_reg_density(StepConfig(0.5, 1.0), t)
         assert abs(res.value) <= res.error_estimate
+
+    @pytest.mark.parametrize("lam,m,t", [(1.0, 1.0, 10.0), (1.0, 1.0, 100.0), (2.0, 0.5, 300.0), (-0.5, 1.0, 1000.0)])
+    def test_against_scipy_on_the_real_e_axis(self, lam, m, t):
+        # independent of the turn onto E = b + i s^2: the reference integrates
+        # cos(2tE)/(E omega k) along E >= b itself
+        ref, ref_err = real_axis_mode_sum(lam, m, t)
+        res = mode_reg_density(StepConfig(lam, m), t, QuadratureSpec(rel_tol=1e-12))
+        assert abs(res.value - ref) <= res.error_estimate + ref_err
+
+    def test_stationary_phase_asymptote_at_late_time(self):
+        # mode_reg -> pref [S - sqrt(pi b/t) cos(2tb + pi/4)/(m b^2)] + O(t^(-3/2)),
+        # from the stationary point k = 0; at t = 1e20 the next term is about
+        # b/(t m^2) ~ 1e-20 of the last.  The phase 2tb ~ 2.8e20 is taken in 40 digits
+        t = 1e20
+        with mpmath.workdps(40):
+            b = mpmath.sqrt(2)
+            osc = mpmath.sqrt(mpmath.pi * b / t) * mpmath.cos(2 * t * b + mpmath.pi / 4) / (b * b)
+        asymptote = (_constant_part_integral(CFG) - float(osc)) / (16.0 * math.pi)
+        res = mode_reg_density(CFG, t)
+        assert abs(res.value - asymptote) <= res.error_estimate
+
+    def test_late_time_draws_return_within_their_estimates(self):
+        # t up to 1e13, where 2Et has lost most digits below the radian and
+        # cos(2Et) along k takes about one bisection per period
+        rng = random.Random(0)
+        tight = QuadratureSpec(rel_tol=1e-12)
+        for _ in range(300):
+            m = rng.uniform(0.3, 2.0)
+            lam = rng.uniform(-0.95 * m * m, 4.0)
+            t = math.exp(rng.uniform(math.log(1e3), math.log(1e13)))
+            cfg = StepConfig(lam, m)
+            loose = mode_reg_density(cfg, t)
+            ref = mode_reg_density(cfg, t, tight)
+            assert abs(loose.value - ref.value) <= loose.error_estimate + ref.error_estimate, (lam, m, t)
+
+    def test_mass_below_the_square_root_of_the_smallest_float(self):
+        # m^2 underflows, and omega turns at s ~ m/sqrt(2b) ~ 5e-305: the
+        # integrand keeps m^2, s^4 and bs^2 in range, and s = c sinh(v) puts
+        # nodes on that scale (s = sqrt(b) sinh(v) takes 60,315 evaluations).
+        # The reference is an mpmath quadrature of J at 60 and at 80 digits
+        res = mode_reg_density(StepConfig(1e8, 1e-300), 1.0)
+        assert abs(res.value - 538436067.71575107841) <= res.error_estimate
+        assert res.evaluations < 2000
+
+    @pytest.mark.parametrize(
+        "lam,m,t,ref",
+        [(1.0, 1.0, 1e20, 0.024797344405415406025), (1e8, 0.01, 1e12, 57755257.025533902714)],
+    )
+    def test_error_estimate_is_honest_at_large_tb(self, lam, m, t, ref):
+        # 2tb is 2.8e20 and 2e16 here, so its rounding to a float moves the
+        # value by more than the estimate unless it is corrected.  The
+        # references are mpmath quadratures of J on E = b + i s^2 at 60 digits,
+        # in log s between its scales, with the phase 2tb + pi/4 taken in
+        # 60 + log10(2tb) digits; at 40 digits they agree to 30
+        res = mode_reg_density(StepConfig(lam, m), t)
+        assert abs(res.value - ref) <= res.error_estimate
 
 
 class TestFoldedIntegrands:
@@ -533,7 +601,7 @@ class TestEvaluationCounts:
 
     def test_mode_reg_density(self):
         res = mode_reg_density(CFG, 1.0)
-        assert res.evaluations == 945
+        assert res.evaluations == 165
         assert type(res.value) is float
 
     def test_closed_forms_cost_nothing(self):
