@@ -3,10 +3,12 @@
 The potential is a constant barrier lam on |x| < a and zero outside; modes
 come in a symmetric (j=1) and an antisymmetric (j=2) family.  Below the
 barrier top (omega^2 < lam) all trigonometric functions of
-q = sqrt(omega^2 - lam) continue to hyperbolic ones; everything here is
+q = sqrt(omega^2 - lam) continue to hyperbolic ones; the mode functions are
 written in terms of the entire functions cos(c*sqrt(z)) and sinc(c*sqrt(z))
 of z = omega^2 - lam, so no branch or 0/0 trouble arises anywhere, including
-the removable point omega^2 = lam of the antisymmetric family.
+the removable point omega^2 = lam of the antisymmetric family.  Only the
+fused interior ratio leaves them, above the barrier top, where it reads
+every factor from q = sqrt(z) taken once per node (_interior_ratios).
 
 The renormalized density inside the well is a frequency integral of a
 subtracted per-mode density plus a slowly-decaying remainder whose cutoff
@@ -17,7 +19,8 @@ t00r_static validates its inputs once and builds the subtracted integrand
 once per call, as a closure over the constants of (cfg, reg, x); the
 quadrature nodes then pay for the arithmetic alone.  s_omega and xi_lambda
 stay as the per-omega API, with their own validation, and evaluate the same
-closures, so all three agree bit for bit.
+closures: s_omega and t00r_static agree bit for bit, and xi_lambda reads the
+same fused ratio.
 """
 
 from __future__ import annotations
@@ -187,30 +190,50 @@ def _interior_ratios(cfg: WellConfig, reg: Regulator, x: float) -> Callable[[flo
     divided by the common factor omega*cos(omega*eps0)/(4*pi).  Fused so that
     the 1/omega and the omega^2 -> lam cancellations happen analytically.
 
-    The constants of (cfg, reg, x) are computed once, here; each keeps the
-    association it has in _interior_factors (lam*a*a is
-    (lam*a)*a), so the closure's values do not depend on the hoisting.  The
-    closure repeats _interior_factors' three lines instead of calling it:
-    that call per node made t00r_static about 10% slower."""
-    lam, e1 = cfg.lam, reg.eps1
-    aa = cfg.a * cfg.a
-    laa = lam * cfg.a * cfg.a
+    Above the barrier top, where z*big >= 1e-12 for z = omega^2 - lam and
+    big = max(a^2, y1^2, y1'^2, eps1^2), y1 and y1' = x +- eps1/2 (the
+    switch of _sinc_w2's series), a node takes q = sqrt(z) once and reads
+    every factor from it: shared = 1 + lam*sin^2(aq)/z, ce = cos(eps1 q) and
+    cross = lam*sin(q y1)*sin(q y1')/z, a product that does not cancel as
+    cos(eps1 q) - cos(2xq) would.  Everywhere else, z < 0, z = 0 and a nan
+    from z*big included, the factors go through the entire functions
+    _sinc_w2 and _cos_sqrt, whose series and two-sided limit serve there
+    unchanged.  t00r_static's integrand, s_omega and xi_lambda all read this
+    closure; above the top the q path moved xi_lambda from its value
+    through the helpers by at most 9.0e-14 of |ratio1| + |ratio2| over
+    20,000 seeded nodes, the worst where n1 cancels.  The constants of (cfg, reg, x) are computed once, here; each
+    keeps the association it has in _interior_factors (lam*a*a is
+    (lam*a)*a), and the helper branch repeats _interior_factors' lines
+    instead of calling it: that call per node made t00r_static about 10%
+    slower.  Where a^2 overflows, below the top _sinc_w2(a^2 z) would be
+    inf/inf at every node, so that is an OverflowError here."""
+    lam, a, e1 = cfg.lam, cfg.a, reg.eps1
+    aa = a * a
+    if aa == math.inf:
+        raise OverflowError(f"a^2 overflows at a = {a!r}")
+    laa = lam * a * a
     y1 = x + e1 / 2.0
     y1p = x - e1 / 2.0
     yy = y1 * y1
     yyp = y1p * y1p
     lyy = lam * y1 * y1p
+    big = max(aa, yy, yyp, e1 * e1)
 
     def ratios(omega: float) -> float:
         z = omega * omega - lam
-        sa = _sinc_w2(aa * z)
-        shared = 1.0 + laa * sa * sa
+        if z * big >= 1e-12:
+            q = math.sqrt(z)
+            sa = math.sin(a * q)
+            shared = 1.0 + lam * sa * sa / z
+            ce = math.cos(e1 * q)
+            cross = lam * math.sin(q * y1) * math.sin(q * y1p) / z
+        else:
+            sa = _sinc_w2(aa * z)
+            shared = 1.0 + laa * sa * sa
+            ce = _cos_sqrt(z, e1)
+            cross = lyy * _sinc_w2(yy * z) * _sinc_w2(yyp * z)
         n1 = lam + z * (2.0 - shared)
-        ce = _cos_sqrt(z, e1)
-        cross = lyy * _sinc_w2(yy * z) * _sinc_w2(yyp * z)
-        ratio2 = (ce + cross) / shared
-        ratio1 = ((lam + z) * ce - z * cross) / n1
-        return ratio1 + ratio2
+        return ((lam + z) * ce - z * cross) / n1 + (ce + cross) / shared
 
     return ratios
 
@@ -218,16 +241,16 @@ def _interior_ratios(cfg: WellConfig, reg: Regulator, x: float) -> Callable[[flo
 def _subtracted_integrand(cfg: WellConfig, reg: Regulator, x: float) -> Callable[[float], float]:
     """omega -> s_omega(cfg, omega, reg, x) without validation: the caller
     checks the region once, and quadrature nodes are finite and > 0.
-    cos(omega*eps0) is computed once per omega and shared by the fused
-    density and the remainder r_omega."""
+    cos(omega*eps0) is computed once per omega and multiplies the fused
+    density and the remainder r_omega together."""
     ratios = _interior_ratios(cfg, reg, x)
     e0, e1 = reg.eps0, reg.eps1
     r_pref = cfg.lam / _FOUR_PI * e1  # r_omega's prefactor
 
     def s(omega: float) -> float:
-        c0 = math.cos(omega * e0)
-        density = omega * c0 / _FOUR_PI * (ratios(omega) - 2.0 * math.cos(omega * e1))
-        return density - r_pref * c0 * math.sin(omega * e1)
+        w1 = omega * e1
+        density = omega / _FOUR_PI * (ratios(omega) - 2.0 * math.cos(w1))
+        return math.cos(omega * e0) * (density - r_pref * math.sin(w1))
 
     return s
 

@@ -208,6 +208,18 @@ def _folded_remainder(cfg: StepConfig, reg: Regulator, massless: bool) -> Callab
     return folded
 
 
+def _threshold(cfg: StepConfig) -> float:
+    """b = sqrt(m^2 + lam), the least frequency after the switch.  m and lam
+    are first scaled by powers of 2 to below 1, so m^2 cannot overflow (at
+    m >= 1.3e154) and m^2 + lam cancels no rounding but that of m^2, as
+    where lam is near -m^2; wherever m*m is a normal float the bits are
+    those of sqrt(m*m + lam)."""
+    lam, m = cfg.lam, cfg.m
+    e = math.frexp(max(m, math.sqrt(abs(lam))))[1]
+    ms = math.ldexp(m, -e)
+    return math.ldexp(math.sqrt(ms * ms + math.ldexp(lam, -2 * e)), e)
+
+
 def _constant_part_integral(cfg: StepConfig) -> float:
     """Closed form of the non-oscillatory integral over all k of
     1/(omega * E^2): elementary after k = m*sinh(u).  At lam > 0,
@@ -215,7 +227,7 @@ def _constant_part_integral(cfg: StepConfig) -> float:
     sqrt(lam)/b rounds to 1.  Needs lam != 0:
     mode_reg_density returns 0 before calling it at lam = 0."""
     lam, m = cfg.lam, cfg.m
-    b = math.sqrt(m * m + lam)
+    b = _threshold(cfg)
     if lam > 0.0:
         rl = math.sqrt(lam)
         return 2.0 * math.asinh(rl / m) / (rl * b)
@@ -237,10 +249,13 @@ def mode_reg_density(
     beyond s = R is at most e^(-2tR^2)/(2bR^2), as |E| >= s^2, |omega|^2 >=
     2bs^2 and |2b + i s^2| >= 2b; R takes tol/4 of the error, and the
     quadrature in s = c sinh(v), c = min(sqrt(b), m/sqrt(2b)) the smallest
-    scale on which the integrand turns, another tol/4.  ToleranceNotMet
-    names the float phase 2tb where the rounding of its exact correction can
-    move the density by more than tol.  Where 2 pref S <= tol, the density,
-    which lies in [0, 2 pref S], is pref S +- pref S.
+    scale on which the integrand turns, another tol/4.  Where 4 pref
+    (|J| + its error) <= tol/4, J cannot matter: the density is pref S, that
+    bound is added to the estimate, and the phase is not formed.
+    ToleranceNotMet names the float phase 2tb where it overflows, or where
+    the rounding of its exact correction can move the density by more than
+    tol.  Where 2 pref S <= tol, the density, which lies in [0, 2 pref S],
+    is pref S +- pref S.
     """
     spec = spec or QuadratureSpec()
     if t < 0.0:
@@ -256,7 +271,7 @@ def mode_reg_density(
         return QuadratureResult(scale, scale)
 
     pref = lam * lam / (16.0 * math.pi)
-    b = math.sqrt(m * m + lam)
+    b = _threshold(cfg)
     r2b = math.sqrt(2.0 * b)
     c = min(math.sqrt(b), m / r2b)
     # The tail bound is pref e^(-x)/(bR^2) with x = 2tR^2, at most tol/4 where
@@ -275,9 +290,19 @@ def mode_reg_density(
     # the value counts J's error 2 pref times, so this is tol/4 of it
     quad_spec = QuadratureSpec(spec.rel_tol, tol / (8.0 * pref), spec.max_subdivisions)
     quad = integrate_interval(ray, 0.0, math.asinh(math.sqrt(x / (2.0 * t)) / c), quad_spec)
+    # where J cannot move the density by tol/4, the phase is not formed
+    dropped = 4.0 * pref * (abs(quad.value) + quad.error_estimate)
+    if dropped <= 0.25 * tol:
+        return QuadratureResult(scale, dropped + 0.25 * tol, quad.evaluations)
+    phase = 2.0 * t * b
+    if not math.isfinite(phase):
+        raise ToleranceNotMet(
+            f"mode_reg_density at cfg = {cfg!r}, t = {t!r}: the phase 2tb = {phase!r} is not "
+            f"finite, and J moves the density by up to {dropped:.3e}, above tolerance {tol:.3e}",
+            value=scale, error_estimate=dropped + 0.25 * tol, evaluations=quad.evaluations,
+        )
     # slip = 2t sqrt(m^2 + lam) - phase from the inputs' integer ratios, to
     # 2^-63: with m^2 + lam = n/d, d a power of 2, the root is isqrt(n d 4^j)/(d 2^j)
-    phase = 2.0 * t * b
     (mp, mq), (lp, lq), (tp, tq), (pp, pq) = (f.as_integer_ratio() for f in (m, lam, t, phase))
     n, d, j = mp * mp * lq + lp * mq * mq, mq * mq * lq, 64 + tp.bit_length()
     slip = (2 * tp * pq * math.isqrt(n * d << 2 * j) - (pp * tq * d << j)) / (tq * pq * d << j)

@@ -417,6 +417,12 @@ class TestValidation:
              "numerical failure: t00r_static at cfg = WellConfig(lam=100000000.0, a=0.3), "
              f"reg = Regulator(eps0=1e+300, eps1=0.3, tau=0.3), x = 1e-160, t = 0.0, spec = {DEFAULT_SPEC} "
              "is not finite (OverflowError: math range error)"),
+            # a^2 overflows, and below the barrier top every node would be nan
+            (["well-energy", "--lambda", "1", "--a", "1e160", "--grid", "0:0:1", "--eps0", "0.01",
+              "--eps1", "0.01", "--tau", "0.1"], 3,
+             "numerical failure: t00r_static at cfg = WellConfig(lam=1.0, a=1e+160), "
+             f"reg = Regulator(eps0=0.01, eps1=0.01, tau=0.1), x = 0.0, t = 0.0, spec = {DEFAULT_SPEC} "
+             "is not finite (OverflowError: a^2 overflows at a = 1e+160)\n"),
             # the symmetric family's n1 is 0 at a node
             (["well-energy", "--lambda", "1e-8", "--a", "2.05e-25", "--grid", "1e-40:3.7e26:1", "--eps0", "1e300",
               "--eps1", "1e-40", "--tau", "1e40"], 3,
@@ -430,7 +436,8 @@ class TestValidation:
         ],
         ids=["well-overflow", "step-phase-rounding", "degenerate-map", "nonpositive-weight", "scan-domain",
              "zero-offset", "non-injective-map", "deep-parentheses", "long-sum", "ratio239-overflows",
-             "well-sinh-overflow", "well-n1-zero", "negative-rel-tol", "zero-budget"],
+             "well-sinh-overflow", "well-wide-overflow",
+             "well-n1-zero", "negative-rel-tol", "zero-budget"],
     )
     def test_exit_2_names_the_input_and_exit_3_is_numerical(self, capsys, args, code, start):
         got, out, err = run_cli(args, capsys)
@@ -444,12 +451,15 @@ class TestValidation:
             ("0.5", "1e200", 7.56330148571422375e-3),
             ("0.5", "1e-200", 0.0),  # -3.3e-49
             ("1e-160", "1", 6.17582057301558180e-322),
+            ("1e20", "1e300", 9.43748948618366125e19),
         ],
-        ids=["step-math-domain", "step-tail-cut", "step-tail-cut-small-t", "step-tail-cut-tiny-lambda"],
+        ids=["step-math-domain", "step-tail-cut", "step-tail-cut-small-t", "step-tail-cut-tiny-lambda",
+             "step-phase-overflow"],
     )
     def test_mode_sum_at_extreme_inputs_is_within_tol(self, capsys, lam, t, ref):
-        # each at an edge of the float range: b = 1e10, cuts R = 1.6e-99 and 1.5e5 in s, and a subnormal
-        # pref; the references are 40-digit mpmath quadratures.  The density lies in
+        # each at an edge of the float range: b = 1e10, cuts R = 1.6e-99 and 1.5e5 in s, a subnormal
+        # pref, and a phase 2tb = 2e310 that overflows where J, below 1e-146 of the density, cannot
+        # matter (its reference is pref S).  The others are 40-digit mpmath quadratures.  The density lies in
         # [0, 2 pref S], so the default tol, max(abs_tol, rel_tol pref S), is at least this
         code, out, err = run_cli(["step-energy", "--lambda", lam, "--mass", "1", "--grid", f"{t}:{t}:1"], capsys)
         assert (code, err) == (0, "")

@@ -12,15 +12,21 @@ from hypothesis import strategies as st
 from regulab.core import Regulator, sigma_tau_factors
 from regulab.errors import NonFiniteResult, SingularRegulator, TooFewSamples
 from regulab.flanagan import ConformalMap, delta_flanagan
-from regulab.numerics import LimitKind
+from regulab.numerics import LimitKind, QuadratureSpec
 from regulab.regulator_lab import (
     AmbiguityExpr,
     LimitPath,
     ratio_239,
     scan_path,
 )
-from regulab.static_well import WellConfig, r_integral_closed
-from regulab.time_step import d_term_value
+from regulab.static_well import WellConfig, r_integral_closed, t00r_static
+from regulab.time_step import (
+    StepConfig,
+    d_term_quadrature,
+    d_term_value,
+    mode_reg_density,
+    pointsplit_density,
+)
 
 # the benchmark's exact path limits (bench/refs.py) and limit-lab's schedule
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
@@ -419,3 +425,26 @@ def test_divergent_limit_is_reported_divergent(schedule):
     for expr_id, path in divergent_paths():
         res = scan_path(EXPRESSIONS[expr_id], LimitPath(*path), schedule)
         assert res.outcome.kind is LimitKind.DIVERGENT, (expr_id, path)
+
+
+def test_bench_pools_keep_their_exact_evaluation_counts():
+    # the primary metric of the performance aim: every quadrature over the
+    # pools of bench/refs.json at its rel_tol, each pool summed.  The counts
+    # do not depend on the machine, so an integrand rewritten for speed
+    # that moves one has changed the paneling, not only the time
+    table = refs.load_table()
+    spec = QuadratureSpec(rel_tol=table["meta"]["rel_tol"])
+    pointsplit = d_terms = modes = wells = 0
+    for row in table["step"]:
+        cfg = StepConfig(row["lam"], row["m"])
+        modes += mode_reg_density(cfg, row["t"], spec).evaluations
+        for s in table["meta"]["step_s"]:
+            reg = Regulator(s * s, s * s, s)
+            pointsplit += pointsplit_density(cfg, row["t"], reg, spec).evaluations
+            d_terms += d_term_quadrature(cfg, reg, spec).evaluations
+    for row in table["well"]:
+        cfg = WellConfig(row["lam"], row["a"])
+        for s in table["meta"]["well_s"]:
+            reg = Regulator(s ** row["p0"], s ** row["p1"], s)
+            wells += t00r_static(cfg, reg, row["x"], 0.0, spec).evaluations
+    assert (pointsplit, d_terms, modes, wells) == (113_955, 56_160, 3_960, 257_280)

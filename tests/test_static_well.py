@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -25,7 +27,7 @@ from regulab.static_well import (
     xi_free,
     xi_lambda,
 )
-from regulab.static_well import _subtracted_integrand
+from regulab.static_well import _FOUR_PI, _cos_sqrt, _sinc_w2, _subtracted_integrand
 
 CFG = WellConfig(1.0, 1.0)
 SPEC = QuadratureSpec()
@@ -198,6 +200,43 @@ class TestRemainder:
             assert abs(r_integral_closed(CFG, Regulator(e0, e1, tau)) - oracle) < 1e-15 + 1e-12 * abs(oracle)
 
 
+def _terms_40_digits(omega, lam, a, e0, e1, y1, y1p):
+    """The four terms whose sum is s_omega, from q = sqrt(omega^2 - lam) > 0."""
+    z = omega * omega - lam
+    q = mpmath.sqrt(z)
+    shared = 1 + lam * mpmath.sin(a * q) ** 2 / z
+    n1 = lam + z * (2 - shared)
+    ce = mpmath.cos(e1 * q)
+    cross = lam * mpmath.sin(q * y1) * mpmath.sin(q * y1p) / z
+    c0 = mpmath.cos(omega * e0)
+    pref = omega * c0 / (4 * mpmath.pi)
+    return (
+        pref * ((lam + z) * ce - z * cross) / n1,
+        pref * (ce + cross) / shared,
+        -2 * pref * mpmath.cos(omega * e1),
+        -lam / (4 * mpmath.pi) * e1 * c0 * mpmath.sin(omega * e1),
+    )
+
+
+def _value_and_scale_40_digits(cfg, reg, x, omega):
+    """s_omega in 40 digits, and its terms' scale: the largest of the four
+    terms and of |p ds/dp| over the inputs p, omega, lam, a, eps0, eps1 and
+    the split points x +- eps1/2, which is what a relative rounding of one
+    input moves the value by, per unit of that rounding.  Where n1 cancels or
+    a sine has a large argument, the second is the larger."""
+    with mpmath.workdps(40):
+        args = [mpmath.mpf(v) for v in (omega, cfg.lam, cfg.a, reg.eps0, reg.eps1)]
+        args += [mpmath.mpf(x) + args[4] / 2, mpmath.mpf(x) - args[4] / 2]
+        terms = _terms_40_digits(*args)
+        scale = max(abs(t) for t in terms)
+        for i in range(len(args)):
+            def moved(h, i=i):
+                return mpmath.fsum(_terms_40_digits(*args[:i], args[i] * (1 + h), *args[i + 1:]))
+
+            scale = max(scale, abs(mpmath.diff(moved, 0)))
+        return float(mpmath.fsum(terms)), float(scale)
+
+
 class TestSubtractedIntegrand:
     """The closure t00r_static integrates, against the per-mode route."""
 
@@ -205,10 +244,38 @@ class TestSubtractedIntegrand:
     def oracle(cfg, omega, reg, x):
         return xi_brute_force(cfg, omega, reg, x) - xi_free(omega, reg) - r_omega(cfg, omega, reg)
 
+    @staticmethod
+    def entire_function_integrand(cfg, reg, x):
+        """The integrand with every factor through _sinc_w2 and _cos_sqrt,
+        the helpers' form that served every omega before the q = sqrt(z) path."""
+        lam, a, e0, e1 = cfg.lam, cfg.a, reg.eps0, reg.eps1
+        y1, y1p = x + e1 / 2.0, x - e1 / 2.0
+        r_pref = lam / _FOUR_PI * e1
+
+        def s(omega):
+            z = omega * omega - lam
+            sa = _sinc_w2(a * a * z)
+            shared = 1.0 + lam * a * a * sa * sa
+            n1 = lam + z * (2.0 - shared)
+            ce = _cos_sqrt(z, e1)
+            cross = lam * y1 * y1p * _sinc_w2(y1 * y1 * z) * _sinc_w2(y1p * y1p * z)
+            fused = ((lam + z) * ce - z * cross) / n1 + (ce + cross) / shared
+            c0 = math.cos(omega * e0)
+            density = omega * c0 / _FOUR_PI * (fused - 2.0 * math.cos(omega * e1))
+            return density - r_pref * c0 * math.sin(omega * e1)
+
+        return s
+
     @pytest.mark.parametrize("lam,a", [(1.0, 1.0), (2.5, 1.0), (1.0, 5.0)])
     @pytest.mark.parametrize(
         "reg,x",
-        [(Regulator(0.01, 0.02, 0.0), 0.3), (Regulator(0.0, 0.05, 0.0), -0.4), (Regulator(0.03, 0.0, 0.0), 0.2)],
+        [
+            (Regulator(0.01, 0.02, 0.0), 0.3),
+            (Regulator(0.0, 0.05, 0.0), -0.4),
+            (Regulator(0.03, 0.0, 0.0), 0.2),
+            (Regulator(0.01, 0.02, 0.0), 0.01),  # y1' = x - eps1/2 = 0
+            (Regulator(0.0, 0.05, 0.0), -0.025),  # y1 = x + eps1/2 = 0
+        ],
     )
     def test_matches_per_mode_oracle(self, lam, a, reg, x):
         cfg = WellConfig(lam, a)
@@ -216,19 +283,62 @@ class TestSubtractedIntegrand:
         r = math.sqrt(lam)
         below = (0.3 * r, r * (1.0 - 1e-9))
         at = r * (1.0 + 3e-15)
+        # z a^2 just below and just above 1e-12, where the node switches
+        # from the helpers to q = sqrt(z); a^2 is the largest squared length
+        switch = tuple(math.sqrt(lam + 1e-12 * k / (a * a)) for k in (0.98, 1.02))
         above = (r * (1.0 + 1e-9), 1.7 * r, 12.0)
         # the sinc series branch, with x != 0
         assert 0.0 < abs(a * a * (at * at - lam)) < 1e-12
-        for omega in below + (at,) + above:
+        assert [(w * w - lam) * (a * a) >= 1e-12 for w in switch] == [False, True]
+        for omega in below + (at,) + switch + above:
             assert abs(f(omega) - self.oracle(cfg, omega, reg, x)) < 1e-12, omega
 
-    def test_finite_at_the_barrier_top(self):
+    @pytest.mark.parametrize("a", [1.0, 40.0])
+    def test_finite_at_the_barrier_top(self, a):
         # omega^2 = lam exactly is a pole of the antisymmetric amplitude, where
-        # the oracle has no value; the closure takes the two-sided limit
+        # the oracle has no value; the closure takes the two-sided limit.  At
+        # a = 40 the sides +-1e-12 differ by 5e-10, about a^2 times as much
         reg = Regulator(0.01, 0.02, 0.0)
-        f = _subtracted_integrand(CFG, reg, 0.3)
-        sides = [self.oracle(CFG, 1.0 + d, reg, 0.3) for d in (-1e-12, 1e-12)]
+        cfg = WellConfig(1.0, a)
+        f = _subtracted_integrand(cfg, reg, 0.3)
+        sides = [self.oracle(cfg, 1.0 + d, reg, 0.3) for d in (-1e-12, 1e-12)]
         assert abs(f(1.0) - 0.5 * (sides[0] + sides[1])) < 1e-12
+
+    def test_above_the_barrier_no_farther_from_40_digits_than_the_helpers(self):
+        # seeded nodes with z*big from the switch at 1e-12 up to 1e5: the
+        # q = sqrt(z) path may differ from the helpers' form, but not by
+        # being less accurate.  Both round the split points the same way, so
+        # what they share cancels from the comparison
+        rng = random.Random(9)
+        for _ in range(120):
+            lam = rng.uniform(0.05, 6.0)
+            a = math.exp(rng.uniform(math.log(0.2), math.log(20.0)))
+            e1 = rng.uniform(0.0, 0.9) * a
+            x = rng.uniform(-0.999, 0.999) * (a - e1 / 2.0)
+            cfg, reg = WellConfig(lam, a), Regulator(rng.uniform(0.0, 0.5) * a, e1, 0.0)
+            big = max(a * a, (x + e1 / 2.0) ** 2, (x - e1 / 2.0) ** 2, e1 * e1)
+            omega = math.sqrt(lam + math.exp(rng.uniform(math.log(1.001e-12), math.log(1e5))) / big)
+            assert (omega * omega - lam) * big >= 1e-12
+            ref, scale = _value_and_scale_40_digits(cfg, reg, x, omega)
+            fast = abs(_subtracted_integrand(cfg, reg, x)(omega) - ref)
+            helpers = abs(self.entire_function_integrand(cfg, reg, x)(omega) - ref)
+            assert fast <= helpers + 4.0 * math.ulp(scale), (lam, a, e1, x, omega)
+
+    def test_xi_lambda_and_s_omega_share_the_fused_ratio(self):
+        # both read _interior_ratios, so on either side of the switch they
+        # differ only by the rounding of the outer products and sums; two
+        # fused ratios written apart differed by up to 9e-14 above the top
+        rng = random.Random(4)
+        for _ in range(2000):
+            lam = rng.uniform(0.05, 6.0)
+            a = math.exp(rng.uniform(math.log(0.2), math.log(20.0)))
+            e1 = rng.uniform(0.0, 0.9) * a
+            x = rng.uniform(-0.999, 0.999) * (a - e1 / 2.0)
+            cfg, reg = WellConfig(lam, a), Regulator(rng.uniform(0.0, 0.5) * a, e1, 0.0)
+            omega = math.sqrt(lam) * math.exp(rng.uniform(-1.0, 3.0))
+            terms = (xi_lambda(cfg, omega, reg, x), xi_free(omega, reg), r_omega(cfg, omega, reg))
+            gap = terms[0] - terms[1] - terms[2] - s_omega(cfg, omega, reg, x)
+            assert abs(gap) <= 8.0 * math.ulp(max(map(abs, terms))), (lam, a, e1, x, omega)
 
 
 class TestDensity:
@@ -267,9 +377,9 @@ class TestDensity:
     @pytest.mark.parametrize(
         "lam,a,x,value,error_estimate,evaluations",
         [
-            (1.0, 1.0, 0.0, -0.0320632745581709, 3.12341042052838e-12, 2655),
-            (1.0, 1.0, 0.3, -0.030216597212542367, 2.7069761602948892e-12, 2715),
-            (1.0, 5.0, 1.5, -0.039475649083346304, 3.927482774303321e-12, 12615),
+            (1.0, 1.0, 0.0, -0.032063274558170894, 3.123414672571782e-12, 2655),
+            (1.0, 1.0, 0.3, -0.03021659721254236, 2.7069477208492644e-12, 2715),
+            (1.0, 5.0, 1.5, -0.039475649083346234, 3.927519934061809e-12, 12615),
         ],
         ids=["a1-x0", "a1-x0.3", "a5-x1.5"],
     )

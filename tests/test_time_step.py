@@ -16,6 +16,7 @@ from regulab.errors import (
     InvalidCutoff,
     SingularRegulator,
     SplitStraddlesStep,
+    ToleranceNotMet,
 )
 from regulab.numerics import QuadratureSpec, integrate_interval, integrate_realline
 from regulab.time_step import (
@@ -396,6 +397,41 @@ class TestModeRegDensity:
         res = mode_reg_density(StepConfig(1e8, 1e-300), 1.0)
         assert abs(res.value - 538436067.71575107841) <= res.error_estimate
         assert res.evaluations < 2000
+
+    @pytest.mark.parametrize("lam,m", [(100.0, 1e160), (1.0, 2e154), (-100.0, 1e160)])
+    def test_mass_whose_square_overflows(self, lam, m):
+        # m^2 is inf here, which once made b = sqrt(m^2 + lam) inf and the
+        # density 0 +- 0.  The reference is pref S from its closed form in 40
+        # digits; |J| <= sqrt(pi/2t)/(b m sqrt(2b)) keeps the cos(2Et) part
+        # below 1e-77 of it
+        with mpmath.workdps(40):
+            big_l, big_m = mpmath.mpf(lam), mpmath.mpf(m)
+            b = mpmath.sqrt(big_m**2 + big_l)
+            rl = mpmath.sqrt(abs(big_l))
+            ratio = mpmath.asinh(rl / big_m) if lam > 0 else mpmath.atan(rl / b)
+            ref = float(big_l**2 / (16 * mpmath.pi) * 2 * ratio / (rl * b))
+        res = mode_reg_density(StepConfig(lam, m), 1.0)
+        assert res.value > 0.0
+        assert abs(res.value - ref) <= res.error_estimate
+
+    @pytest.mark.parametrize("lam", [-(1.0 - 2.0**-53), -0.9999999999, -0.999999])
+    def test_constant_part_where_lam_nearly_cancels_m_squared(self, lam):
+        # m^2 + lam is 2^-53, about 1e-10 and 1e-6 at m = 1, and m*m + lam
+        # forms it exactly; sqrt(m - sqrt(-lam)) sqrt(m + sqrt(-lam)) once
+        # cancelled the rounding of sqrt(-lam) and made b 41% too large at
+        # the first, S 29% too small.  The reference is S in 40 digits
+        with mpmath.workdps(40):
+            big_l = mpmath.mpf(lam)
+            b = mpmath.sqrt(1 + big_l)
+            rl = mpmath.sqrt(-big_l)
+            ref = float(2 * mpmath.atan(rl / b) / (rl * b))
+        assert abs(_constant_part_integral(StepConfig(lam, 1.0)) - ref) <= 4.0 * EPS * ref
+
+    def test_phase_that_overflows_raises_where_it_matters(self):
+        # 2tb = 2e300 * 1e10 is inf, and at m = 1e-150 the cos(2Et) part
+        # moves the density by several percent, so no value within tol exists
+        with pytest.raises(ToleranceNotMet, match=r"the phase 2tb = inf is not finite"):
+            mode_reg_density(StepConfig(1e20, 1e-150), 1e300)
 
     @pytest.mark.parametrize(
         "lam,m,t,ref",
