@@ -220,98 +220,83 @@ def _threshold(cfg: StepConfig) -> float:
     return math.ldexp(math.sqrt(ms * ms + math.ldexp(lam, -2 * e)), e)
 
 
-def _constant_part_integral(cfg: StepConfig) -> float:
-    """Closed form of the non-oscillatory integral over all k of
-    1/(omega * E^2): elementary after k = m*sinh(u).  At lam > 0,
-    asinh(sqrt(lam)/m) = atanh(sqrt(lam)/b), and keeps its digits where
-    sqrt(lam)/b rounds to 1.  Needs lam != 0:
-    mode_reg_density returns 0 before calling it at lam = 0."""
-    lam, m = cfg.lam, cfg.m
-    b = _threshold(cfg)
-    if lam > 0.0:
-        rl = math.sqrt(lam)
-        return 2.0 * math.asinh(rl / m) / (rl * b)
-    rl = math.sqrt(-lam)
-    return 2.0 * math.atan(rl / b) / (rl * b)
-
-
 @finite
 def mode_reg_density(
     cfg: StepConfig, t: float, spec: QuadratureSpec | None = None
 ) -> QuadratureResult:
     """Renormalized kinetic energy density at t > 0 from the mode sum.
 
-    The density is pref (S - 2I), pref = lam^2/(16 pi), with S elementary
-    (_constant_part_integral) and I = Re int_b^inf e^(2itE) dE/(E omega k),
-    b = sqrt(m^2 + lam).  Turned onto E = b + i s^2, past no singularity,
-    I = Re[e^(i (2tb + pi/4)) J] with J = int_0^inf 2 e^(-2ts^2) ds /
-    (E omega sqrt(2b + i s^2)), which neither oscillates nor cancels.  J
-    beyond s = R is at most e^(-2tR^2)/(2bR^2), as |E| >= s^2, |omega|^2 >=
-    2bs^2 and |2b + i s^2| >= 2b; R takes tol/4 of the error, and the
-    quadrature in s = c sinh(v), c = min(sqrt(b), m/sqrt(2b)) the smallest
-    scale on which the integrand turns, another tol/4.  Where 4 pref
-    (|J| + its error) <= tol/4, J cannot matter: the density is pref S, that
-    bound is added to the estimate, and the phase is not formed.
-    ToleranceNotMet names the float phase 2tb where it overflows, or where
-    the rounding of its exact correction can move the density by more than
-    tol.  Where 2 pref S <= tol, the density, which lies in [0, 2 pref S],
-    is pref S +- pref S.
+    The density is (|lam|/8pi) (rho - Re[e^(i (2tb + pi/4)) K]), with
+    b = sqrt(m^2 + lam) and no lam^2 formed.  rho = |lam| S/2, with S the
+    integral over all k of 1/(omega E^2), elementary after k = m sinh(u):
+    (sqrt(lam)/b) asinh(sqrt(lam)/m) for lam >= 0, where asinh(sqrt(lam)/m)
+    = ln((b + sqrt(lam))/m) is read from logs if sqrt(lam)/m overflows, and
+    (sqrt(-lam)/b) atan(sqrt(-lam)/b) for lam < 0.  K = |lam| J, from
+    Re int_b^inf e^(2itE) dE/(E omega k) turned onto E = b + i s^2, past no
+    singularity: J = int_0^inf 2 e^(-2ts^2) ds / (E omega sqrt(2b + i s^2)),
+    which neither oscillates nor cancels.  J beyond s = R is at most
+    e^(-2tR^2)/(2bR^2), as |E| >= s^2, |omega|^2 >= 2bs^2 and
+    |2b + i s^2| >= 2b; R takes tol/4 of the error, and the quadrature in
+    s = c sinh(v), c = min(sqrt(b), m/sqrt(2b)) the smallest scale on which
+    the integrand turns, another tol/4.  ToleranceNotMet names the float
+    phase 2tb where the rounding of its exact correction, or its overflow,
+    can move the density by more than tol.  Where 2 (|lam|/8pi) rho <= tol,
+    the density, which lies in [0, 2 (|lam|/8pi) rho], is
+    (|lam|/8pi) rho +- (|lam|/8pi) rho.
     """
     spec = spec or QuadratureSpec()
     if t < 0.0:
         raise BeforeSwitchOn("density is defined after the switch-on, t >= 0")
-    if t == 0.0 or cfg.lam == 0.0:
+    if t == 0.0:
         return QuadratureResult(0.0, 0.0)
 
     lam, m = cfg.lam, cfg.m
-    steady = _constant_part_integral(cfg)
-    scale = lam * (lam * steady) / (16.0 * math.pi)  # pref S, where pref may underflow
-    tol = max(spec.abs_tol, spec.rel_tol * scale)
-    if 2.0 * scale <= tol:
-        return QuadratureResult(scale, scale)
-
-    pref = lam * lam / (16.0 * math.pi)
     b = _threshold(cfg)
+    rl = math.sqrt(abs(lam))
+    if lam < 0.0:
+        ratio = math.atan(rl / b)
+    else:
+        ratio = math.asinh(rl / m) if math.isfinite(rl / m) else math.log(b + rl) - math.log(m)
+    rho = rl / b * ratio
+    weight = abs(lam) / (8.0 * math.pi)
+    steady = weight * rho
+    tol = max(spec.abs_tol, spec.rel_tol * steady)
+    if 2.0 * steady <= tol:
+        return QuadratureResult(steady, steady)
+
     r2b = math.sqrt(2.0 * b)
     c = min(math.sqrt(b), m / r2b)
-    # The tail bound is pref e^(-x)/(bR^2) with x = 2tR^2, at most tol/4 where
-    # x e^x >= q = 8 pref t/(tol b): at x = ln(1 + q), with ln q from logs.
-    ln_q = math.log(8.0 * pref / tol) + math.log(t) - math.log(b)
+    ktol = rho * (tol / steady) / 4.0  # K's error counts weight times, so this is tol/4 of it
+    # The tail bound is weight |lam| t e^(-x)/(b x) with x = 2tR^2, at most
+    # tol/4 where x e^x >= q = |lam| t/(b ktol): at x = ln(1 + q), with ln q from logs.
+    ln_q = math.log(abs(lam) / b) + math.log(t) - math.log(ktol)
     x = ln_q if ln_q > 700.0 else math.log1p(math.exp(ln_q))
+    gain = 2.0 * abs(lam) / b
 
-    def ray(v: float) -> complex:  # J's integrand in v, with ds = c cosh(v) dv
+    def ray(v: float) -> complex:  # K's integrand in v, ds = c cosh(v) dv; gain/(E/b) = 2|lam|/E
         s = c * math.sinh(v)
         s2 = s * s
         g = max(m, r2b * s, s2)  # omega/g keeps m^2, s^4 and bs^2 in range
         omega_g = cmath.sqrt(complex((m / g) ** 2 - (s2 / g) ** 2, (r2b * s / g) ** 2))
-        denom = complex(b, s2) * omega_g * cmath.sqrt(complex(2.0 * b, s2))
-        return 2.0 * math.exp(-2.0 * t * s2) * (c * math.cosh(v) / g) / denom
+        denom = complex(1.0, s2 / b) * omega_g * cmath.sqrt(complex(2.0 * b, s2))
+        return gain * math.exp(-2.0 * t * s2) * (c * math.cosh(v) / g) / denom
 
-    # the value counts J's error 2 pref times, so this is tol/4 of it
-    quad_spec = QuadratureSpec(spec.rel_tol, tol / (8.0 * pref), spec.max_subdivisions)
+    quad_spec = QuadratureSpec(spec.rel_tol, ktol, spec.max_subdivisions)
     quad = integrate_interval(ray, 0.0, math.asinh(math.sqrt(x / (2.0 * t)) / c), quad_spec)
-    # where J cannot move the density by tol/4, the phase is not formed
-    dropped = 4.0 * pref * (abs(quad.value) + quad.error_estimate)
-    if dropped <= 0.25 * tol:
-        return QuadratureResult(scale, dropped + 0.25 * tol, quad.evaluations)
     phase = 2.0 * t * b
-    if not math.isfinite(phase):
-        raise ToleranceNotMet(
-            f"mode_reg_density at cfg = {cfg!r}, t = {t!r}: the phase 2tb = {phase!r} is not "
-            f"finite, and J moves the density by up to {dropped:.3e}, above tolerance {tol:.3e}",
-            value=scale, error_estimate=dropped + 0.25 * tol, evaluations=quad.evaluations,
-        )
-    # slip = 2t sqrt(m^2 + lam) - phase from the inputs' integer ratios, to
-    # 2^-63: with m^2 + lam = n/d, d a power of 2, the root is isqrt(n d 4^j)/(d 2^j)
-    (mp, mq), (lp, lq), (tp, tq), (pp, pq) = (f.as_integer_ratio() for f in (m, lam, t, phase))
-    n, d, j = mp * mp * lq + lp * mq * mq, mq * mq * lq, 64 + tp.bit_length()
-    slip = (2 * tp * pq * math.isqrt(n * d << 2 * j) - (pp * tq * d << j)) / (tq * pq * d << j)
-    turn = cmath.rect(1.0, phase) * cmath.rect(1.0, slip + 0.25 * math.pi)
-    value = pref * (steady - 2.0 * (turn * quad.value).real)
+    slip, turn = math.inf, 0.0  # where 2tb overflows, K may turn any way
+    if math.isfinite(phase):
+        # slip = 2t sqrt(m^2 + lam) - phase from the inputs' integer ratios, to
+        # 2^-63: with m^2 + lam = n/d, d a power of 2, the root is isqrt(n d 4^j)/(d 2^j)
+        (mp, mq), (lp, lq), (tp, tq), (pp, pq) = (f.as_integer_ratio() for f in (m, lam, t, phase))
+        n, d, j = mp * mp * lq + lp * mq * mq, mq * mq * lq, 64 + tp.bit_length()
+        slip = (2 * tp * pq * math.isqrt(n * d << 2 * j) - (pp * tq * d << j)) / (tq * pq * d << j)
+        turn = cmath.rect(1.0, phase) * cmath.rect(1.0, slip + 0.25 * math.pi)
+    value = weight * (rho - (turn * quad.value).real)
     # slip, slip + pi/4, their cosine and sine and the products round by
-    # about 4 eps (|slip| + 1), and no rotation moves J by more than 2|J|
-    rounding = 2.0 * pref * abs(quad.value) * min(2.0, 4.0 * math.ulp(1.0) * (abs(slip) + 1.0))
-    err = 2.0 * pref * quad.error_estimate + 0.25 * tol + rounding
+    # about 4 eps (|slip| + 1), and no rotation moves K by more than 2|K|
+    rounding = weight * abs(quad.value) * min(2.0, 4.0 * math.ulp(1.0) * (abs(slip) + 1.0))
+    err = weight * quad.error_estimate + 0.25 * tol + rounding
     if rounding > tol:
         raise ToleranceNotMet(
             f"mode_reg_density at cfg = {cfg!r}, t = {t!r}: the phase 2tb = {phase!r} is off by "
@@ -333,8 +318,22 @@ def pointsplit_density(
 
     Integrates the full subtracted integrand (remainder included) over the
     k-line, as its even fold over k >= 0 (_folded_pointsplit).  At lam = 0
-    it is 0.0 for every tau.
+    it is 0.0 for every tau.  Its lam-driven phases E eps0, 2Et and
+    (E + omega) eps0/2 are rounded to floats, by about 2^-52 of each in
+    radians, and a rounded phase moves a cosine or sine by at most 2.  On
+    the terms they multiply, lam^2/(2E^2) and at most
+    2 omega^2 |lam| eps0/(E + omega), over 2 omega under the cutoff
+    e^(-omega tau), with E >= b = sqrt(m^2 + lam) and
+        int e^(-omega tau)/omega dk = K0(m tau) <= e^(-m tau) k0,  k0 = 1 + ln(1 + 1/(m tau)),
+        int e^(-omega tau) dk = m K1(m tau) <= e^(-m tau) (1/tau + m),
+        int omega e^(-omega tau) dk = m^2 K0(m tau) + m K1(m tau)/tau,
+    that moves the density by at most e^(-m tau) |lam|/(2pi) times
+        (|lam|/4b) min(2^-52 (eps0 + 2t), 4/b) k0
+        + min(2^-53 eps0^2 (m^2 k0 + (1/tau + m)/tau), 2 eps0 (1/tau + m)),
+    and ToleranceNotMet names the phase rounding where that exceeds
+    max(abs_tol, rel_tol |value|).
     """
+    spec = spec or QuadratureSpec()
     if reg.eps0 >= 2.0 * t:
         raise SplitStraddlesStep(
             f"need eps0 < 2t so both split times stay past the switch; got "
@@ -345,9 +344,25 @@ def pointsplit_density(
 
     quad = integrate_halfline(_folded_pointsplit(cfg, t, reg), reg.tau, spec)
     two_pi = 2.0 * math.pi
-    return QuadratureResult(
-        quad.value / two_pi, quad.error_estimate / two_pi, quad.evaluations
-    )
+    value, err = quad.value / two_pi, quad.error_estimate / two_pi
+    lam, m, eps0, tau = abs(cfg.lam), cfg.m, reg.eps0, reg.tau
+    cutoff = math.exp(-m * tau)
+    if cutoff > 0.0:  # else the fold is 0 at every node and no phase matters
+        b = _threshold(cfg)
+        k0 = 1.0 + math.log1p(m * tau) - math.log(m) - math.log(tau)
+        mixing = lam / (4.0 * b) * min(math.ldexp(eps0 + 2.0 * t, -52), 4.0 / b) * k0
+        e_tau, e_m = eps0 / tau, m * eps0
+        shift = min(math.ldexp(e_m * e_m * k0 + e_tau * (e_tau + e_m), -53), 2.0 * (e_tau + e_m))
+        rounding = cutoff * lam / two_pi * (mixing + shift)
+        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+        if rounding > tol:
+            raise ToleranceNotMet(
+                f"pointsplit_density at cfg = {cfg!r}, t = {t!r}, reg = {reg!r}: the phase "
+                f"rounding in E eps0, 2Et and (E + omega) eps0/2 moves the density by up to "
+                f"{rounding:.3e}, above tolerance {tol:.3e}",
+                value=value, error_estimate=err, evaluations=quad.evaluations,
+            )
+    return QuadratureResult(value, err, quad.evaluations)
 
 
 @finite

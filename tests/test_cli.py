@@ -452,19 +452,33 @@ class TestValidation:
             ("0.5", "1e-200", 0.0),  # -3.3e-49
             ("1e-160", "1", 6.17582057301558180e-322),
             ("1e20", "1e300", 9.43748948618366125e19),
+            ("1e155", "1e-60", 1.32271734329224901e156),
         ],
         ids=["step-math-domain", "step-tail-cut", "step-tail-cut-small-t", "step-tail-cut-tiny-lambda",
-             "step-phase-overflow"],
+             "step-phase-overflow", "step-lambda-squared-overflows"],
     )
     def test_mode_sum_at_extreme_inputs_is_within_tol(self, capsys, lam, t, ref):
         # each at an edge of the float range: b = 1e10, cuts R = 1.6e-99 and 1.5e5 in s, a subnormal
-        # pref, and a phase 2tb = 2e310 that overflows where J, below 1e-146 of the density, cannot
-        # matter (its reference is pref S).  The others are 40-digit mpmath quadratures.  The density lies in
-        # [0, 2 pref S], so the default tol, max(abs_tol, rel_tol pref S), is at least this
+        # density, a phase 2tb = 2e310 that overflows, where 2 (|lam|/8pi)|K|, below 1e-146 of the density,
+        # enters the estimate (the reference is the steady part (|lam|/8pi) rho), and lam^2 = 1e310, which
+        # once made K's tolerance 0 (a 70-digit quadrature, as in test_time_step).  The others are 40-digit
+        # mpmath quadratures.  The density lies in [0, 2 steady], so the default tol, max(abs_tol,
+        # rel_tol steady), is at least this
         code, out, err = run_cli(["step-energy", "--lambda", lam, "--mass", "1", "--grid", f"{t}:{t}:1"], capsys)
         assert (code, err) == (0, "")
         value = float(out.splitlines()[-1].split(",")[1])
         assert abs(value - ref) <= max(1e-14, 0.5e-10 * ref)
+
+    def test_point_split_whose_cutoff_underflows_is_zero(self, capsys):
+        # m tau = 7e114, so e^(-omega tau) is 0 at every node: the phase 2Et = 1.4e50, which has lost every
+        # digit, moves nothing, and the point split is 0
+        code, out, err = run_cli(
+            ["step-energy", "--lambda", "1e-05", "--mass", "7.007890171267873e+54", "--grid", "1e-05:1e-05:1",
+             "--compare", "--eps0", "1.0872345917770017e-66", "--eps1", "0", "--tau", "1e+60"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert float(out.splitlines()[-1].split(",")[2]) == 0.0
 
     def test_non_finite_integrand_exits_3_at_once(self, capsys):
         # exp(450)^2 overflows to inf, so rho'^2/rho is nan near the ends
@@ -1140,7 +1154,11 @@ _COMMANDS = st.one_of(
         lambda a: ["qi-bound", "--rho", a[0], "--support", f"{a[1]},{a[2]}", *_BUDGET]),
 )
 # a function named with its inputs (errors.finite), or a panel (ToleranceNotMet)
-_NAMED_FAILURE = re.compile(r"numerical failure: (\w+ at \w+ = .+ is not finite \(.+\)|.*panel \[.+\].*)\n", re.S)
+_NAMED_FAILURE = re.compile(
+    r"numerical failure: (\w+ at \w+ = .+ is not finite \(.+\)|.*panel \[.+\].*"
+    r"|(mode_reg|pointsplit)_density at cfg = .+, t = .+: the phase .+)\n",
+    re.S,
+)
 
 
 class TestEveryCommandIsTotal:

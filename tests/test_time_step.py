@@ -21,7 +21,6 @@ from regulab.errors import (
 from regulab.numerics import QuadratureSpec, integrate_interval, integrate_realline
 from regulab.time_step import (
     StepConfig,
-    _constant_part_integral,
     _folded_pointsplit,
     _folded_remainder,
     bogoliubov,
@@ -371,7 +370,7 @@ class TestModeRegDensity:
         with mpmath.workdps(40):
             b = mpmath.sqrt(2)
             osc = mpmath.sqrt(mpmath.pi * b / t) * mpmath.cos(2 * t * b + mpmath.pi / 4) / (b * b)
-        asymptote = (_constant_part_integral(CFG) - float(osc)) / (16.0 * math.pi)
+            asymptote = float((2 * mpmath.asinh(1) / b - osc) / (16 * mpmath.pi))
         res = mode_reg_density(CFG, t)
         assert abs(res.value - asymptote) <= res.error_estimate
 
@@ -419,19 +418,42 @@ class TestModeRegDensity:
         # m^2 + lam is 2^-53, about 1e-10 and 1e-6 at m = 1, and m*m + lam
         # forms it exactly; sqrt(m - sqrt(-lam)) sqrt(m + sqrt(-lam)) once
         # cancelled the rounding of sqrt(-lam) and made b 41% too large at
-        # the first, S 29% too small.  The reference is S in 40 digits
+        # the first, S 29% too small.  At t = 1e60 the cos(2Et) part is below
+        # 1e-25 of the density, so the reference is (|lam|/8pi) rho in 40 digits
         with mpmath.workdps(40):
             big_l = mpmath.mpf(lam)
             b = mpmath.sqrt(1 + big_l)
             rl = mpmath.sqrt(-big_l)
-            ref = float(2 * mpmath.atan(rl / b) / (rl * b))
-        assert abs(_constant_part_integral(StepConfig(lam, 1.0)) - ref) <= 4.0 * EPS * ref
+            ref = float(-big_l / (8 * mpmath.pi) * (rl / b) * mpmath.atan(rl / b))
+        assert abs(mode_reg_density(StepConfig(lam, 1.0), 1e60).value - ref) <= 4.0 * EPS * ref
 
     def test_phase_that_overflows_raises_where_it_matters(self):
         # 2tb = 2e300 * 1e10 is inf, and at m = 1e-150 the cos(2Et) part
         # moves the density by several percent, so no value within tol exists
-        with pytest.raises(ToleranceNotMet, match=r"the phase 2tb = inf is not finite"):
+        with pytest.raises(ToleranceNotMet, match=r"the phase 2tb = inf is off by inf"):
             mode_reg_density(StepConfig(1e20, 1e-150), 1e300)
+
+    @pytest.mark.parametrize(
+        "lam,m,t,ref",
+        [
+            (1e300, 1e300, 1.0, 0.039788735772973833942),
+            (1e155, 1.0, 1e-60, 1.3227173432922490098e156),
+            (2e154, 1.0, 1e-70, 2.5971215122590334130e155),
+            (1e20, 1e-300, 1.0, 1.3732681924431166440e21),
+            (-1e300, 1e151, 1e-140, 4.0056041895657267355e296),
+        ],
+    )
+    def test_density_where_lam_squared_overflows(self, lam, m, t, ref):
+        # lam^2 overflows at all five; it once made J's tolerance 0 (the
+        # middle three and the last), S underflow to 0 where sqrt(lam) b
+        # overflows (the first) and S inf where sqrt(lam)/m does (the
+        # fourth).  The references are mpmath quadratures of J in ln s at 70
+        # digits, on pieces 0.15 wide from ln(min(m/sqrt(2b), sqrt(b),
+        # 1/sqrt(t))) - 60 to ln(10/sqrt(t)) + 2, plus the constant head
+        # below, with the phase 2tb + pi/4 in 80 + log10(2tb) digits; pieces
+        # 0.25 wide at 50 digits agree to 6e-18
+        res = mode_reg_density(StepConfig(lam, m), t)
+        assert abs(res.value - ref) <= res.error_estimate
 
     @pytest.mark.parametrize(
         "lam,m,t,ref",
@@ -604,6 +626,15 @@ class TestPointsplitDensity:
         loose = pointsplit_density(cfg, t, reg, QuadratureSpec(rel_tol=1e-9))
         tight = pointsplit_density(cfg, t, reg, QuadratureSpec(rel_tol=1e-11))
         assert abs(loose.value - tight.value) <= loose.error_estimate
+
+    @pytest.mark.parametrize("lam,t", [(1e40, 100.0), (1e30, 1.0)])
+    def test_phase_that_lost_its_digits_raises(self, lam, t):
+        # at lam = 1e40, E eps0 ~ 2.5e17 rad rounds to a multiple of 32 rad,
+        # and the fold once returned 1.7e39 +- 8.8e27, where an 80-digit
+        # quadrature of it gives 7.2e38; at lam = 1e30 it returned
+        # 4.95528e28 +- 2.5e17 against 4.95592e28
+        with pytest.raises(ToleranceNotMet, match=r"^pointsplit_density at cfg = .+: the phase rounding in "):
+            pointsplit_density(StepConfig(lam, 1.0), t, Regulator(0.0025, 0.0025, 0.05))
 
     def test_converges_below_the_old_rounding_floor(self):
         # unfolded, mixed - free cancelled to an absolute rounding floor of
