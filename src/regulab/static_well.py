@@ -7,8 +7,9 @@ q = sqrt(omega^2 - lam) continue to hyperbolic ones; the mode functions are
 written in terms of the entire functions cos(c*sqrt(z)) and sinc(c*sqrt(z))
 of z = omega^2 - lam, so no branch or 0/0 trouble arises anywhere, including
 the removable point omega^2 = lam of the antisymmetric family.  Only the
-fused interior ratio leaves them, above the barrier top, where it reads
-every factor from q = sqrt(z) taken once per node (_interior_ratios).
+fused interior ratio leaves them: it reads every factor from one square root
+per node, sin/cos of sqrt(z) above the top and sinh/cosh of sqrt(-z) below
+it, and returns the limit at z = 0 (_interior_ratios).
 
 The renormalized density inside the well is a frequency integral of a
 subtracted per-mode density plus a slowly-decaying remainder whose cutoff
@@ -190,48 +191,37 @@ def _interior_ratios(cfg: WellConfig, reg: Regulator, x: float) -> Callable[[flo
     divided by the common factor omega*cos(omega*eps0)/(4*pi).  Fused so that
     the 1/omega and the omega^2 -> lam cancellations happen analytically.
 
-    Above the barrier top, where z*big >= 1e-12 for z = omega^2 - lam and
-    big = max(a^2, y1^2, y1'^2, eps1^2), y1 and y1' = x +- eps1/2 (the
-    switch of _sinc_w2's series), a node takes q = sqrt(z) once and reads
-    every factor from it: shared = 1 + lam*sin^2(aq)/z, ce = cos(eps1 q) and
+    With z = omega^2 - lam and y1, y1' = x +- eps1/2, a node reads every
+    factor from one square root.  Above the barrier top (z > 0) that is
+    q = sqrt(z): shared = 1 + lam*sin^2(aq)/z, ce = cos(eps1 q) and
     cross = lam*sin(q y1)*sin(q y1')/z, a product that does not cancel as
-    cos(eps1 q) - cos(2xq) would.  Everywhere else, z < 0, z = 0 and a nan
-    from z*big included, the factors go through the entire functions
-    _sinc_w2 and _cos_sqrt, whose series and two-sided limit serve there
-    unchanged.  t00r_static's integrand, s_omega and xi_lambda all read this
-    closure; above the top the q path moved xi_lambda from its value
-    through the helpers by at most 9.0e-14 of |ratio1| + |ratio2| over
-    20,000 seeded nodes, the worst where n1 cancels.  The constants of (cfg, reg, x) are computed once, here; each
-    keeps the association it has in _interior_factors (lam*a*a is
-    (lam*a)*a), and the helper branch repeats _interior_factors' lines
-    instead of calling it: that call per node made t00r_static about 10%
-    slower.  Where a^2 overflows, below the top _sinc_w2(a^2 z) would be
-    inf/inf at every node, so that is an OverflowError here."""
+    cos(eps1 q) - cos(2xq) would.  Below it (z < 0) q = i*p with
+    p = sqrt(-z), and the same lines read sinh and cosh of p.  At z = 0, the
+    removable point, the closure returns the limit
+    1 + (1 + lam*y1*y1')/(1 + lam*a^2), which is what the entire functions
+    cos(c*sqrt(z)) and sinc(c*sqrt(z)) give there.  t00r_static's integrand,
+    s_omega and xi_lambda all read this closure.  Below the top sinh(a p)
+    overflows where a*p > 710.4, and t00r_static names that OverflowError."""
     lam, a, e1 = cfg.lam, cfg.a, reg.eps1
-    aa = a * a
-    if aa == math.inf:
-        raise OverflowError(f"a^2 overflows at a = {a!r}")
-    laa = lam * a * a
     y1 = x + e1 / 2.0
     y1p = x - e1 / 2.0
-    yy = y1 * y1
-    yyp = y1p * y1p
-    lyy = lam * y1 * y1p
-    big = max(aa, yy, yyp, e1 * e1)
 
     def ratios(omega: float) -> float:
         z = omega * omega - lam
-        if z * big >= 1e-12:
+        if z > 0.0:
             q = math.sqrt(z)
             sa = math.sin(a * q)
             shared = 1.0 + lam * sa * sa / z
             ce = math.cos(e1 * q)
             cross = lam * math.sin(q * y1) * math.sin(q * y1p) / z
+        elif z < 0.0:
+            p = math.sqrt(-z)
+            sa = math.sinh(a * p)
+            shared = 1.0 - lam * sa * sa / z
+            ce = math.cosh(e1 * p)
+            cross = -lam * math.sinh(p * y1) * math.sinh(p * y1p) / z
         else:
-            sa = _sinc_w2(aa * z)
-            shared = 1.0 + laa * sa * sa
-            ce = _cos_sqrt(z, e1)
-            cross = lyy * _sinc_w2(yy * z) * _sinc_w2(yyp * z)
+            return 1.0 + (1.0 + lam * y1 * y1p) / (1.0 + lam * a * a)
         n1 = lam + z * (2.0 - shared)
         return ((lam + z) * ce - z * cross) / n1 + (ce + cross) / shared
 

@@ -331,7 +331,8 @@ def pointsplit_density(
         (|lam|/4b) min(2^-52 (eps0 + 2t), 4/b) k0
         + min(2^-53 eps0^2 (m^2 k0 + (1/tau + m)/tau), 2 eps0 (1/tau + m)),
     and ToleranceNotMet names the phase rounding where that exceeds
-    max(abs_tol, rel_tol |value|).
+    max(abs_tol, rel_tol |value|).  Where e^(-m tau) underflows the bound
+    is 0, or nan where a term overflows, and neither exceeds it.
     """
     spec = spec or QuadratureSpec()
     if reg.eps0 >= 2.0 * t:
@@ -346,22 +347,20 @@ def pointsplit_density(
     two_pi = 2.0 * math.pi
     value, err = quad.value / two_pi, quad.error_estimate / two_pi
     lam, m, eps0, tau = abs(cfg.lam), cfg.m, reg.eps0, reg.tau
-    cutoff = math.exp(-m * tau)
-    if cutoff > 0.0:  # else the fold is 0 at every node and no phase matters
-        b = _threshold(cfg)
-        k0 = 1.0 + math.log1p(m * tau) - math.log(m) - math.log(tau)
-        mixing = lam / (4.0 * b) * min(math.ldexp(eps0 + 2.0 * t, -52), 4.0 / b) * k0
-        e_tau, e_m = eps0 / tau, m * eps0
-        shift = min(math.ldexp(e_m * e_m * k0 + e_tau * (e_tau + e_m), -53), 2.0 * (e_tau + e_m))
-        rounding = cutoff * lam / two_pi * (mixing + shift)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-        if rounding > tol:
-            raise ToleranceNotMet(
-                f"pointsplit_density at cfg = {cfg!r}, t = {t!r}, reg = {reg!r}: the phase "
-                f"rounding in E eps0, 2Et and (E + omega) eps0/2 moves the density by up to "
-                f"{rounding:.3e}, above tolerance {tol:.3e}",
-                value=value, error_estimate=err, evaluations=quad.evaluations,
-            )
+    b = _threshold(cfg)
+    k0 = 1.0 + math.log1p(m * tau) - math.log(m) - math.log(tau)
+    mixing = lam / (4.0 * b) * min(math.ldexp(eps0 + 2.0 * t, -52), 4.0 / b) * k0
+    e_tau, e_m = eps0 / tau, m * eps0
+    shift = min(math.ldexp(e_m * e_m * k0 + e_tau * (e_tau + e_m), -53), 2.0 * (e_tau + e_m))
+    rounding = math.exp(-m * tau) * lam / two_pi * (mixing + shift)
+    tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+    if rounding > tol:
+        raise ToleranceNotMet(
+            f"pointsplit_density at cfg = {cfg!r}, t = {t!r}, reg = {reg!r}: the phase "
+            f"rounding in E eps0, 2Et and (E + omega) eps0/2 moves the density by up to "
+            f"{rounding:.3e}, above tolerance {tol:.3e}",
+            value=value, error_estimate=err, evaluations=quad.evaluations,
+        )
     return QuadratureResult(value, err, quad.evaluations)
 
 

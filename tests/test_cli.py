@@ -411,18 +411,18 @@ class TestValidation:
             (["limit-scan", "--expr", "ratio239", "--path", "1,1,1,1,1,1e-310", "--s-schedule", "0.2,0.1,0.05,0.025"],
              3, "numerical failure: ratio_239 at reg = Regulator(eps0=0.2, eps1=0.2, tau=2e-311) "
              "is not finite ((0.25-infj))"),
-            # sinh overflows in the well's sinc at this frequency
+            # sinh(a p) overflows below the barrier top, p = sqrt(lam - omega^2)
             (["well-energy", "--lambda", "1e8", "--a", "0.3", "--grid", "1e-160:-1:1", "--eps0", "1e300",
               "--eps1", "0.3", "--tau", "0.3"], 3,
              "numerical failure: t00r_static at cfg = WellConfig(lam=100000000.0, a=0.3), "
              f"reg = Regulator(eps0=1e+300, eps1=0.3, tau=0.3), x = 1e-160, t = 0.0, spec = {DEFAULT_SPEC} "
              "is not finite (OverflowError: math range error)"),
-            # a^2 overflows, and below the barrier top every node would be nan
+            # a p > 710.4 at the first node below the barrier top, so sinh(a p) overflows there
             (["well-energy", "--lambda", "1", "--a", "1e160", "--grid", "0:0:1", "--eps0", "0.01",
               "--eps1", "0.01", "--tau", "0.1"], 3,
              "numerical failure: t00r_static at cfg = WellConfig(lam=1.0, a=1e+160), "
              f"reg = Regulator(eps0=0.01, eps1=0.01, tau=0.1), x = 0.0, t = 0.0, spec = {DEFAULT_SPEC} "
-             "is not finite (OverflowError: a^2 overflows at a = 1e+160)\n"),
+             "is not finite (OverflowError: math range error)\n"),
             # the symmetric family's n1 is 0 at a node
             (["well-energy", "--lambda", "1e-8", "--a", "2.05e-25", "--grid", "1e-40:3.7e26:1", "--eps0", "1e300",
               "--eps1", "1e-40", "--tau", "1e40"], 3,
@@ -1153,6 +1153,19 @@ _COMMANDS = st.one_of(
     st.tuples(st.sampled_from(_WEIGHTS), _numbers, _numbers).map(
         lambda a: ["qi-bound", "--rho", a[0], "--support", f"{a[1]},{a[2]}", *_BUDGET]),
 )
+
+
+def _well_command(a, lam, u, v, eps0, tau):
+    """A well whose one grid point lies inside it, so that most commands reach
+    the integrand: x = u a and eps1 = 2 (a - |x|) v."""
+    x = u * a
+    return ["well-energy", "--lambda", repr(lam), "--a", repr(a), f"--grid={x!r}:{x!r}:1",
+            "--eps0", repr(eps0), "--eps1", repr(2.0 * (a - abs(x)) * v), "--tau", repr(tau), *_BUDGET]
+
+
+_WELL_COMMANDS = st.builds(_well_command, _magnitudes, _magnitudes, st.floats(-0.999, 0.999),
+                           st.floats(0.0, 0.999), _magnitudes, _magnitudes)
+
 # a function named with its inputs (errors.finite), or a panel (ToleranceNotMet)
 _NAMED_FAILURE = re.compile(
     r"numerical failure: (\w+ at \w+ = .+ is not finite \(.+\)|.*panel \[.+\].*"
@@ -1161,21 +1174,33 @@ _NAMED_FAILURE = re.compile(
 )
 
 
+def assert_total(argv):
+    """Run argv in-process: it exits 0, 2 or 3, exit 0 prints no nan or inf,
+    and exit 3 names its cause."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if code == 0:
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out.getvalue()), (argv, out.getvalue())
+    if code == 3:
+        assert _NAMED_FAILURE.fullmatch(err.getvalue()), (argv, err.getvalue())
+    return code
+
+
 class TestEveryCommandIsTotal:
     @given(_COMMANDS)
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_exit_0_is_finite_and_exit_3_names_its_cause(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refuses the command line
-                code = exc.code
-        assert code in (0, 2, 3), (argv, code, err.getvalue())
-        if code == 0:
-            assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out.getvalue()), (argv, out.getvalue())
-        if code == 3:
-            assert _NAMED_FAILURE.fullmatch(err.getvalue()), (argv, err.getvalue())
+        assert_total(argv)
+
+    @given(_WELL_COMMANDS)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_wells_that_reach_the_integrand_are_total(self, argv):
+        assert_total(argv)
 
 
 class TestDeterminism:

@@ -201,21 +201,23 @@ class TestRemainder:
 
 
 def _terms_40_digits(omega, lam, a, e0, e1, y1, y1p):
-    """The four terms whose sum is s_omega, from q = sqrt(omega^2 - lam) > 0."""
+    """The four terms whose sum is s_omega, from q = sqrt(omega^2 - lam),
+    imaginary below the barrier top."""
     z = omega * omega - lam
-    q = mpmath.sqrt(z)
+    q = mpmath.sqrt(mpmath.mpc(z))
     shared = 1 + lam * mpmath.sin(a * q) ** 2 / z
     n1 = lam + z * (2 - shared)
     ce = mpmath.cos(e1 * q)
     cross = lam * mpmath.sin(q * y1) * mpmath.sin(q * y1p) / z
     c0 = mpmath.cos(omega * e0)
     pref = omega * c0 / (4 * mpmath.pi)
-    return (
+    terms = (
         pref * ((lam + z) * ce - z * cross) / n1,
         pref * (ce + cross) / shared,
         -2 * pref * mpmath.cos(omega * e1),
         -lam / (4 * mpmath.pi) * e1 * c0 * mpmath.sin(omega * e1),
     )
+    return tuple(mpmath.re(t) for t in terms)
 
 
 def _value_and_scale_40_digits(cfg, reg, x, omega):
@@ -247,7 +249,8 @@ class TestSubtractedIntegrand:
     @staticmethod
     def entire_function_integrand(cfg, reg, x):
         """The integrand with every factor through _sinc_w2 and _cos_sqrt,
-        the helpers' form that served every omega before the q = sqrt(z) path."""
+        the helpers' form, and the closure's arithmetic outside the fused
+        ratio: the two differ only in how they read the ratio's factors."""
         lam, a, e0, e1 = cfg.lam, cfg.a, reg.eps0, reg.eps1
         y1, y1p = x + e1 / 2.0, x - e1 / 2.0
         r_pref = lam / _FOUR_PI * e1
@@ -260,9 +263,9 @@ class TestSubtractedIntegrand:
             ce = _cos_sqrt(z, e1)
             cross = lam * y1 * y1p * _sinc_w2(y1 * y1 * z) * _sinc_w2(y1p * y1p * z)
             fused = ((lam + z) * ce - z * cross) / n1 + (ce + cross) / shared
-            c0 = math.cos(omega * e0)
-            density = omega * c0 / _FOUR_PI * (fused - 2.0 * math.cos(omega * e1))
-            return density - r_pref * c0 * math.sin(omega * e1)
+            w1 = omega * e1
+            density = omega / _FOUR_PI * (fused - 2.0 * math.cos(w1))
+            return math.cos(omega * e0) * (density - r_pref * math.sin(w1))
 
         return s
 
@@ -283,11 +286,12 @@ class TestSubtractedIntegrand:
         r = math.sqrt(lam)
         below = (0.3 * r, r * (1.0 - 1e-9))
         at = r * (1.0 + 3e-15)
-        # z a^2 just below and just above 1e-12, where the node switches
-        # from the helpers to q = sqrt(z); a^2 is the largest squared length
+        # z a^2 just below and just above 1e-12, where the oracle's amplitude
+        # (mode_solution's _sinc_w2) turns from its series to sin(w)/w; the
+        # closure reads sin(aq) on both
         switch = tuple(math.sqrt(lam + 1e-12 * k / (a * a)) for k in (0.98, 1.02))
         above = (r * (1.0 + 1e-9), 1.7 * r, 12.0)
-        # the sinc series branch, with x != 0
+        # the oracle's series branch, with x != 0
         assert 0.0 < abs(a * a * (at * at - lam)) < 1e-12
         assert [(w * w - lam) * (a * a) >= 1e-12 for w in switch] == [False, True]
         for omega in below + (at,) + switch + above:
@@ -303,12 +307,17 @@ class TestSubtractedIntegrand:
         f = _subtracted_integrand(cfg, reg, 0.3)
         sides = [self.oracle(cfg, 1.0 + d, reg, 0.3) for d in (-1e-12, 1e-12)]
         assert abs(f(1.0) - 0.5 * (sides[0] + sides[1])) < 1e-12
+        # the limit is the helpers' value there, to the bit
+        assert f(1.0) == self.entire_function_integrand(cfg, reg, 0.3)(1.0)
 
-    def test_above_the_barrier_no_farther_from_40_digits_than_the_helpers(self):
-        # seeded nodes with z*big from the switch at 1e-12 up to 1e5: the
-        # q = sqrt(z) path may differ from the helpers' form, but not by
-        # being less accurate.  Both round the split points the same way, so
-        # what they share cancels from the comparison
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_no_farther_from_40_digits_than_the_helpers(self, side):
+        # seeded nodes on either side of the barrier top: above it z*big from
+        # 1e-12 to 1e5, with big the largest squared length, and below it
+        # omega = sqrt(lam)*u for u in [1e-3, 1 - 1e-9].  The closure's sin/cos
+        # of sqrt(z), or sinh/cosh of sqrt(-z), may differ from the helpers'
+        # form, but not by being less accurate.  Both round the split points
+        # the same way, so what they share cancels from the comparison
         rng = random.Random(9)
         for _ in range(120):
             lam = rng.uniform(0.05, 6.0)
@@ -316,16 +325,20 @@ class TestSubtractedIntegrand:
             e1 = rng.uniform(0.0, 0.9) * a
             x = rng.uniform(-0.999, 0.999) * (a - e1 / 2.0)
             cfg, reg = WellConfig(lam, a), Regulator(rng.uniform(0.0, 0.5) * a, e1, 0.0)
-            big = max(a * a, (x + e1 / 2.0) ** 2, (x - e1 / 2.0) ** 2, e1 * e1)
-            omega = math.sqrt(lam + math.exp(rng.uniform(math.log(1.001e-12), math.log(1e5))) / big)
-            assert (omega * omega - lam) * big >= 1e-12
+            if side == "above":
+                big = max(a * a, (x + e1 / 2.0) ** 2, (x - e1 / 2.0) ** 2, e1 * e1)
+                omega = math.sqrt(lam + math.exp(rng.uniform(math.log(1.001e-12), math.log(1e5))) / big)
+                assert omega * omega > lam
+            else:
+                omega = math.sqrt(lam) * rng.uniform(1e-3, 1.0 - 1e-9)
+                assert omega * omega < lam
             ref, scale = _value_and_scale_40_digits(cfg, reg, x, omega)
             fast = abs(_subtracted_integrand(cfg, reg, x)(omega) - ref)
             helpers = abs(self.entire_function_integrand(cfg, reg, x)(omega) - ref)
             assert fast <= helpers + 4.0 * math.ulp(scale), (lam, a, e1, x, omega)
 
     def test_xi_lambda_and_s_omega_share_the_fused_ratio(self):
-        # both read _interior_ratios, so on either side of the switch they
+        # both read _interior_ratios, so on either side of the top they
         # differ only by the rounding of the outer products and sums; two
         # fused ratios written apart differed by up to 9e-14 above the top
         rng = random.Random(4)
@@ -378,8 +391,8 @@ class TestDensity:
         "lam,a,x,value,error_estimate,evaluations",
         [
             (1.0, 1.0, 0.0, -0.032063274558170894, 3.123414672571782e-12, 2655),
-            (1.0, 1.0, 0.3, -0.03021659721254236, 2.7069477208492644e-12, 2715),
-            (1.0, 5.0, 1.5, -0.039475649083346234, 3.927519934061809e-12, 12615),
+            (1.0, 1.0, 0.3, -0.03021659721254236, 2.706944468242747e-12, 2715),
+            (1.0, 5.0, 1.5, -0.039475649083346234, 3.927519663011266e-12, 12615),
         ],
         ids=["a1-x0", "a1-x0.3", "a5-x1.5"],
     )
